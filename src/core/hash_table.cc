@@ -100,38 +100,49 @@ QueryHashTable::insert(std::string_view query, u64 url_hash, double score,
                        bool user_accessed)
 {
     pc_assert(url_hash != 0, "url hash 0 is the empty-slot sentinel");
-    if (containsPair(query, url_hash))
-        return false;
-
-    // Find the first entry in the chain with a free slot, or append a
-    // new entry at the end of the chain.
+    // One walk over the chain both rejects a duplicate and remembers the
+    // first free slot; the chain ends at the first missing key. Only
+    // when no entry has a free slot does a new entry get appended there.
+    const u64 qh = fnv1a(query);
+    Entry *free_entry = nullptr;
+    u32 free_idx = 0;
     for (u32 slot = 0; slot < kMaxChain; ++slot) {
-        const u64 key = queryHash(query, slot);
+        const u64 key = querySlotKey(qh, slot);
         auto it = table_.find(key);
         if (it == table_.end()) {
+            if (free_entry)
+                break;
             Entry e;
-            e.queryHash = fnv1a(query);
+            e.queryHash = qh;
             e.sr[0] = ResultRef{url_hash, score, user_accessed};
             table_.emplace(key, e);
             ++pairs_;
             return true;
         }
-        if (it->second.queryHash != fnv1a(query)) {
+        if (it->second.queryHash != qh) {
+            if (free_entry)
+                break;
             // A cross-query 64-bit key collision would break chain
             // walking; with mixed FNV hashes this is effectively
             // impossible, so treat it as an internal error.
             pc_panic("query hash key collision");
         }
         for (u32 i = 0; i < layout_.resultsPerEntry; ++i) {
-            if (it->second.sr[i].urlHash == 0) {
-                it->second.sr[i] =
-                    ResultRef{url_hash, score, user_accessed};
-                ++pairs_;
-                return true;
+            const u64 h = it->second.sr[i].urlHash;
+            if (h == url_hash)
+                return false;
+            if (h == 0 && !free_entry) {
+                free_entry = &it->second;
+                free_idx = i;
             }
         }
     }
-    pc_panic("hash chain overflow for query '", std::string(query), "'");
+    if (!free_entry)
+        pc_panic("hash chain overflow for query '", std::string(query),
+                 "'");
+    free_entry->sr[free_idx] = ResultRef{url_hash, score, user_accessed};
+    ++pairs_;
+    return true;
 }
 
 bool

@@ -36,21 +36,12 @@ get(std::string_view blob, std::size_t &pos, T &v)
     return true;
 }
 
-/** One deserialized index entry, staged before any state is applied. */
-struct ParsedPair
-{
-    std::string query;
-    u64 urlHash = 0;
-    double score = 0.0;
-    bool accessed = false;
-};
-
 /** Fully parsed, checksum-valid snapshot slot. */
 struct ParsedSlot
 {
     bool valid = false;
     u64 sequence = 0;
-    std::vector<ParsedPair> pairs;
+    std::vector<SnapshotPair> pairs;
 };
 
 std::string
@@ -63,7 +54,7 @@ slotName(const std::string &file_name, int slot)
  *  fit in blob[pos, end). */
 bool
 parsePairs(std::string_view blob, std::size_t pos, std::size_t end,
-           u32 count, std::vector<ParsedPair> &out)
+           u32 count, std::vector<SnapshotPair> &out)
 {
     out.clear();
     out.reserve(count);
@@ -73,7 +64,7 @@ parsePairs(std::string_view blob, std::size_t pos, std::size_t end,
             return false;
         if (pos + qlen > end)
             return false;
-        ParsedPair p;
+        SnapshotPair p;
         p.query.assign(blob.substr(pos, qlen));
         pos += qlen;
         u8 accessed = 0;
@@ -238,12 +229,11 @@ restoreLegacy(PocketSearch &ps, pc::simfs::FlashStore &store,
 
     // Stage everything first: a truncated legacy snapshot must not
     // leak partial state into the cache.
-    std::vector<ParsedPair> pairs;
+    std::vector<SnapshotPair> pairs;
     if (!parsePairs(blob, pos, blob.size(), count, pairs))
         return res;
 
-    for (const auto &p : pairs)
-        ps.restorePair(p.query, p.urlHash, p.score, p.accessed);
+    ps.restorePairs(pairs);
     res.pairs = pairs.size();
     res.ok = true;
     res.legacyFormat = true;
@@ -293,8 +283,7 @@ restoreIndex(PocketSearch &ps, pc::simfs::FlashStore &store,
         return res;
     }
 
-    for (const auto &p : slots[best].pairs)
-        ps.restorePair(p.query, p.urlHash, p.score, p.accessed);
+    ps.restorePairs(slots[best].pairs);
     res.ok = true;
     res.pairs = slots[best].pairs.size();
     res.sequence = slots[best].sequence;

@@ -67,8 +67,23 @@ PocketSearch::loadCommunity(const CacheContents &contents, SimTime &time)
 {
     if (cfg_.mode == CacheMode::PersonalizationOnly)
         return;
-    for (const auto &sp : contents.pairs)
-        installPair(sp.pair, sp.score, /*user_accessed=*/false, time);
+    // installPair per pair, except that the suggest index is built by
+    // one bulk merge at the end: the table inserts and flash appends
+    // keep their per-pair order, and the merged index equals the one
+    // per-pair inserts produce.
+    std::vector<std::pair<std::string_view, double>> batch;
+    if (cfg_.enableSuggest)
+        batch.reserve(contents.pairs.size());
+    for (const auto &sp : contents.pairs) {
+        const auto &q = universe_.query(sp.pair.query);
+        const auto &r = universe_.result(sp.pair.result);
+        table_.insert(q.text, urlHash(r.url), sp.score,
+                      /*user_accessed=*/false);
+        if (cfg_.enableSuggest)
+            batch.emplace_back(q.text, sp.score);
+        db_.addRecord(r, time);
+    }
+    suggest_.insertBulk(std::move(batch));
 }
 
 bool
@@ -84,12 +99,17 @@ PocketSearch::installPair(const workload::PairRef &p, double score,
 }
 
 void
-PocketSearch::restorePair(const std::string &query, u64 url_hash,
-                          double score, bool user_accessed)
+PocketSearch::restorePairs(const std::vector<SnapshotPair> &pairs)
 {
-    table_.insert(query, url_hash, score, user_accessed);
+    std::vector<std::pair<std::string_view, double>> batch;
     if (cfg_.enableSuggest)
-        suggest_.insert(query, score);
+        batch.reserve(pairs.size());
+    for (const auto &p : pairs) {
+        table_.insert(p.query, p.urlHash, p.score, p.accessed);
+        if (cfg_.enableSuggest)
+            batch.emplace_back(p.query, p.score);
+    }
+    suggest_.insertBulk(std::move(batch));
 }
 
 std::optional<ResultRef>

@@ -92,6 +92,15 @@ struct SuggestOutcome
     SimTime latency = 0; ///< Keystroke probe + flash fetches.
 };
 
+/** One persisted index entry (see core/persistence.h). */
+struct SnapshotPair
+{
+    std::string query;
+    u64 urlHash = 0;
+    double score = 0.0;
+    bool accessed = false;
+};
+
 /** Cumulative serving statistics. */
 struct ServeStats
 {
@@ -161,11 +170,11 @@ class PocketSearch
                      bool user_accessed, SimTime &time);
 
     /**
-     * Reinstate one index entry from a persisted snapshot (the record
-     * bytes are already on flash, so nothing is written).
+     * Reinstate index entries from a persisted snapshot (the record
+     * bytes are already on flash, so nothing is written): the table
+     * pair by pair, then the auto-suggest index in one bulk merge.
      */
-    void restorePair(const std::string &query, u64 url_hash,
-                     double score, bool user_accessed);
+    void restorePairs(const std::vector<SnapshotPair> &pairs);
 
     /** Cached state of a pair (score, accessed), or nullopt. */
     std::optional<ResultRef> findPair(const workload::PairRef &p) const;

@@ -1,9 +1,10 @@
 #include "core/result_db.h"
 
-#include "util/hash.h"
-#include "util/logging.h"
+#include <cstdio>
 #include <cstdlib>
 
+#include "util/hash.h"
+#include "util/logging.h"
 #include "util/strings.h"
 
 namespace pc::core {
@@ -82,13 +83,16 @@ ResultDatabase::indexFileName(u32 file) const
     return strformat("%s_%02u.idx", prefix_.c_str(), file);
 }
 
-std::string
+std::string_view
 ResultDatabase::encode(const ResultInfo &r)
 {
     // Plain-text record, '|'-separated like the paper's portable plain
     // files (Figure 13); padded to the modelled ~500-byte record size so
     // flash accounting matches QueryUniverse::recordSize().
-    std::string rec = r.title + "|" + r.description + "|" + r.url + "\n";
+    std::string &rec = encodeBuf_;
+    rec.clear();
+    rec.append(r.title).append(1, '|').append(r.description);
+    rec.append(1, '|').append(r.url).append(1, '\n');
     const Bytes target = workload::QueryUniverse::recordSize(r);
     if (rec.size() < target)
         rec.append(target - rec.size(), ' ');
@@ -115,6 +119,25 @@ ResultDatabase::decode(std::string_view text, ResultRecord &out)
     return true;
 }
 
+ResultDatabase::Location
+ResultDatabase::appendRecord(u64 key, std::string_view rec, SimTime &time)
+{
+    Location loc;
+    loc.file = fileOf(key);
+    loc.offset = store_.size(dataFiles_[loc.file]);
+    loc.length = rec.size();
+
+    store_.append(dataFiles_[loc.file], rec, time);
+    // Augment the header with this record's (hash, offset, length).
+    char line[64];
+    const int n = std::snprintf(
+        line, sizeof(line), "%016llx:%llu:%llu\n", (unsigned long long)key,
+        (unsigned long long)loc.offset, (unsigned long long)loc.length);
+    store_.append(indexFiles_[loc.file],
+                  std::string_view(line, std::size_t(n)), time);
+    return loc;
+}
+
 bool
 ResultDatabase::addRecord(const ResultInfo &r, SimTime &time)
 {
@@ -126,23 +149,7 @@ ResultDatabase::addRecord(const ResultInfo &r, SimTime &time)
     }
     if (locations_.count(key))
         return false;
-
-    const u32 file = fileOf(key);
-    const std::string rec = encode(r);
-
-    Location loc;
-    loc.file = file;
-    loc.offset = store_.size(dataFiles_[file]);
-    loc.length = rec.size();
-
-    store_.append(dataFiles_[file], rec, time);
-    // Augment the header with this record's (hash, offset, length).
-    const std::string idx_line = strformat(
-        "%016llx:%llu:%llu\n", (unsigned long long)key,
-        (unsigned long long)loc.offset, (unsigned long long)loc.length);
-    store_.append(indexFiles_[file], idx_line, time);
-
-    locations_.emplace(key, loc);
+    locations_.emplace(key, appendRecord(key, encode(r), time));
     return true;
 }
 
@@ -164,21 +171,7 @@ ResultDatabase::updateRecord(const ResultInfo &r, SimTime &time)
     // file (flat files cannot reclaim it — exactly the fragmentation
     // the slab engine's GC addresses) and a fresh header line redirects
     // the key.
-    const u32 file = fileOf(key);
-    const std::string rec = encode(r);
-
-    Location loc;
-    loc.file = file;
-    loc.offset = store_.size(dataFiles_[file]);
-    loc.length = rec.size();
-
-    store_.append(dataFiles_[file], rec, time);
-    const std::string idx_line = strformat(
-        "%016llx:%llu:%llu\n", (unsigned long long)key,
-        (unsigned long long)loc.offset, (unsigned long long)loc.length);
-    store_.append(indexFiles_[file], idx_line, time);
-
-    it->second = loc;
+    it->second = appendRecord(key, encode(r), time);
     return true;
 }
 

@@ -147,8 +147,19 @@ class ResultDatabase
     /** Rebuild locations_ from the on-flash headers (attach path). */
     void recoverLocations();
 
-    /** Serialize a record. */
-    static std::string encode(const ResultInfo &r);
+    /**
+     * Serialize a record into the reused encode buffer.
+     * @return A view of the buffer, valid until the next encode.
+     */
+    std::string_view encode(const ResultInfo &r);
+
+    /**
+     * Flat mode: append an encoded record to its data file, then its
+     * (hash, offset, length) line to the file's header.
+     * @return Where the record landed.
+     */
+    Location appendRecord(u64 key, std::string_view rec, SimTime &time);
+
     /** Deserialize a record. */
     static bool decode(std::string_view text, ResultRecord &out);
 
@@ -158,6 +169,8 @@ class ResultDatabase
     std::vector<pc::simfs::FileId> dataFiles_;
     std::vector<pc::simfs::FileId> indexFiles_;
     std::unordered_map<u64, Location> locations_;
+    /** encode()'s output; reused so encoding does not allocate. */
+    std::string encodeBuf_;
     std::unique_ptr<pc::store::StoreEngine> engine_;
 };
 

@@ -1,6 +1,7 @@
 #include "core/suggest.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "util/logging.h"
 
@@ -26,6 +27,38 @@ SuggestIndex::insert(const std::string &query, double score)
     entries_.insert(entries_.begin() + std::ptrdiff_t(i),
                     Entry{query, score});
     return true;
+}
+
+void
+SuggestIndex::insertBulk(
+    std::vector<std::pair<std::string_view, double>> batch)
+{
+    if (batch.empty())
+        return;
+    // Stable, so each query's scores fold in batch order — the order
+    // the equivalent insert calls would apply them.
+    std::stable_sort(batch.begin(), batch.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
+    std::vector<Entry> merged;
+    merged.reserve(entries_.size() + batch.size());
+    auto old = entries_.begin();
+    for (std::size_t j = 0; j < batch.size();) {
+        const std::string_view q = batch[j].first;
+        while (old != entries_.end() && old->query < q)
+            merged.push_back(std::move(*old++));
+        if (old != entries_.end() && old->query == q)
+            merged.push_back(std::move(*old++));
+        else
+            merged.push_back(Entry{std::string(q), batch[j++].second});
+        double &score = merged.back().score;
+        for (; j < batch.size() && batch[j].first == q; ++j)
+            score = std::max(score, batch[j].second);
+    }
+    merged.insert(merged.end(), std::make_move_iterator(old),
+                  std::make_move_iterator(entries_.end()));
+    entries_ = std::move(merged);
 }
 
 bool

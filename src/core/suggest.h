@@ -19,6 +19,7 @@
 
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/types.h"
@@ -44,6 +45,16 @@ class SuggestIndex
      * @return True if the query was new to the index.
      */
     bool insert(const std::string &query, double score);
+
+    /**
+     * Insert a batch of (query, score) items. The resulting index is
+     * exactly the one an `insert` per item, in batch order, produces:
+     * a repeated query keeps its maximum score. The batch is sorted
+     * once and merged with the existing entries in one pass, so
+     * installing n queries costs O(n log n) instead of O(n^2) moves.
+     * The views need only outlive the call.
+     */
+    void insertBulk(std::vector<std::pair<std::string_view, double>> batch);
 
     /** Remove a query. @return True if it was present. */
     bool erase(const std::string &query);

@@ -53,6 +53,16 @@ mix64(u64 x)
 }
 
 /**
+ * queryHash(query, slot) from an already computed fnv1a(query), so a
+ * chain walk hashes the query string once rather than once per slot.
+ */
+constexpr u64
+querySlotKey(u64 query_fnv, u32 slot)
+{
+    return mix64(query_fnv ^ (u64(slot) << 1));
+}
+
+/**
  * Hash of a query string for hash-table placement.
  *
  * @param query The raw query string as typed by the user.
@@ -63,7 +73,7 @@ mix64(u64 x)
 constexpr u64
 queryHash(std::string_view query, u32 slot = 0)
 {
-    return mix64(fnv1a(query) ^ (u64(slot) << 1));
+    return querySlotKey(fnv1a(query), slot);
 }
 
 /** Hash of a search-result URL; doubles as the database record key. */

@@ -83,8 +83,9 @@ TEST_F(BrowserCacheTest, MisspelledNavigationalQueryMisses)
     for (const auto &[qid, w] : uni_.result(r).queries) {
         (void)w;
         const workload::PairRef alias{qid, r};
-        if (!uni_.isNavigationalPair(alias))
+        if (!uni_.isNavigationalPair(alias)) {
             EXPECT_FALSE(cache_.wouldHit(alias));
+        }
     }
 }
 

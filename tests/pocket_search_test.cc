@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "core/pocket_search.h"
+#include "core/table_codec.h"
+#include "harness/workbench.h"
 #include "logs/triplets.h"
 
 namespace pc::core {
@@ -210,6 +212,84 @@ TEST_F(PocketSearchTest, CacheModeNames)
     EXPECT_EQ(cacheModeName(CacheMode::CommunityOnly), "community-only");
     EXPECT_EQ(cacheModeName(CacheMode::PersonalizationOnly),
               "personalization-only");
+}
+
+/** A fresh phone: flash, file store and search cache. */
+struct Phone
+{
+    explicit Phone(const QueryUniverse &uni)
+    {
+        pc::nvm::FlashConfig fc;
+        fc.capacity = 64 * kMiB;
+        device = std::make_unique<pc::nvm::FlashDevice>(fc);
+        store = std::make_unique<pc::simfs::FlashStore>(*device);
+        ps = std::make_unique<PocketSearch>(uni, *store);
+    }
+
+    /** Every database file's bytes, in fileNames() order. */
+    std::vector<std::string>
+    dbFiles() const
+    {
+        std::vector<std::string> out;
+        SimTime sink = 0;
+        for (const auto &name : ps->db().fileNames()) {
+            const auto id = store->lookup(name);
+            std::string bytes;
+            store->read(id, 0, store->size(id), bytes, sink);
+            out.push_back(std::move(bytes));
+        }
+        return out;
+    }
+
+    std::unique_ptr<pc::nvm::FlashDevice> device;
+    std::unique_ptr<pc::simfs::FlashStore> store;
+    std::unique_ptr<PocketSearch> ps;
+};
+
+TEST(PocketSearchInstall, LoadCommunityMatchesInstallPairPerPair)
+{
+    const harness::Workbench wb(harness::smallWorkbenchConfig());
+    const CacheContents &contents = wb.communityCache();
+    ASSERT_GT(contents.pairs.size(), 100u);
+
+    Phone bulk(wb.universe());
+    SimTime bulk_time = 0;
+    bulk.ps->loadCommunity(contents, bulk_time);
+
+    Phone single(wb.universe());
+    SimTime single_time = 0;
+    for (const auto &sp : contents.pairs)
+        single.ps->installPair(sp.pair, sp.score, /*user_accessed=*/false,
+                               single_time);
+
+    EXPECT_EQ(encodeTable(bulk.ps->table()),
+              encodeTable(single.ps->table()));
+
+    const auto &a = bulk.ps->suggestIndex();
+    const auto &b = single.ps->suggestIndex();
+    EXPECT_EQ(a.size(), b.size());
+    EXPECT_EQ(a.memoryBytes(), b.memoryBytes());
+    const auto dump_a = a.suggest("", ~0u);
+    const auto dump_b = b.suggest("", ~0u);
+    ASSERT_EQ(dump_a.size(), dump_b.size());
+    for (std::size_t i = 0; i < dump_a.size(); ++i) {
+        EXPECT_EQ(dump_a[i].query, dump_b[i].query);
+        EXPECT_EQ(dump_a[i].score, dump_b[i].score);
+    }
+
+    const auto files_a = bulk.dbFiles();
+    const auto files_b = single.dbFiles();
+    ASSERT_EQ(files_a.size(), files_b.size());
+    for (std::size_t i = 0; i < files_a.size(); ++i) {
+        // Plain bool: a mismatch would otherwise print whole files.
+        EXPECT_TRUE(files_a[i] == files_b[i])
+            << bulk.ps->db().fileNames()[i];
+    }
+    EXPECT_EQ(bulk_time, single_time);
+    EXPECT_GT(bulk_time, 0);
+    EXPECT_EQ(bulk.device->pagesProgrammed(),
+              single.device->pagesProgrammed());
+    EXPECT_EQ(bulk.device->blocksErased(), single.device->blocksErased());
 }
 
 } // namespace

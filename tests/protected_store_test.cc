@@ -106,7 +106,6 @@ TEST_F(ProtectedStoreTest, RevokedGrantFails)
 
 TEST_F(ProtectedStoreTest, UnknownGrantFails)
 {
-    SimTime t = 0;
     FileId id = kNoFile;
     EXPECT_EQ(os_.create(0xdeadbeef, "x", id), Access::BadGrant);
     EXPECT_GT(os_.violations(), 0u);

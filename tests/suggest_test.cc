@@ -8,6 +8,7 @@
 
 #include "core/pocket_search.h"
 #include "core/suggest.h"
+#include "util/rng.h"
 
 namespace pc::core {
 namespace {
@@ -96,6 +97,86 @@ TEST(SuggestIndex, MemoryBytesGrowWithContent)
     const Bytes empty = idx.memoryBytes();
     idx.insert("some query string", 1.0);
     EXPECT_GT(idx.memoryBytes(), empty);
+}
+
+TEST(SuggestIndex, BulkKeepsMaxScoreOfRepeatedQuery)
+{
+    SuggestIndex idx;
+    idx.insert("cnn", 0.8);
+    idx.insertBulk({{"cnn", 0.3}, {"bbc", 0.2}, {"bbc", 0.7}, {"bbc", 0.5},
+                    {"cnn", 1.5}});
+    EXPECT_EQ(idx.size(), 2u);
+    EXPECT_DOUBLE_EQ(idx.suggest("bbc", 1)[0].score, 0.7);
+    EXPECT_DOUBLE_EQ(idx.suggest("cnn", 1)[0].score, 1.5);
+    idx.insertBulk({});
+    EXPECT_EQ(idx.size(), 2u);
+}
+
+/** Random short query over a tiny alphabet: many shared prefixes. */
+std::string
+randomQuery(Rng &rng)
+{
+    static constexpr char kAlphabet[] = "ab c";
+    std::string q(1 + rng.below(5), ' ');
+    for (char &c : q)
+        c = kAlphabet[rng.below(sizeof(kAlphabet) - 1)];
+    return q;
+}
+
+/** Same size, footprint and suggest output for every prefix of every
+ *  query in `queries` (and the empty prefix), at several k. */
+void
+expectSameIndex(const SuggestIndex &want, const SuggestIndex &got,
+                const std::vector<std::string> &queries)
+{
+    ASSERT_EQ(got.size(), want.size());
+    ASSERT_EQ(got.memoryBytes(), want.memoryBytes());
+    for (const auto &q : queries) {
+        for (std::size_t len = 0; len <= q.size(); ++len) {
+            const std::string_view prefix(q.data(), len);
+            for (const u32 k : {1u, 3u, ~0u}) {
+                const auto a = want.suggest(prefix, k);
+                const auto b = got.suggest(prefix, k);
+                ASSERT_EQ(b.size(), a.size()) << "prefix '" << prefix << "'";
+                for (std::size_t i = 0; i < a.size(); ++i) {
+                    ASSERT_EQ(b[i].query, a[i].query);
+                    ASSERT_EQ(b[i].score, a[i].score);
+                }
+            }
+        }
+    }
+}
+
+TEST(SuggestIndex, BulkInsertMatchesOneInsertPerItem)
+{
+    for (u64 seed = 1; seed <= 200; ++seed) {
+        SCOPED_TRACE(seed);
+        Rng rng(seed);
+        std::vector<std::string> queries;
+        // Half the seeds merge into an empty index, half into one that
+        // already holds entries (some of which the batch repeats).
+        const std::size_t preload = seed % 2 ? 0 : rng.below(30);
+        const std::size_t batch_size = rng.below(60); // 0 = empty batch
+        for (std::size_t i = 0; i < preload + batch_size; ++i)
+            queries.push_back(randomQuery(rng));
+
+        SuggestIndex want, got;
+        for (std::size_t i = 0; i < preload; ++i) {
+            const double score = 0.25 * double(rng.below(6));
+            want.insert(queries[i], score);
+            got.insert(queries[i], score);
+        }
+        std::vector<std::pair<std::string_view, double>> batch;
+        for (std::size_t i = preload; i < queries.size(); ++i) {
+            // Scores from a small set: repeated queries see both ties
+            // and differing scores within one batch.
+            const double score = 0.25 * double(rng.below(6));
+            want.insert(queries[i], score);
+            batch.emplace_back(queries[i], score);
+        }
+        got.insertBulk(std::move(batch));
+        expectSameIndex(want, got, queries);
+    }
 }
 
 class PocketSuggestTest : public ::testing::Test

@@ -67,8 +67,9 @@ TEST(ZipfSampler, HeadForShareInvertsCdf)
     ZipfSampler z(10000, 1.0);
     const u64 head = z.headForShare(0.6);
     EXPECT_NEAR(z.cdf(head - 1), 0.6, 0.01);
-    if (head > 1)
+    if (head > 1) {
         EXPECT_LT(z.cdf(head - 2), 0.6);
+    }
 }
 
 TEST(SolveZipfExponent, RoundTripsHeadShare)
