@@ -1,20 +1,21 @@
 /**
  * @file
- * Flash-crowd query storm — the first event-driven-only scenario,
- * impossible to express on the epoch harness (it can only see month
- * boundaries; everything here happens *inside* one).
+ * Flash-crowd query storm — the one sub-month fleet scenario: the
+ * month loop only sees month boundaries, and everything here happens
+ * *inside* one. Enabling FlashCrowdConfig runs each device on the
+ * flash-crowd schedule (a time-ordered merge of controls and Poisson
+ * arrivals, DESIGN.md "Flash-crowd schedule").
  *
- * 150 devices run 2 simulated months on the EventDriven engine with
- * weekly telemetry windows. Per device, query arrivals are a seeded
- * Poisson process (2/hour); week 2 is a burst window at 6x the base
- * rate — the flash crowd. Mid month 1 the radio dies fleet-wide for
- * two days; each device reconnects at its own staggered slot
- * (an hour apart), draining its queued misses the moment coverage
- * returns — a sync storm smeared over ~3 days rather than a single
- * month-boundary thundering herd. The weekly series shows all of it:
- * the burst spike in `device.queries`, the degraded-serve cliff in
- * the outage week, and the `device.missq.synced` drain wave across
- * the reconnect weeks.
+ * 150 devices run 2 simulated months with weekly telemetry windows.
+ * Per device, query arrivals are a seeded Poisson process (2/hour);
+ * week 2 is a burst window at 6x the base rate — the flash crowd. Mid
+ * month 1 the radio dies fleet-wide for two days; each device
+ * reconnects at its own staggered slot (an hour apart), draining its
+ * queued misses the moment coverage returns — a sync storm smeared
+ * over ~3 days rather than a single month-boundary thundering herd.
+ * The weekly series shows all of it: the burst spike in
+ * `device.queries`, the degraded-serve cliff in the outage week, and
+ * the `device.missq.synced` drain wave across the reconnect weeks.
  *
  * With --threads T (or PC_THREADS) the scenario reruns at 1, 2, ...,
  * T workers; every point's series CSV and BENCH JSON must be
@@ -48,7 +49,7 @@ using namespace pc::harness;
 
 namespace {
 
-/** One event-driven run plus everything the gates compare. */
+/** One flash-crowd run plus everything the gates compare. */
 struct EventPoint
 {
     unsigned threads = 0;
@@ -65,7 +66,6 @@ scenario()
     FleetRunConfig cfg;
     cfg.devices = 150;
     cfg.months = 2;
-    cfg.engine = FleetEngine::EventDriven;
     cfg.flashCrowd.enabled = true;
     cfg.flashCrowd.arrivalsPerHour = 2.0;
     cfg.flashCrowd.burstStart = 2 * workload::kWeek;
@@ -192,7 +192,7 @@ main(int argc, char **argv)
     const auto degraded = weekly(ref, "device.degraded.serves");
     const auto drained = weekly(ref, "device.missq.synced");
 
-    // The weekly shape is the whole point: the epoch harness would
+    // The weekly shape is the whole point: the month loop would
     // collapse all of this into two month-boundary rows.
     AsciiTable wk("Fleet by week (burst = week 2, outage = week 5)");
     wk.header({"week", "queries", "hit rate", "degraded", "missq drained"});

@@ -12,7 +12,6 @@
 #include <cmath>
 
 #include "core/table_codec.h"
-#include "harness/event_core.h"
 #include "server/work_queue.h"
 #include "util/crc32.h"
 #include "util/hash.h"
@@ -102,9 +101,6 @@ validateFleetRunConfig(const FleetRunConfig &cfg)
         return "chaos needs a cloud service attached";
     const FlashCrowdConfig &fc = cfg.flashCrowd;
     if (fc.enabled) {
-        if (cfg.engine != FleetEngine::EventDriven)
-            return "flash crowd needs engine = EventDriven (the epoch "
-                   "harness cannot represent sub-epoch arrivals)";
         if (cfg.chaos.enabled)
             return "flash crowd and chaos cannot combine (chaos "
                    "invariants assume the epoch-granular schedule)";
@@ -156,15 +152,10 @@ struct DeviceTelemetry
 };
 
 /**
- * One device's private simulation world plus the steps both engines
- * drive it with. The epoch loop calls beginMonth / serve-per-event /
- * endMonth directly; the event drivers schedule the *same member
- * functions* as continuations in an EventCore. Sharing the step
- * bodies is the structural half of the differential guarantee: with
- * an epoch-granular schedule the two engines execute the identical
- * operation sequence, so every registry mutation, RNG draw and
- * snapshot lands in the same order — fleet_differential_test proves
- * the resulting bytes match.
+ * One device's private simulation world plus the steps that drive it.
+ * The month loop calls beginMonth / serve-per-event / endMonth; the
+ * flash-crowd merge (driveFlashCrowd) calls the same beginMonth and
+ * serve plus its own window, outage and reconnect steps.
  */
 class DeviceSim
 {
@@ -472,66 +463,16 @@ class DeviceSim
 };
 
 /**
- * EventDriven engine, epoch-granular schedule: the exact month
- * structure of the epoch loop expressed as continuations. MonthBegin
- * schedules the month's query arrivals (timestamps clamped to a
- * running maximum so the heap's (time, device, seq) order replays the
- * stream's generation order even across duplicate timestamps) and the
- * MonthEnd boundary event; MonthEnd schedules the next MonthBegin at
- * the *same* boundary instant — the seq tie-break guarantees epilogue
- * before prologue, which the differential gate would instantly catch
- * if it ever regressed.
- */
-void
-driveEpochSchedule(DeviceSim &sim, const FleetRunConfig &cfg,
-                   std::size_t i)
-{
-    EventCore core;
-    std::function<void(EventCore &, u32)> beginMonth =
-        [&](EventCore &c, u32 m) {
-            sim.beginMonth(m);
-            const SimTime windowStart = SimTime(m) * workload::kMonth;
-            SimTime cursor = windowStart;
-            for (const auto &ev : sim.monthEvents(m)) {
-                cursor = std::max(cursor, ev.time);
-                c.schedule(cursor, i,
-                           [&sim, ev](EventCore &,
-                                      const EventCore::EventInfo &) {
-                               sim.serve(ev);
-                           });
-            }
-            const SimTime boundary = windowStart + workload::kMonth;
-            c.schedule(
-                boundary, i,
-                [&sim, &beginMonth, &cfg, m,
-                 i](EventCore &c2, const EventCore::EventInfo &) {
-                    sim.endMonth(m);
-                    if (m + 1 < cfg.months)
-                        c2.schedule(c2.now(), i,
-                                    [&beginMonth, m](
-                                        EventCore &c3,
-                                        const EventCore::EventInfo &) {
-                                        beginMonth(c3, m + 1);
-                                    });
-                });
-        };
-    if (cfg.months > 0)
-        core.schedule(0, i,
-                      [&beginMonth](EventCore &c,
-                                    const EventCore::EventInfo &) {
-                          beginMonth(c, 0);
-                      });
-    core.run();
-}
-
-/**
- * EventDriven engine, flash-crowd schedule: Poisson query arrivals
- * (thinning against the burst-boosted peak rate), a mid-month radio
- * outage with per-device staggered reconnect, monthly cloud syncs at
- * month-begin events, and telemetry snapshots on the scenario's own
- * (possibly sub-month) window width. Push order at equal timestamps:
- * window snapshot, then month begin, then outage transitions, then
- * arrivals — fixed here once so the artifact bytes are a pure
+ * Flash-crowd schedule: Poisson query arrivals (thinning against the
+ * burst-boosted peak rate), a mid-month radio outage with per-device
+ * staggered reconnect, monthly cloud syncs at month begins, and
+ * telemetry snapshots on the scenario's own (possibly sub-month)
+ * window width. Two time-ordered inputs are merged: a control list,
+ * stable-sorted by time so equal-time controls keep the order they
+ * are listed in here (window snapshot, month begin, outage start,
+ * reconnect), and the arrival chain. An arrival runs only when it is
+ * strictly earlier than the next control, so at equal times every
+ * control runs first. The artifact bytes are therefore a pure
  * function of the config.
  */
 void
@@ -541,33 +482,29 @@ driveFlashCrowd(DeviceSim &sim, const FleetRunConfig &cfg, std::size_t i)
     const SimTime horizon = SimTime(cfg.months) * workload::kMonth;
     if (horizon <= 0)
         return;
-    EventCore core;
+
+    struct Control
+    {
+        SimTime at;
+        enum { Window, MonthBegin, OutageStart, Reconnect } kind;
+        SimTime arg; ///< Window start, or month index.
+    };
+    std::vector<Control> controls;
 
     // Telemetry windows first, so a window ending exactly on a month
-    // boundary closes before that month's sync runs.
+    // boundary closes before that month's sync runs. The last window
+    // closes at the horizon, after every arrival.
     const SimTime width = fc.window > 0 ? fc.window : workload::kMonth;
-    for (SimTime ws = 0; ws < horizon; ws += width) {
-        const SimTime end = std::min(ws + width, horizon);
-        core.schedule(end, i,
-                      [&sim, ws](EventCore &,
-                                 const EventCore::EventInfo &) {
-                          sim.snapshotWindow(ws);
-                      });
-    }
+    for (SimTime ws = 0; ws < horizon; ws += width)
+        controls.push_back(
+            {std::min(ws + width, horizon), Control::Window, ws});
 
     for (u32 m = 0; m < cfg.months; ++m)
-        core.schedule(SimTime(m) * workload::kMonth, i,
-                      [&sim, m](EventCore &,
-                                const EventCore::EventInfo &) {
-                          sim.beginMonth(m);
-                          sim.beginStreamMonth(m);
-                      });
+        controls.push_back(
+            {SimTime(m) * workload::kMonth, Control::MonthBegin, m});
 
     if (fc.outageLen > 0 && fc.outageStart < horizon) {
-        core.schedule(fc.outageStart, i,
-                      [&sim](EventCore &, const EventCore::EventInfo &) {
-                          sim.radioDown();
-                      });
+        controls.push_back({fc.outageStart, Control::OutageStart, 0});
         // Staggered reconnect: device i's slot; clamped so the drain
         // still happens inside the run.
         const SimTime outageEnd =
@@ -579,16 +516,17 @@ driveFlashCrowd(DeviceSim &sim, const FleetRunConfig &cfg, std::size_t i)
             reconnectAt = slot >= double(horizon) ? horizon
                                                   : SimTime(slot);
         }
-        core.schedule(reconnectAt, i,
-                      [&sim](EventCore &, const EventCore::EventInfo &) {
-                          sim.reconnect();
-                      });
+        controls.push_back({reconnectAt, Control::Reconnect, 0});
     }
+    std::stable_sort(controls.begin(), controls.end(),
+                     [](const Control &a, const Control &b) {
+                         return a.at < b.at;
+                     });
 
-    // Poisson arrival chain: each arrival schedules its successor.
-    // Thinning keeps the draw sequence a pure function of (seed,
-    // device): candidate steps come from the peak rate, and a second
-    // uniform accepts with probability rate(t)/peak.
+    // Poisson arrival chain. Thinning keeps the draw sequence a pure
+    // function of (seed, device): candidate steps come from the peak
+    // rate, and a second uniform accepts with probability
+    // rate(t)/peak. The chain ends (nullopt) at the horizon.
     const double perTick =
         fc.arrivalsPerHour / (3600.0 * double(kSecond));
     const double peak = perTick * std::max(1.0, fc.burstMultiplier);
@@ -601,38 +539,43 @@ driveFlashCrowd(DeviceSim &sim, const FleetRunConfig &cfg, std::size_t i)
                               ? fc.burstMultiplier
                               : 1.0);
     };
-    auto arrivals = std::make_shared<Rng>(sim.deviceSeed() + 4);
-    std::function<void(EventCore &, SimTime)> scheduleNext =
-        [&sim, &scheduleNext, arrivals, rateAt, peak, horizon,
-         i](EventCore &c, SimTime from) {
-            if (!(peak > 0))
-                return;
-            double t = double(from);
-            for (;;) {
-                const double u = arrivals->uniform();
-                t += -std::log(1.0 - u) / peak;
-                if (t >= double(horizon))
-                    return;
-                if (arrivals->uniform() * peak < rateAt(SimTime(t)))
-                    break;
-            }
-            const SimTime at = SimTime(t);
-            c.schedule(at, i,
-                       [&sim, &scheduleNext, at](
-                           EventCore &c2, const EventCore::EventInfo &) {
-                           workload::StreamEvent se =
-                               sim.nextArrivalPair();
-                           se.time = at;
-                           sim.serve(se);
-                           scheduleNext(c2, at);
-                       });
-        };
-    scheduleNext(core, 0);
-    core.run();
+    Rng arrivals(sim.deviceSeed() + 4);
+    const auto nextArrival = [&](SimTime from) -> std::optional<SimTime> {
+        if (!(peak > 0))
+            return std::nullopt;
+        double t = double(from);
+        for (;;) {
+            t += -std::log(1.0 - arrivals.uniform()) / peak;
+            if (t >= double(horizon))
+                return std::nullopt;
+            if (arrivals.uniform() * peak < rateAt(SimTime(t)))
+                return SimTime(t);
+        }
+    };
+
+    std::optional<SimTime> arrival = nextArrival(0);
+    for (const Control &c : controls) {
+        while (arrival && *arrival < c.at) {
+            workload::StreamEvent se = sim.nextArrivalPair();
+            se.time = *arrival;
+            sim.serve(se);
+            arrival = nextArrival(*arrival);
+        }
+        switch (c.kind) {
+          case Control::Window: sim.snapshotWindow(c.arg); break;
+          case Control::MonthBegin:
+            sim.beginMonth(u32(c.arg));
+            sim.beginStreamMonth(u32(c.arg));
+            break;
+          case Control::OutageStart: sim.radioDown(); break;
+          case Control::Reconnect: sim.reconnect(); break;
+        }
+    }
 }
 
 /**
- * Simulate device `i` in a private world under the configured engine.
+ * Simulate device `i` in a private world: the month loop for every
+ * epoch-granular run, the flash-crowd merge when that scenario is on.
  * Reads the workbench and the cloud service (if any) strictly
  * read-only, so any number of these may run concurrently.
  */
@@ -641,17 +584,15 @@ simulateDevice(const Workbench &wb, const FleetRunConfig &cfg,
                std::size_t i, const workload::UserProfile &profile)
 {
     DeviceSim sim(wb, cfg, i, profile);
-    if (cfg.engine == FleetEngine::EpochStepped) {
+    if (cfg.flashCrowd.enabled) {
+        driveFlashCrowd(sim, cfg, i);
+    } else {
         for (u32 m = 0; m < cfg.months; ++m) {
             sim.beginMonth(m);
             for (const auto &ev : sim.monthEvents(m))
                 sim.serve(ev);
             sim.endMonth(m);
         }
-    } else if (!cfg.flashCrowd.enabled) {
-        driveEpochSchedule(sim, cfg, i);
-    } else {
-        driveFlashCrowd(sim, cfg, i);
     }
     return sim.finish();
 }
@@ -788,7 +729,7 @@ runFleet(const Workbench &wb, const FleetRunConfig &cfg,
     // A 0-device fleet (or a 0-month horizon, which samples devices
     // but simulates nothing) is a clean empty run, not an error: the
     // in-place path folds zero (or all-zero) devices and the cloud
-    // registry still merges below — identically under both engines.
+    // registry still merges below.
     if (std::size_t(threads) > cfg.devices)
         threads = cfg.devices > 0 ? unsigned(cfg.devices) : 1;
 
@@ -800,11 +741,12 @@ runFleet(const Workbench &wb, const FleetRunConfig &cfg,
                        ctx, collector, result);
     } else {
         // Device indices out through one bounded queue, telemetry back
-        // through another. The results queue is small on purpose —
-        // backpressure keeps fast workers from piling up telemetry the
-        // in-order fold is not ready for; the fold drains continuously
-        // (stashing out-of-order arrivals), so workers never deadlock
-        // against a full queue.
+        // through another. The fold drains the results queue
+        // continuously and stashes out-of-order arrivals in `pending`,
+        // so workers never block on it for long — and `pending` itself
+        // is unbounded: a slow device i lets up to devices-1 finished
+        // devices pile up behind it. ROADMAP "Bound the parallel fold"
+        // tracks replacing it with a fixed reorder window.
         server::WorkQueue<std::size_t> tasks(cfg.devices);
         for (std::size_t i = 0; i < cfg.devices; ++i)
             tasks.push(i);

@@ -25,9 +25,11 @@
  * thread count (tested over a threads x devices x faults x cloud
  * grid). threads == 1 runs devices in place, so only one device's
  * world is alive at a time; a thousand-device run costs one device of
- * memory plus the collector's bounded series. Parallel runs keep at
- * most the in-flight results (bounded queue) plus whatever the
- * in-order fold is still waiting on.
+ * memory plus the collector's bounded series. Parallel runs are not
+ * bounded that way: the fold stashes every result that arrives ahead
+ * of the next device index, so behind one slow device up to
+ * devices-1 telemetry records can be held at once (ROADMAP "Bound the
+ * parallel fold").
  *
  * Determinism: every device's stream/fault seeds derive from the run
  * seed and the device index, so a fixed FleetRunConfig reproduces the
@@ -137,42 +139,22 @@ struct ChaosConfig
 };
 
 /**
- * Which engine drives each device's simulated horizon.
- *
- * `EpochStepped` (the default) is the original month-granular loop.
- * `EventDriven` replays the *same* schedule through the discrete-event
- * core (harness/event_core.h): month begins, query arrivals, month
- * ends become continuations in a per-device event queue keyed by
- * (time, deviceIndex, seq). With an epoch-granular schedule — i.e.
- * `flashCrowd` disabled — the two engines execute the identical
- * operation sequence per device, so every artifact (snapshots, series
- * and anomaly CSVs, postmortems, BENCH JSON) is byte-identical
- * between them at any thread count; fleet_differential_test gates
- * that over a devices x months x threads x chaos grid. Only the
- * event engine can express sub-epoch structure (FlashCrowdConfig).
- */
-enum class FleetEngine
-{
-    EpochStepped,
-    EventDriven,
-};
-
-/**
- * Flash-crowd query storm: the first genuinely event-driven scenario,
- * requiring `FleetRunConfig::engine == EventDriven` (the epoch
- * harness cannot represent sub-month arrivals; validation rejects the
- * combination). Per device, query arrivals become a seeded Poisson
- * process (thinning against the burst-boosted peak rate) instead of
- * the stream's evenly-spread monthly volume; the stream still supplies
- * *which* pair each arrival issues, so hot-set/repeat behaviour and
- * monthly epoch churn are unchanged. A burst window multiplies the
- * arrival rate; an optional mid-month radio outage (sub-epoch — the
- * whole point) kills the radio between OutageStart and a per-device
- * staggered Reconnect event, which drains the miss queue the moment
- * coverage returns instead of waiting for a month boundary: the
- * staggered sync storm. Everything derives from (run seed, device
- * index), so flash-crowd runs are byte-deterministic at any thread
- * count like every other fleet run.
+ * Flash-crowd query storm: the one sub-month scenario. Enabling it
+ * switches each device from the month loop to a time-ordered merge of
+ * a short control list (window snapshots, month begins, outage start,
+ * reconnect) and a Poisson arrival chain; see DESIGN.md "Flash-crowd
+ * schedule" for the equal-time order. Per device, query arrivals
+ * become a seeded Poisson process (thinning against the burst-boosted
+ * peak rate) instead of the stream's evenly-spread monthly volume; the
+ * stream still supplies *which* pair each arrival issues, so
+ * hot-set/repeat behaviour and monthly epoch churn are unchanged. A
+ * burst window multiplies the arrival rate; an optional mid-month
+ * radio outage kills the radio between OutageStart and a per-device
+ * staggered Reconnect, which drains the miss queue the moment coverage
+ * returns instead of waiting for a month boundary: the staggered sync
+ * storm. Everything derives from (run seed, device index), so
+ * flash-crowd runs are byte-deterministic at any thread count like
+ * every other fleet run.
  */
 struct FlashCrowdConfig
 {
@@ -185,7 +167,12 @@ struct FlashCrowdConfig
      *  sim time since run start; clamped to the horizon. */
     SimTime burstStart = 0;
     SimTime burstLen = 0;
-    /** Arrival-rate multiplier inside the burst window (>= 1). */
+    /**
+     * Arrival-rate multiplier inside the burst window: any finite
+     * value >= 0. Above 1 the window is a burst; in [0, 1) it is a
+     * quiet window (0 silences it). Thinning runs against
+     * max(1, burstMultiplier) times the base rate.
+     */
     double burstMultiplier = 1.0;
 
     /** Mid-month radio outage [outageStart, outageStart + outageLen);
@@ -262,16 +249,7 @@ struct FleetRunConfig
      */
     std::size_t recorderCapacity = obs::FlightRecorder::kDefaultCapacity;
 
-    /**
-     * Simulation engine (see FleetEngine). EpochStepped keeps every
-     * previously committed baseline byte-identical; EventDriven with
-     * `flashCrowd` disabled reproduces them too — differentially
-     * gated — and with `flashCrowd` enabled opens the sub-epoch
-     * scenarios only an event queue can express.
-     */
-    FleetEngine engine = FleetEngine::EpochStepped;
-
-    /** Flash-crowd scenario (EventDriven only; see FlashCrowdConfig). */
+    /** Flash-crowd scenario (see FlashCrowdConfig). */
     FlashCrowdConfig flashCrowd{};
 
     /**
@@ -335,10 +313,11 @@ struct FleetRunResult
  * months execute nothing and report zeros); otherwise a one-line
  * reason. Degenerate schedules that clamp harmlessly (outage episodes
  * longer than the horizon, burst windows straddling the end) are
- * valid; combinations the engines cannot honor (chaos without a cloud
- * service, flash crowd on the epoch engine, non-finite or negative
- * rates) are errors. runFleet() checks this itself and returns the
- * reason in FleetRunResult::error instead of asserting.
+ * valid. Errors are chaos without a cloud service, a flash crowd
+ * combined with chaos or with the epoch outage episode, and
+ * non-finite or negative flash-crowd rates and times. runFleet()
+ * checks this itself and returns the reason in FleetRunResult::error
+ * instead of asserting.
  */
 std::string validateFleetRunConfig(const FleetRunConfig &cfg);
 

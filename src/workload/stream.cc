@@ -90,11 +90,13 @@ UserStream::next()
 {
     StreamEvent ev;
     // Spread the month's events evenly with jitter; event k of V lands
-    // around day 28*k/V.
+    // around day 28*k/V. Callers drawing past V events (flash-crowd
+    // arrivals, which set their own times) get the window end: an
+    // unclamped frac would overflow SimTime.
     const double frac =
         (double(indexInMonth_) + rng_.uniform()) /
         double(profile_.monthlyVolume);
-    ev.time = monthStart_ + SimTime(frac * double(kMonth));
+    ev.time = monthStart_ + SimTime(std::min(frac, 1.0) * double(kMonth));
 
     const double repeat_mass = 1.0 - profile_.newRate;
     const double r = rng_.uniform();
