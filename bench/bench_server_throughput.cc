@@ -1,12 +1,12 @@
 /**
  * @file
- * Cloud ingest throughput — the sharded community-model builder swept
- * over worker-thread counts.
+ * Cloud ingest throughput — the community-model builder swept over
+ * worker-thread counts.
  *
  * Builds the same community month with 1/2/4/.../T threads (T from
  * --threads / PC_THREADS, default 8) over 8 query-hash shards and
- * reports wall time, records/s and speedup vs the 1-thread pipeline,
- * plus the sequential (fromLog) reference. Every point is checked for
+ * reports wall time, records/s and speedup vs the sequential
+ * (fromLog) reference, the `seq` row. Every point is checked for
  * byte-identity against the sequential build — the pipeline's core
  * invariant — and the process exits non-zero if any point diverges.
  *
@@ -83,7 +83,6 @@ main(int argc, char **argv)
            "ref"});
 
     bool allIdentical = true;
-    double oneThreadMs = 0.0;
     std::vector<std::pair<unsigned, bool>> identity;
     for (unsigned threads : sweep) {
         server::BuildConfig cfg;
@@ -93,14 +92,12 @@ main(int argc, char **argv)
         server::CommunityModel m;
         const double ms =
             wallMsOf([&] { m = b.build(log, 1, policy); });
-        if (threads == 1)
-            oneThreadMs = ms;
         const bool same = m.encode() == want;
         allIdentical = allIdentical && same;
         identity.emplace_back(threads, same);
         t.row({strformat("%u", threads), strformat("%.1f", ms),
                strformat("%.3g", double(log.size()) / (ms / 1e3)),
-               bench::times(oneThreadMs / ms),
+               bench::times(refMs / ms),
                same ? "yes" : "** NO **"});
     }
     t.print();

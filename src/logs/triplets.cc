@@ -30,10 +30,17 @@ TripletTable::rowOrder(const Triplet &a, const Triplet &b)
 TripletTable
 TripletTable::fromLog(const SearchLog &log)
 {
+    const u32 nQueries = log.universe().numQueries();
+    const u32 nResults = log.universe().numResults();
     std::unordered_map<u64, u64> counts;
     counts.reserve(log.size() / 4 + 16);
-    for (const auto &rec : log.records())
+    for (const auto &rec : log.records()) {
+        // Poisoned record (ids the universe cannot interpret): skipped,
+        // as the server builder does, so no row names a missing id.
+        if (rec.pair.query >= nQueries || rec.pair.result >= nResults)
+            continue;
         ++counts[pairKey(rec.pair)];
+    }
 
     std::vector<Triplet> rows;
     rows.reserve(counts.size());

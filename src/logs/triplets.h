@@ -32,21 +32,23 @@ struct Triplet
 class TripletTable
 {
   public:
-    /** Aggregate and sort a log's records. */
+    /**
+     * Aggregate and sort a log's records, skipping records whose ids
+     * fall outside the log's universe.
+     */
     static TripletTable fromLog(const SearchLog &log);
 
     /**
      * Build from pre-aggregated rows already sorted by rowOrder().
-     * The sharded server builder merges per-shard sorted runs and
-     * hands the result here; order is asserted in debug builds.
+     * The server builder hands its counted, volume-sorted rows here;
+     * order is asserted in debug builds.
      */
     static TripletTable fromSortedRows(std::vector<Triplet> rows);
 
     /**
      * The strict total order fromLog() sorts with: volume descending,
-     * ties by packed (query, result) id ascending. Exposed so the
-     * sharded builder sorts its shards with the *same* order and the
-     * shard merge reproduces the sequential row sequence exactly.
+     * ties by packed (query, result) id ascending. The server builder
+     * reproduces it with a stable volume sort of key-ordered rows.
      */
     static bool rowOrder(const Triplet &a, const Triplet &b);
 

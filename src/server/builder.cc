@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <queue>
+#include <map>
+#include <numeric>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "server/work_queue.h"
@@ -15,7 +15,7 @@ namespace pc::server {
 
 namespace {
 
-/** Pack a PairRef into a 64-bit map key (matches TripletTable). */
+/** Pack a PairRef into a 64-bit key (matches TripletTable). */
 constexpr u64
 pairKey(const workload::PairRef &p)
 {
@@ -32,13 +32,37 @@ struct Batch
 /** Per-worker private aggregation state (no locks on the hot path). */
 struct WorkerState
 {
-    /** counts[shard][pairKey] -> volume. */
-    std::vector<std::unordered_map<u64, u64>> counts;
-    /** Records routed to each shard by this worker. */
-    std::vector<u64> shardRecords;
+    /** counts[slot] -> volume this worker saw for the slot's pair. */
+    std::vector<u32> counts;
+    /** In-range pairs outside the slot dictionary: pairKey -> volume. */
+    std::map<u64, u64> spill;
     /** Poisoned records this worker dropped (ids out of range). */
     u64 skipped = 0;
 };
+
+/**
+ * Stable sort by volume, descending: LSD radix, one pass per byte of the
+ * largest volume. Memory is a scratch copy of the rows and a 256-entry
+ * histogram, whatever the volumes are.
+ */
+void
+stableSortByVolumeDesc(std::vector<logs::Triplet> &rows)
+{
+    u64 maxVolume = 0;
+    for (const auto &row : rows)
+        maxVolume = std::max(maxVolume, row.volume);
+    std::vector<logs::Triplet> scratch(rows.size());
+    for (u32 shift = 0; shift < 64 && (maxVolume >> shift) != 0;
+         shift += 8) {
+        std::size_t at[256] = {};
+        for (const auto &row : rows)
+            ++at[255 - ((row.volume >> shift) & 0xff)];
+        std::exclusive_scan(at, at + 256, at, std::size_t(0));
+        for (const auto &row : rows)
+            scratch[at[255 - ((row.volume >> shift) & 0xff)]++] = row;
+        rows.swap(scratch);
+    }
+}
 
 } // namespace
 
@@ -50,15 +74,30 @@ CommunityModelBuilder::CommunityModelBuilder(
     pc_assert(cfg_.threads >= 1, "builder needs at least one worker");
     pc_assert(cfg_.batchRecords >= 1, "batch size must be positive");
     pc_assert(cfg_.queueCapacity >= 1, "queue capacity must be positive");
+
+    // Query-*hash* partitioning: the same fnv1a the device hash table
+    // keys on, so a real server could shard raw log lines without the
+    // id space the simulation enjoys. Slots list each query's results
+    // ascending, so slot order is packed-pair-key order (a repeated
+    // result's second slot is never counted, so it emits nothing).
+    const u32 nQueries = universe_.numQueries();
+    queryShard_.resize(nQueries);
+    slotBase_ = {0};
+    for (u32 q = 0; q < nQueries; ++q) {
+        const auto &info = universe_.query(q);
+        queryShard_[q] = u32(fnv1a(info.text) % cfg_.shards);
+        const auto first = slotResult_.size();
+        for (const auto &[result, weight] : info.results)
+            slotResult_.push_back(result);
+        std::sort(slotResult_.begin() + first, slotResult_.end());
+        slotBase_.push_back(u32(slotResult_.size()));
+    }
 }
 
 u32
 CommunityModelBuilder::shardOf(u32 query_id) const
 {
-    // Query-*hash* partitioning: the same fnv1a the device hash table
-    // keys on, so a real server could shard raw log lines without the
-    // id space the simulation enjoys.
-    return u32(fnv1a(universe_.query(query_id).text) % cfg_.shards);
+    return queryShard_.at(query_id);
 }
 
 CommunityModel
@@ -67,22 +106,21 @@ CommunityModelBuilder::build(const workload::SearchLog &log, u64 version,
 {
     const auto wallStart = std::chrono::steady_clock::now();
     const auto &records = log.records();
-    const u32 nShards = cfg_.shards;
     const u32 nThreads = cfg_.threads;
+    const u32 nQueries = universe_.numQueries();
+    pc_assert(records.size() < (u64(1) << 32),
+              "log too large for the u32 slot counts");
 
     CommunityModel model;
     model.version = version;
-    model.stats.shards = nShards;
+    model.stats.shards = cfg_.shards;
     model.stats.threads = nThreads;
     model.stats.records = records.size();
-    model.stats.shardStats.resize(nShards);
+    model.stats.shardStats.resize(cfg_.shards);
 
     // ---- Stage 1: batched ingest through the bounded queue. -------------
-    std::vector<WorkerState> workers(nThreads);
-    for (auto &w : workers) {
-        w.counts.resize(nShards);
-        w.shardRecords.assign(nShards, 0);
-    }
+    std::vector<WorkerState> workers(
+        nThreads, WorkerState{std::vector<u32>(slotResult_.size()), {}, 0});
 
     WorkQueue<Batch> queue(cfg_.queueCapacity);
     {
@@ -96,16 +134,20 @@ CommunityModelBuilder::build(const workload::SearchLog &log, u64 version,
                     for (std::size_t i = b.begin; i < b.end; ++i) {
                         const auto &pair = records[i].pair;
                         // Poisoned record (ids the universe cannot
-                        // interpret): skip and count. shardOf would
-                        // otherwise fault on the query lookup.
-                        if (pair.query >= universe_.numQueries() ||
+                        // interpret): skip and count.
+                        if (pair.query >= nQueries ||
                             pair.result >= universe_.numResults()) {
                             ++w.skipped;
                             continue;
                         }
-                        const u32 s = shardOf(pair.query);
-                        ++w.counts[s][pairKey(pair)];
-                        ++w.shardRecords[s];
+                        u32 s = slotBase_[pair.query];
+                        const u32 end = slotBase_[pair.query + 1];
+                        while (s < end && slotResult_[s] != pair.result)
+                            ++s;
+                        if (s < end)
+                            ++w.counts[s];
+                        else
+                            ++w.spill[pairKey(pair)];
                     }
                 }
             });
@@ -128,44 +170,16 @@ CommunityModelBuilder::build(const workload::SearchLog &log, u64 version,
     model.stats.maxQueueDepth = queue.maxDepth();
     model.stats.meanQueueDepth = queue.meanDepth();
 
-    // ---- Stage 2: merge worker counts per shard (u64 sums — exact,
-    // order-independent), then sort each shard in rowOrder. Shards are
-    // independent, so the sort fans out over the same thread budget.
-    std::vector<std::vector<logs::Triplet>> shardRows(nShards);
-    {
-        std::vector<std::thread> pool;
-        const u32 sortThreads = std::min(nThreads, nShards);
-        pool.reserve(sortThreads);
-        for (u32 t = 0; t < sortThreads; ++t) {
-            pool.emplace_back([&, t] {
-                for (u32 s = t; s < nShards; s += sortThreads) {
-                    std::unordered_map<u64, u64> merged;
-                    for (const auto &w : workers)
-                        for (const auto &[key, vol] : w.counts[s])
-                            merged[key] += vol;
-                    auto &rows = shardRows[s];
-                    rows.reserve(merged.size());
-                    for (const auto &[key, vol] : merged) {
-                        logs::Triplet row;
-                        row.pair = workload::PairRef{
-                            u32(key >> 32), u32(key & 0xffffffffu)};
-                        row.volume = vol;
-                        rows.push_back(row);
-                    }
-                    std::sort(rows.begin(), rows.end(),
-                              logs::TripletTable::rowOrder);
-                }
-            });
-        }
-        for (auto &th : pool)
-            th.join();
-    }
-
-    for (u32 s = 0; s < nShards; ++s) {
-        auto &st = model.stats.shardStats[s];
-        st.rows = shardRows[s].size();
-        for (const auto &w : workers)
-            st.records += w.shardRecords[s];
+    // ---- Stage 2: sum the worker counts (exact and order-independent)
+    // and emit rows in packed-pair-key order: slots already are, and
+    // the key-sorted spill merges in. Shards are accounted per row.
+    std::vector<u32> &counts = workers.front().counts;
+    auto &spill = workers.front().spill;
+    for (std::size_t t = 1; t < workers.size(); ++t) {
+        for (std::size_t s = 0; s < counts.size(); ++s)
+            counts[s] += workers[t].counts[s];
+        for (const auto &[key, volume] : workers[t].spill)
+            spill[key] += volume;
     }
     for (const auto &w : workers)
         model.stats.skippedRecords += w.skipped;
@@ -173,43 +187,29 @@ CommunityModelBuilder::build(const workload::SearchLog &log, u64 version,
         pc_warn("model build v", version, " skipped ",
                 model.stats.skippedRecords, " poisoned log records");
 
-    // ---- Stage 3: deterministic k-way shard merge. Shards partition
-    // the pair space and rowOrder is a strict total order, so merging
-    // the sorted runs in that order reproduces the global sort of the
-    // sequential build exactly.
     std::vector<logs::Triplet> rows;
-    {
-        std::size_t total = 0;
-        for (const auto &sr : shardRows)
-            total += sr.size();
-        rows.reserve(total);
-
-        // Heap entry: (next row of shard s). Shard index breaks no
-        // ties — rowOrder cannot compare equal across shards.
-        struct Head
-        {
-            u32 shard;
-            std::size_t at;
-        };
-        auto headGreater = [&](const Head &a, const Head &b) {
-            // priority_queue is a max-heap; invert rowOrder.
-            return logs::TripletTable::rowOrder(shardRows[b.shard][b.at],
-                                                shardRows[a.shard][a.at]);
-        };
-        std::priority_queue<Head, std::vector<Head>,
-                            decltype(headGreater)>
-            heap(headGreater);
-        for (u32 s = 0; s < nShards; ++s)
-            if (!shardRows[s].empty())
-                heap.push(Head{s, 0});
-        while (!heap.empty()) {
-            const Head h = heap.top();
-            heap.pop();
-            rows.push_back(shardRows[h.shard][h.at]);
-            if (h.at + 1 < shardRows[h.shard].size())
-                heap.push(Head{h.shard, h.at + 1});
-        }
+    for (u32 q = 0; q < nQueries; ++q)
+        for (u32 s = slotBase_[q]; s < slotBase_[q + 1]; ++s)
+            if (counts[s] != 0)
+                rows.push_back({{q, slotResult_[s]}, counts[s]});
+    const std::ptrdiff_t slotRows = std::ssize(rows);
+    for (const auto &[key, volume] : spill)
+        rows.push_back({{u32(key >> 32), u32(key)}, volume});
+    const auto byKey = [](const logs::Triplet &a, const logs::Triplet &b) {
+        return pairKey(a.pair) < pairKey(b.pair);
+    };
+    std::inplace_merge(rows.begin(), rows.begin() + slotRows, rows.end(),
+                       byKey);
+    for (const auto &row : rows) {
+        auto &st = model.stats.shardStats[queryShard_[row.pair.query]];
+        st.records += row.volume;
+        ++st.rows;
     }
+
+    // ---- Stage 3: rows are in key order, so a stable sort by volume
+    // alone yields rowOrder (volume desc, key asc) — the sequential
+    // build's exact row sequence.
+    stableSortByVolumeDesc(rows);
     model.stats.distinctPairs = rows.size();
     model.table = logs::TripletTable::fromSortedRows(std::move(rows));
 

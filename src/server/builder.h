@@ -1,18 +1,27 @@
 /**
  * @file
- * Sharded, multi-threaded community-model builder (the cloud half of
- * Section 5.1, sized for the paper's 200M-query month).
+ * Multi-threaded community-model builder (the cloud half of Section
+ * 5.1, sized for the paper's 200M-query month).
  *
  * Pipeline:
  *
- *   log records ──batches──▶ bounded WorkQueue ──▶ T aggregation
- *   workers (each with private per-shard count maps) ──join──▶
- *   per-shard count merge ──▶ per-shard sort ──▶ deterministic
- *   k-way shard merge ──▶ TripletTable ──▶ CacheContents
+ *   log records ──batches──▶ bounded WorkQueue ──▶ T counting workers
+ *   (each with a private u32 array over the slot dictionary, plus a
+ *   spill map for pairs outside it) ──join──▶ one key-ordered pass
+ *   (sum the arrays, merge the sorted spill, emit rows, account
+ *   shards) ──▶ stable sort by volume ──▶ TripletTable ──▶
+ *   CacheContents
  *
- * Records are partitioned by *query hash* (fnv1a of the query string,
- * the same hash the device table keys on), so one query's volume
- * always lands in one shard and shards partition the pair space.
+ * The slot dictionary is built once per builder: query q owns slots
+ * slotBase_[q]..slotBase_[q+1], one per result in its
+ * QueryInfo::results, ascending — so slot order is packed-pair-key
+ * order. A record bumps its pair's slot; an in-range pair no query
+ * lists (none of the generated logs has one) goes to the spill.
+ *
+ * Shards partition the accounting, not the counting: each query is
+ * assigned fnv1a(query text) % shards (the same hash the device table
+ * keys on) once, and BuildStats::shardStats reports per-shard records
+ * and rows through that table.
  *
  * Determinism invariant (tested, and the reason the whole fleet of
  * byte-deterministic benches survives this subsystem): for any shard
@@ -20,12 +29,13 @@
  * byte-identical to the sequential build (TripletTable::fromLog +
  * CacheContentBuilder). The argument:
  *
- *  - per-pair volumes are u64 sums — associative and commutative, so
- *    worker scheduling cannot change any count;
- *  - each shard is sorted with TripletTable::rowOrder, a strict total
- *    order (volume desc, packed pair id asc — no equal keys);
- *  - shards partition the pairs, so the k-way merge under the same
- *    total order reproduces exactly the globally sorted row sequence.
+ *  - per-pair volumes are integer sums — associative and commutative,
+ *    so worker scheduling cannot change any count;
+ *  - the emit pass walks slots and the sorted spill in packed-key
+ *    order, so rows leave it sorted by key, whatever the schedule;
+ *  - a *stable* sort by volume descending then leaves equal volumes
+ *    in key order: exactly TripletTable::rowOrder, the strict total
+ *    order the sequential build sorts with.
  *
  * Only the *timing* statistics (wall ms, queue watermarks) vary run
  * to run; everything in CommunityModel::encode() is invariant.
@@ -33,6 +43,8 @@
 
 #ifndef PC_SERVER_BUILDER_H
 #define PC_SERVER_BUILDER_H
+
+#include <vector>
 
 #include "server/model.h"
 #include "workload/searchlog.h"
@@ -42,7 +54,11 @@ namespace pc::server {
 /** Build-pipeline shape. */
 struct BuildConfig
 {
-    u32 shards = 8;          ///< Query-hash partitions (>= 1).
+    /**
+     * Query-hash partitions (>= 1) of the per-shard accounting in
+     * BuildStats::shardStats; counting itself is not partitioned.
+     */
+    u32 shards = 8;
     u32 threads = 4;         ///< Aggregation workers (>= 1).
     u32 batchRecords = 8192; ///< Log records per work item.
     u32 queueCapacity = 64;  ///< Batches in flight (backpressure bound).
@@ -57,6 +73,8 @@ class CommunityModelBuilder
 {
   public:
     /**
+     * Precomputes each query's shard and the slot dictionary.
+     *
      * @param universe Interprets pair ids (query strings are hashed
      *        for sharding; results are sized for the contents).
      * @param cfg Pipeline shape.
@@ -83,6 +101,9 @@ class CommunityModelBuilder
   private:
     const workload::QueryUniverse &universe_;
     BuildConfig cfg_;
+    std::vector<u32> queryShard_;  ///< Shard of each query id.
+    std::vector<u32> slotBase_;    ///< Query q owns [slotBase_[q], [q+1]).
+    std::vector<u32> slotResult_;  ///< Result id of each slot.
 };
 
 } // namespace pc::server

@@ -30,7 +30,7 @@ namespace pc::server {
 /** Per-shard accounting of one build. */
 struct ShardStats
 {
-    u64 records = 0; ///< Log records routed to this shard.
+    u64 records = 0; ///< Log records whose query hashes here.
     u64 rows = 0;    ///< Distinct (query, result) pairs in the shard.
 };
 

@@ -2,7 +2,7 @@
  * @file
  * CloudUpdateService — the cloud half of the update protocol.
  *
- * Owns the sharded CommunityModelBuilder, a bounded history of
+ * Owns the multi-threaded CommunityModelBuilder, a bounded history of
  * versioned community models, and the delta generator devices sync
  * against. One service instance stands in for the paper's server-side
  * log-analysis pipeline (Section 5.4): each call to ingest() turns one
@@ -79,7 +79,7 @@ class CloudUpdateService
 
     /**
      * Ingest one log window and publish the next model version
-     * (1, 2, ...). The sharded multi-threaded build is byte-identical
+     * (1, 2, ...). The multi-threaded build is byte-identical
      * to a sequential build of the same log (see builder.h).
      * @return The freshly published model.
      */

@@ -3,14 +3,19 @@
  * Sharded-builder determinism properties: for every (shards, threads)
  * combination the built community model must be byte-identical to the
  * sequential build (TripletTable::fromLog + CacheContentBuilder),
- * including the 1-shard, shards >> queries, and empty-log edge cases —
- * and the deltas a service generates must not depend on the pipeline
- * shape that built the models.
+ * including the 1-shard, shards >> queries, and empty-log edge cases,
+ * poisoned records, pairs outside the slot dictionary (the spill),
+ * equal volumes across shards (the tie-break) and a seeded sweep of
+ * random logs and pipeline shapes — and the deltas a service
+ * generates must not depend on the pipeline shape that built the
+ * models.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/cache_content.h"
@@ -18,6 +23,7 @@
 #include "logs/triplets.h"
 #include "server/builder.h"
 #include "server/service.h"
+#include "util/rng.h"
 
 namespace pc::server {
 namespace {
@@ -57,6 +63,37 @@ sequentialBuild(const workload::QueryUniverse &u,
     core::CacheContentBuilder builder(u);
     m.contents = builder.build(m.table, policy);
     return m;
+}
+
+/** A log record carrying only the pair (all the builder reads). */
+workload::LogRecord
+recordOf(u32 query, u32 result)
+{
+    workload::LogRecord rec;
+    rec.pair = workload::PairRef{query, result};
+    return rec;
+}
+
+/** True if `result` is one of the query's QueryInfo::results. */
+bool
+listsResult(const workload::QueryUniverse &u, u32 query, u32 result)
+{
+    const auto &results = u.query(query).results;
+    return std::any_of(results.begin(), results.end(),
+                       [&](const auto &r) { return r.first == result; });
+}
+
+/** Encoding of a pipeline build of `log` in the given shape. */
+std::string
+pipelineEncoding(const workload::QueryUniverse &u,
+                 const workload::SearchLog &log, u32 shards, u32 threads,
+                 u32 batchRecords)
+{
+    BuildConfig cfg;
+    cfg.shards = shards;
+    cfg.threads = threads;
+    cfg.batchRecords = batchRecords;
+    return CommunityModelBuilder(u, cfg).build(log, 1, {}).encode();
 }
 
 TEST(CommunityModelBuilder, ShardThreadGridMatchesSequentialBuild)
@@ -157,6 +194,175 @@ TEST(CommunityModelBuilder, ShardOfPartitionsByQueryHash)
     for (u32 q = 0; q < 100; ++q) {
         EXPECT_LT(b.shardOf(q), cfg.shards);
         EXPECT_EQ(b.shardOf(q), b.shardOf(q)) << "stable";
+    }
+}
+
+TEST(CommunityModelBuilder, PoisonedRecordsSkippedLikeSequentialBuild)
+{
+    const Workbench &wb = sharedWorkbench();
+    const auto &u = wb.universe();
+    auto log = slicedLog(wb, 5'000);
+    // Enough poisoned volume to top the table if it were counted: the
+    // content builder would then look up ids the universe lacks.
+    for (u32 i = 0; i < 300; ++i) {
+        log.add(recordOf(u.numQueries() + i % 3, 0));
+        log.add(recordOf(0, u.numResults() + 7));
+    }
+    const auto seq = sequentialBuild(u, log, 1, {});
+    for (const auto &row : seq.table.rows()) {
+        ASSERT_LT(row.pair.query, u.numQueries());
+        ASSERT_LT(row.pair.result, u.numResults());
+    }
+    EXPECT_EQ(seq.table.totalVolume(), log.size() - 600);
+
+    const std::string want = seq.encode();
+    for (const auto &[shards, threads, batch] :
+         {std::tuple{1u, 1u, 4096u}, std::tuple{3u, 2u, 97u},
+          std::tuple{8u, 4u, 512u}}) {
+        BuildConfig cfg;
+        cfg.shards = shards;
+        cfg.threads = threads;
+        cfg.batchRecords = batch;
+        const CommunityModel m =
+            CommunityModelBuilder(u, cfg).build(log, 1, {});
+        EXPECT_EQ(m.encode(), want)
+            << "shards=" << shards << " threads=" << threads;
+        EXPECT_EQ(m.stats.skippedRecords, 600u);
+        u64 records = 0;
+        for (const auto &ss : m.stats.shardStats)
+            records += ss.records;
+        EXPECT_EQ(records, log.size() - 600);
+    }
+}
+
+TEST(CommunityModelBuilder, OffDictionaryPairsTakeTheSpillPath)
+{
+    const Workbench &wb = sharedWorkbench();
+    const auto &u = wb.universe();
+    auto log = slicedLog(wb, 5'000);
+    // Pair queries with results they do not list, on both sides of
+    // their own results in key order, at volumes that tie with slot
+    // rows (1, 2) and that make the contents (400). Spread the copies
+    // through the log so several workers count the same spill pair.
+    std::vector<workload::PairRef> spill;
+    for (u32 q = 0; q < 200 && spill.size() < 40; q += 5) {
+        const u32 own = u.query(q).results.front().first;
+        for (const u32 r : {own - 1, own + 1})
+            if (r < u.numResults() && !listsResult(u, q, r))
+                spill.push_back({q, r});
+    }
+    ASSERT_GE(spill.size(), 20u);
+    for (std::size_t i = 0; i < spill.size(); ++i) {
+        const u32 copies = i % 4 == 0 ? 400 : u32(1 + i % 2);
+        for (u32 c = 0; c < copies; ++c)
+            log.add(recordOf(spill[i].query, spill[i].result));
+    }
+    workload::SearchLog shuffled(u);
+    Rng rng(11);
+    std::vector<workload::LogRecord> records = log.records();
+    for (std::size_t i = records.size(); i > 1; --i)
+        std::swap(records[i - 1], records[rng.below(i)]);
+    for (const auto &rec : records)
+        shuffled.add(rec);
+
+    const auto seq = sequentialBuild(u, shuffled, 1, {});
+    std::size_t spillRows = 0, spillSelected = 0;
+    for (const auto &row : seq.table.rows())
+        spillRows += !listsResult(u, row.pair.query, row.pair.result);
+    for (const auto &sp : seq.contents.pairs)
+        spillSelected += !listsResult(u, sp.pair.query, sp.pair.result);
+    ASSERT_EQ(spillRows, spill.size());
+    ASSERT_GT(spillSelected, 0u) << "spill pairs must reach the contents";
+
+    const std::string want = seq.encode();
+    for (u32 threads : {1u, 2u, 4u}) {
+        EXPECT_EQ(pipelineEncoding(u, shuffled, 5, threads, 64), want)
+            << "threads=" << threads;
+    }
+}
+
+TEST(CommunityModelBuilder, EqualVolumesAcrossShardsBreakTiesByPairKey)
+{
+    const Workbench &wb = sharedWorkbench();
+    const auto &u = wb.universe();
+    BuildConfig shape;
+    shape.shards = 4;
+    const CommunityModelBuilder probe(u, shape);
+
+    // Every pair gets volume 3 or 7, written in descending key order
+    // so arrival order is the reverse of the wanted tie order. Every
+    // fourth pair is outside the dictionary, so ties also cross the
+    // slot/spill boundary.
+    workload::SearchLog log(u);
+    std::vector<u32> shardsSeen(shape.shards, 0);
+    for (u32 q = 120; q-- > 0;) {
+        u32 r = u.query(q).results.front().first;
+        if (q % 4 == 0 && r + 1 < u.numResults() &&
+            !listsResult(u, q, r + 1))
+            ++r;
+        const u32 volume = q % 3 == 0 ? 7 : 3;
+        for (u32 c = 0; c < volume; ++c)
+            log.add(recordOf(q, r));
+        ++shardsSeen[probe.shardOf(q)];
+    }
+    for (u32 n : shardsSeen)
+        ASSERT_GT(n, 0u) << "ties must span every shard";
+
+    const auto seq = sequentialBuild(u, log, 1, {});
+    const auto &rows = seq.table.rows();
+    ASSERT_EQ(rows.size(), 120u);
+    for (std::size_t i = 1; i < rows.size(); ++i) {
+        if (rows[i - 1].volume == rows[i].volume) {
+            ASSERT_LT(rows[i - 1].pair.query, rows[i].pair.query);
+        }
+    }
+
+    const std::string want = seq.encode();
+    for (u32 threads : {1u, 3u}) {
+        for (u32 batch : {1u, 7u, 4096u}) {
+            EXPECT_EQ(pipelineEncoding(u, log, shape.shards, threads,
+                                       batch),
+                      want)
+                << "threads=" << threads << " batch=" << batch;
+        }
+    }
+}
+
+TEST(CommunityModelBuilder, RandomLogsAndShapesMatchSequentialBuild)
+{
+    const Workbench &wb = sharedWorkbench();
+    const auto &u = wb.universe();
+    Rng rng(20'110'305);
+    for (int trial = 0; trial < 100; ++trial) {
+        // A small random pool of queries so volumes repeat and tie;
+        // most records use a listed result, some a random one (spill)
+        // and a few carry ids the universe lacks (poison).
+        std::vector<u32> pool(1 + rng.below(150));
+        for (auto &q : pool)
+            q = u32(rng.below(u.numQueries()));
+        workload::SearchLog log(u);
+        const u64 n = rng.below(3'000);
+        for (u64 i = 0; i < n; ++i) {
+            const u32 q = pool[rng.below(pool.size())];
+            const auto &results = u.query(q).results;
+            const double kind = rng.uniform();
+            if (kind < 0.85)
+                log.add(recordOf(
+                    q, results[rng.below(results.size())].first));
+            else if (kind < 0.98)
+                log.add(recordOf(q, u32(rng.below(u.numResults()))));
+            else
+                log.add(recordOf(u.numQueries() + u32(rng.below(4)),
+                                 u32(rng.below(u.numResults() + 4))));
+        }
+        const u32 shards = 1 + u32(rng.below(9));
+        const u32 threads = 1 + u32(rng.below(4));
+        const u32 batch = 1 + u32(rng.below(4096));
+        EXPECT_EQ(pipelineEncoding(u, log, shards, threads, batch),
+                  sequentialBuild(u, log, 1, {}).encode())
+            << "trial=" << trial << " records=" << n
+            << " shards=" << shards << " threads=" << threads
+            << " batch=" << batch;
     }
 }
 
