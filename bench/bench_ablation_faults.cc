@@ -46,8 +46,9 @@ struct SweepResult
     u64 synced = 0;
     double missP99Ms = 0.0;
     double meanEnergyMj = 0.0;
-    fault::InjectedStats injected;
     ResilienceStats resilience;
+    /** Injected-fault and device counters ("fault.*", "device.*"...). */
+    obs::MetricsSnapshot ledger;
 };
 
 SweepResult
@@ -64,6 +65,8 @@ runPoint(harness::Workbench &wb,
     fc.radio.exchangeFailureRate = pt.failureRate;
     fault::FaultPlan plan(fc);
     device.attachFaults(&plan);
+    obs::MetricRegistry reg;
+    device.attachMetrics(&reg);
 
     SweepResult res;
     EmpiricalCdf miss_ms;
@@ -92,8 +95,10 @@ runPoint(harness::Workbench &wb,
 
     res.missP99Ms = miss_ms.size() ? miss_ms.quantile(0.99) : 0.0;
     res.meanEnergyMj = energy / double(res.queries) / 1000.0;
-    res.injected = plan.stats();
     res.resilience = device.resilience();
+    plan.publishMetrics(reg);
+    res.ledger = reg.snapshot();
+    res.ledger.histograms.clear();
     return res;
 }
 
@@ -161,15 +166,8 @@ main()
     // what the device did about them on the other. The invariants the
     // tests enforce (failed == injected failures, degraded == stale +
     // offline, queued == synced + still-queued) are visible here.
-    CounterBag merged;
-    merged.set("fault.outage_attempts", worst.injected.outageAttempts);
-    merged.set("fault.exchange_failures", worst.injected.exchangeFailures);
-    merged.set("fault.latency_spikes", worst.injected.latencySpikes);
-    merged.set("fault.bit_flips", worst.injected.bitFlips);
-    merged.set("fault.crashes", worst.injected.crashes);
-    merged.merge(worst.resilience.toCounters());
-    harness::printCounterReport(
-        "Fault ledger at the harshest sweep point", merged);
+    harness::printMetricsReport("Fault ledger at the harshest sweep point",
+                                worst.ledger);
 
     std::printf("\nCache hits never touch the radio, so the pocket "
                 "cloudlet's local serves are immune to every\nrow of "

@@ -32,7 +32,7 @@ main()
     RunningStat offline_rate;
     RunningStat hit_ms;
     u64 stale = 0, offline_pages = 0, queued = 0, synced = 0;
-    CounterBag counters;
+    obs::MetricRegistry ledger; // counters summed over all 12 phones
     for (int u = 0; u < 12; ++u) {
         Rng ur = seeder.fork();
         const auto profile = sampler.sampleUser(ur);
@@ -47,6 +47,7 @@ main()
         fc.radio.exchangeFailureRate = 1.0; // the tunnel
         fault::FaultPlan plan(fc);
         phone.attachFaults(&plan);
+        phone.attachMetrics(&ledger);
 
         u64 served = 0, degraded = 0;
         for (const auto &ev : stream.month(0)) {
@@ -70,7 +71,6 @@ main()
         offline_pages += rs.offlinePages;
         queued += rs.queuedMisses;
         synced += sync.synced;
-        counters.merge(rs.toCounters());
     }
 
     std::printf("Offline search with a dead radio (12 commuters, one "
@@ -89,7 +89,8 @@ main()
                 "coverage returned: %llu\n",
                 (unsigned long long)queued, (unsigned long long)synced);
 
-    harness::printCounterReport("Combined resilience ledger", counters);
+    harness::printMetricsReport("Combined resilience ledger",
+                                ledger.snapshot());
 
     std::printf("\nThe same cache also relieves the network when "
                 "connectivity exists: every one of those\nqueries "

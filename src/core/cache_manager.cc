@@ -16,25 +16,17 @@ matchKey(u64 query_fnv, u64 url_hash)
 
 } // namespace
 
-CounterBag
-UpdateStats::toCounters() const
-{
-    CounterBag bag;
-    bag.bump("core.update.bytes_to_server", bytesToServer);
-    bag.bump("core.update.bytes_to_phone", bytesToPhone);
-    bag.bump("core.update.pairs_kept", pairsKept);
-    bag.bump("core.update.pairs_expired", pairsExpired);
-    bag.bump("core.update.pairs_pruned", pairsPruned);
-    bag.bump("core.update.pairs_added", pairsAdded);
-    bag.bump("core.update.conflicts", conflicts);
-    bag.bump("core.update.records_patched", recordsPatched);
-    return bag;
-}
-
 void
 UpdateStats::publishMetrics(obs::MetricRegistry &reg) const
 {
-    reg.importCounters(toCounters());
+    reg.counter("core.update.bytes_to_server").bump(bytesToServer);
+    reg.counter("core.update.bytes_to_phone").bump(bytesToPhone);
+    reg.counter("core.update.pairs_kept").bump(pairsKept);
+    reg.counter("core.update.pairs_expired").bump(pairsExpired);
+    reg.counter("core.update.pairs_pruned").bump(pairsPruned);
+    reg.counter("core.update.pairs_added").bump(pairsAdded);
+    reg.counter("core.update.conflicts").bump(conflicts);
+    reg.counter("core.update.records_patched").bump(recordsPatched);
 }
 
 CacheManager::CacheManager(const QueryUniverse &universe)

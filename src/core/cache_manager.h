@@ -22,7 +22,6 @@
 #include "core/table_codec.h"
 #include "logs/triplets.h"
 #include "obs/metrics.h"
-#include "util/stats.h"
 
 namespace pc::core {
 
@@ -37,9 +36,6 @@ struct UpdateStats
     std::size_t pairsAdded = 0;   ///< Fresh popular pairs installed.
     std::size_t conflicts = 0;    ///< Pairs present on both sides.
     std::size_t recordsPatched = 0; ///< New DB records shipped.
-
-    /** Export as "core.update.*" counters. */
-    CounterBag toCounters() const;
 
     /**
      * Fold one cycle's accounting into a registry (bumps the

@@ -39,25 +39,6 @@ servePathKey(ServePath p)
     return "?";
 }
 
-CounterBag
-ResilienceStats::toCounters() const
-{
-    CounterBag bag;
-    bag.set("device.radio_attempts", radioAttempts);
-    bag.set("device.retries", retries);
-    bag.set("device.no_coverage_attempts", noCoverageAttempts);
-    bag.set("device.failed_attempts", failedAttempts);
-    bag.set("device.latency_spikes", latencySpikes);
-    bag.set("device.degraded_serves", degradedServes);
-    bag.set("device.stale_serves", staleServes);
-    bag.set("device.offline_pages", offlinePages);
-    bag.set("device.queued_misses", queuedMisses);
-    bag.set("device.synced_misses", syncedMisses);
-    bag.set("device.sync.corrupt_delta", corruptDeltas);
-    bag.set("device.sync.rejected_delta", rejectedDeltas);
-    return bag;
-}
-
 MobileDevice::MobileDevice(const core::QueryUniverse &universe,
                            const DeviceConfig &cfg,
                            const PocketSearchConfig &ps_cfg)
@@ -238,52 +219,30 @@ MobileDevice::addSegment(QueryOutcome &out, const char *label, SimTime dur,
     out.energy += energyOver(power, dur);
 }
 
-bool
-MobileDevice::radioExchangeWithRetry(QueryOutcome &out,
-                                     radio::RadioLink &radio, SimTime start)
+template <typename OnAttempt, typename OnBackoff>
+MobileDevice::RadioRun
+MobileDevice::radioRetry(radio::RadioLink &radio, SimTime start,
+                         Bytes uplink, Bytes downlink, u32 max_attempts,
+                         OnAttempt &&on_attempt, OnBackoff &&on_backoff)
 {
     fault::FaultyLink flink(radio, faults_);
     const RetryPolicy &rp = cfg_.retry;
-    SimTime elapsed = 0;
-    for (u32 attempt = 1;; ++attempt) {
-        ++out.attempts;
+    RadioRun run;
+    for (;;) {
+        ++run.attempts;
         ++resilience_.radioAttempts;
         bumpCtr(metrics_.attempts);
-        if (attempt > 1) {
+        if (run.attempts > 1) {
             ++resilience_.retries;
             bumpCtr(metrics_.retries);
         }
 
-        const SimTime attemptStart = start + elapsed;
-        const auto oc = flink.attempt(attemptStart, cfg_.requestBytes,
-                                      cfg_.responseBytes, cfg_.serverTime);
-        // Device trace: base power under every radio segment, plus the
-        // radio's own power; the radio tail runs after the exchange but
-        // only its radio power counts (the user may have left the app).
-        for (const auto &seg : oc.xfer.segments) {
-            if (seg.label == "tail") {
-                addSegment(out, "radio-tail", seg.duration, seg.power);
-            } else {
-                addSegment(out, seg.label.c_str(), seg.duration,
-                           cfg_.basePower + seg.power);
-            }
-        }
-        out.radioTime += oc.xfer.latency;
-        elapsed += oc.xfer.latency;
-
-        // One span per attempt: the user-visible exchange time (the
-        // radio tail costs energy, not latency, so it is not a span).
-        traceSpan(oc.ok ? "radio-exchange"
-                  : oc.noCoverage ? "radio-no-coverage"
-                                  : "radio-failed",
-                  "device", attemptStart, oc.xfer.latency);
-
-        if (oc.ok) {
-            if (oc.latencySpike) {
-                ++resilience_.latencySpikes;
-                bumpCtr(metrics_.spikes);
-            }
-            return true;
+        const SimTime at = start + run.elapsed;
+        const auto oc = flink.attempt(at, uplink, downlink, cfg_.serverTime);
+        run.elapsed += oc.xfer.latency;
+        if (oc.latencySpike) {
+            ++resilience_.latencySpikes;
+            bumpCtr(metrics_.spikes);
         }
         if (oc.noCoverage) {
             ++resilience_.noCoverageAttempts;
@@ -293,26 +252,27 @@ MobileDevice::radioExchangeWithRetry(QueryOutcome &out,
             ++resilience_.failedAttempts;
             bumpCtr(metrics_.failed);
         }
-
-        if (attempt >= rp.maxAttempts || elapsed >= rp.queryBudget)
-            return false;
+        if (on_attempt(run.attempts, at, oc)) {
+            run.ok = true;
+            return run;
+        }
+        if (run.attempts >= max_attempts || run.elapsed >= rp.queryBudget)
+            return run;
 
         // Exponential backoff with jitter before the next attempt. The
         // jitter draw comes from the fault plan so a fixed seed replays
-        // the exact same retry timeline.
+        // the exact same retry timeline; a jitter above 1 can push the
+        // multiplier negative, and time never runs backwards.
         SimTime backoff = SimTime(std::llround(
             double(rp.baseBackoff) *
-            std::pow(rp.backoffFactor, double(attempt - 1))));
+            std::pow(rp.backoffFactor, double(run.attempts - 1))));
         backoff = std::min(backoff, rp.maxBackoff);
         if (faults_)
             backoff = SimTime(std::llround(double(backoff) *
                                            faults_->jitter(rp.jitter)));
-        if (backoff > 0) {
-            addSegment(out, "backoff", backoff, cfg_.basePower);
-            traceSpan("backoff", "device", start + elapsed, backoff);
-            out.backoffTime += backoff;
-            elapsed += backoff;
-        }
+        backoff = std::max<SimTime>(backoff, 0);
+        on_backoff(run.attempts, start + run.elapsed, backoff);
+        run.elapsed += backoff;
     }
 }
 
@@ -330,62 +290,64 @@ MobileDevice::serveQuery(const workload::PairRef &pair, ServePath path,
         // Operationally the user is served locally only when the result
         // they are after is among the cached results for the query.
         out.cacheHit = lookup.hit && ps_->containsPair(pair);
-        if (out.cacheHit) {
-            out.fetchTime = lookup.fetchTime;
-            out.renderTime = browser_.renderSearchPage();
-            out.miscTime = browser_.miscOverhead();
-            out.latency = out.hashLookupTime + out.fetchTime +
-                          out.renderTime + out.miscTime;
-            addSegment(out, "local-serve",
-                       out.hashLookupTime + out.fetchTime + out.miscTime,
-                       cfg_.basePower);
-            addSegment(out, "render", out.renderTime,
-                       cfg_.basePower + browser_.config().renderPower);
-            traceSpan("probe", "device", t0, out.hashLookupTime);
-            traceSpan("fetch", "device", t0 + out.hashLookupTime,
-                      out.fetchTime);
-            traceSpan("misc", "device",
-                      t0 + out.hashLookupTime + out.fetchTime,
-                      out.miscTime);
-            traceSpan("render", "device",
-                      t0 + out.hashLookupTime + out.fetchTime +
-                          out.miscTime,
-                      out.renderTime);
-            if (record_click) {
-                SimTime learn = 0;
-                ps_->recordClick(pair, learn);
-                // Learning happens after results display; it costs
-                // energy but not user latency.
-                addSegment(out, "learn", learn, cfg_.basePower);
-            }
-            finishQueryObs(pair, path, out, t0);
-            now_ += out.latency;
-            return out;
-        }
-        // Miss: fall through to 3G (the phone's default data path),
-        // having paid only the 10us probe.
     }
 
-    radio::RadioLink &radio =
-        link(path == ServePath::PocketSearch ? ServePath::ThreeG : path);
-    addSegment(out, "probe", out.hashLookupTime, cfg_.basePower);
-    traceSpan("probe", "device", t0, out.hashLookupTime);
-    const bool reachable =
-        radioExchangeWithRetry(out, radio, now_ + out.hashLookupTime);
+    if (out.cacheHit) {
+        out.fetchTime = lookup.fetchTime;
+    } else {
+        // A miss falls through to 3G (the phone's default data path),
+        // having paid only the 10us probe.
+        addSegment(out, "probe", out.hashLookupTime, cfg_.basePower);
+        traceSpan("probe", "device", t0, out.hashLookupTime);
+        const RadioRun run = radioRetry(
+            link(path == ServePath::PocketSearch ? ServePath::ThreeG : path),
+            t0 + out.hashLookupTime, cfg_.requestBytes, cfg_.responseBytes,
+            cfg_.retry.maxAttempts,
+            [&](u32, SimTime at, const fault::ExchangeOutcome &oc) {
+                // Base power under every radio segment, plus the
+                // radio's own; the tail runs after the exchange and
+                // only its radio power counts (the user may have left
+                // the app).
+                for (const auto &seg : oc.xfer.segments) {
+                    if (seg.label == "tail") {
+                        addSegment(out, "radio-tail", seg.duration,
+                                   seg.power);
+                    } else {
+                        addSegment(out, seg.label.c_str(), seg.duration,
+                                   cfg_.basePower + seg.power);
+                    }
+                }
+                out.radioTime += oc.xfer.latency;
+                // One span per attempt: the user-visible exchange time
+                // (the tail costs energy, not latency).
+                traceSpan(oc.ok           ? "radio-exchange"
+                          : oc.noCoverage ? "radio-no-coverage"
+                                          : "radio-failed",
+                          "device", at, oc.xfer.latency);
+                return oc.ok;
+            },
+            [&](u32, SimTime at, SimTime backoff) {
+                addSegment(out, "backoff", backoff, cfg_.basePower);
+                traceSpan("backoff", "device", at, backoff);
+                out.backoffTime += backoff;
+            });
+        out.attempts = run.attempts;
 
-    if (!reachable) {
-        // Graceful degradation (the paper's offline-search story): the
-        // caller never sees an error. Serve the cached — possibly stale
-        // — results when the query string is cached; otherwise render
-        // the offline page. Either way, queue the miss so it can be
-        // fetched when coverage returns.
-        out.degraded = true;
-        ++resilience_.degradedServes;
-        bumpCtr(metrics_.degraded);
-        if (path == ServePath::PocketSearch) {
-            missQueue_.push_back(pair);
-            ++resilience_.queuedMisses;
-            bumpCtr(metrics_.queued);
+        if (!run.ok) {
+            // Graceful degradation (the paper's offline-search story):
+            // the caller never sees an error. Serve the cached —
+            // possibly stale — results when the query string is
+            // cached; otherwise render the offline page. Either way,
+            // queue the miss so it can be fetched when coverage
+            // returns.
+            out.degraded = true;
+            ++resilience_.degradedServes;
+            bumpCtr(metrics_.degraded);
+            if (path == ServePath::PocketSearch) {
+                missQueue_.push_back(pair);
+                ++resilience_.queuedMisses;
+                bumpCtr(metrics_.queued);
+            }
             if (lookup.hit) {
                 out.staleServe = true;
                 ++resilience_.staleServes;
@@ -397,45 +359,42 @@ MobileDevice::serveQuery(const workload::PairRef &pair, ServePath path,
                 ++resilience_.offlinePages;
                 bumpCtr(metrics_.offline);
             }
-        } else {
-            ++resilience_.offlinePages;
-            bumpCtr(metrics_.offline);
         }
-        out.renderTime = browser_.renderSearchPage();
-        out.miscTime = browser_.miscOverhead();
-        out.latency = out.hashLookupTime + out.radioTime +
-                      out.backoffTime + out.fetchTime + out.renderTime +
-                      out.miscTime;
-        addSegment(out, "render", out.renderTime,
-                   cfg_.basePower + browser_.config().renderPower);
+    }
+
+    // Every exit — hit, degraded, served miss — renders the results
+    // page and pays the app overhead.
+    out.renderTime = browser_.renderSearchPage();
+    out.miscTime = browser_.miscOverhead();
+    out.latency = out.hashLookupTime + out.radioTime + out.backoffTime +
+                  out.fetchTime + out.renderTime + out.miscTime;
+    const MilliWatts renderPower =
+        cfg_.basePower + browser_.config().renderPower;
+    const SimTime tr =
+        t0 + out.hashLookupTime + out.radioTime + out.backoffTime;
+    if (out.cacheHit) {
+        addSegment(out, "local-serve",
+                   out.hashLookupTime + out.fetchTime + out.miscTime,
+                   cfg_.basePower);
+        addSegment(out, "render", out.renderTime, renderPower);
+        traceSpan("probe", "device", t0, out.hashLookupTime);
+        traceSpan("fetch", "device", tr, out.fetchTime);
+        traceSpan("misc", "device", tr + out.fetchTime, out.miscTime);
+        traceSpan("render", "device", tr + out.fetchTime + out.miscTime,
+                  out.renderTime);
+    } else {
+        addSegment(out, "render", out.renderTime, renderPower);
         addSegment(out, "misc", out.miscTime, cfg_.basePower);
-        const SimTime tr = t0 + out.hashLookupTime + out.radioTime +
-                           out.backoffTime;
         traceSpan("stale-fetch", "device", tr, out.fetchTime);
         traceSpan("render", "device", tr + out.fetchTime, out.renderTime);
         traceSpan("misc", "device", tr + out.fetchTime + out.renderTime,
                   out.miscTime);
-        finishQueryObs(pair, path, out, t0);
-        now_ += out.latency;
-        return out;
     }
-
-    out.renderTime = browser_.renderSearchPage();
-    out.miscTime = browser_.miscOverhead();
-    out.latency = out.hashLookupTime + out.radioTime + out.backoffTime +
-                  out.renderTime + out.miscTime;
-
-    addSegment(out, "render", out.renderTime,
-               cfg_.basePower + browser_.config().renderPower);
-    addSegment(out, "misc", out.miscTime, cfg_.basePower);
-    const SimTime tr =
-        t0 + out.hashLookupTime + out.radioTime + out.backoffTime;
-    traceSpan("render", "device", tr, out.renderTime);
-    traceSpan("misc", "device", tr + out.renderTime, out.miscTime);
-
-    if (record_click && path == ServePath::PocketSearch) {
+    if (record_click && path == ServePath::PocketSearch && !out.degraded) {
         SimTime learn = 0;
         ps_->recordClick(pair, learn);
+        // Learning happens after results display; it costs energy but
+        // not user latency.
         addSegment(out, "learn", learn, cfg_.basePower);
     }
     finishQueryObs(pair, path, out, t0);
@@ -450,32 +409,21 @@ MobileDevice::syncMissQueue(ServePath path)
               "sync needs a radio path");
     SyncResult res;
     radio::RadioLink &radio = link(path);
-    fault::FaultyLink flink(radio, faults_);
     std::size_t done = 0;
     while (done < missQueue_.size()) {
-        ++resilience_.radioAttempts;
-        bumpCtr(metrics_.attempts);
-        const auto oc = flink.attempt(now_, cfg_.requestBytes,
-                                      cfg_.responseBytes, cfg_.serverTime);
-        res.time += oc.xfer.latency;
-        res.energy += oc.xfer.radioEnergy;
-        now_ += oc.xfer.latency;
-        if (!oc.ok) {
-            // Connectivity died again; keep the rest queued.
-            if (oc.noCoverage) {
-                ++resilience_.noCoverageAttempts;
-                bumpCtr(metrics_.noCoverage);
-            }
-            if (oc.failed) {
-                ++resilience_.failedAttempts;
-                bumpCtr(metrics_.failed);
-            }
+        // One attempt per queued miss, no retry: a failure means
+        // connectivity died again, so the rest stays queued.
+        const RadioRun run = radioRetry(
+            radio, now_, cfg_.requestBytes, cfg_.responseBytes, 1,
+            [&](u32, SimTime, const fault::ExchangeOutcome &oc) {
+                res.time += oc.xfer.latency;
+                res.energy += oc.xfer.radioEnergy;
+                return oc.ok;
+            },
+            [](u32, SimTime, SimTime) {});
+        now_ += run.elapsed;
+        if (!run.ok)
             break;
-        }
-        if (oc.latencySpike) {
-            ++resilience_.latencySpikes;
-            bumpCtr(metrics_.spikes);
-        }
         // The queued miss is now fetched: feed it to personalization
         // exactly as a served click would have been.
         SimTime learn = 0;
@@ -525,21 +473,13 @@ MobileDevice::CommunitySyncResult
 MobileDevice::syncCommunityUpdate(const core::CommunityDelta &delta,
                                   ServePath path)
 {
-    return syncCommunityFrame(
-        core::frameDelta(delta),
-        core::deltaWireBytes(delta, ps_->universe()), path);
-}
-
-MobileDevice::CommunitySyncResult
-MobileDevice::syncCommunityFrame(const std::string &frame,
-                                 Bytes wire_bytes, ServePath path)
-{
     pc_assert(path != ServePath::PocketSearch,
               "community sync needs a radio path");
+    const std::string frame = core::frameDelta(delta);
     CommunitySyncResult res;
     res.fromVersion = communityVersion_;
     res.toVersion = communityVersion_;
-    res.deltaBytes = wire_bytes;
+    res.deltaBytes = core::deltaWireBytes(delta, ps_->universe());
 
     // A device-initiated sync (no service orchestrating) opens its
     // own trace; a service-driven one arrives with the context already
@@ -547,205 +487,139 @@ MobileDevice::syncCommunityFrame(const std::string &frame,
     if (recorder_ != nullptr && !syncCtx_.valid())
         beginSyncTrace();
 
-    radio::RadioLink &radio = link(path);
-    fault::FaultyLink flink(radio, faults_);
-    const RetryPolicy &rp = cfg_.retry;
-    std::optional<core::CommunityDelta> delta;
-    SimTime elapsed = 0;
-    for (u32 attempt = 1;; ++attempt) {
-        ++res.attempts;
-        ++resilience_.radioAttempts;
-        bumpCtr(metrics_.attempts);
-        if (attempt > 1) {
-            ++resilience_.retries;
-            bumpCtr(metrics_.retries);
-        }
-        const SimTime attemptStart = now_ + elapsed;
-        const auto oc =
-            flink.attempt(attemptStart, cfg_.syncRequestBytes,
-                          res.deltaBytes, cfg_.serverTime);
-        res.time += oc.xfer.latency;
-        res.energy += oc.xfer.radioEnergy;
-        elapsed += oc.xfer.latency;
-        if (recorder_ != nullptr) {
-            obs::SyncEvent ev;
-            ev.stage = obs::SyncStage::FrameDelivery;
-            ev.ok = oc.ok;
-            ev.attempt = attempt;
-            ev.fromVersion = res.fromVersion;
-            ev.bytes = res.deltaBytes;
-            ev.detail = oc.noCoverage ? 1 : oc.failed ? 2 : 0;
-            ev.start = attemptStart;
-            ev.duration = oc.xfer.latency;
-            recordSyncStage(ev);
-        }
-        if (oc.ok) {
-            if (oc.latencySpike) {
-                ++resilience_.latencySpikes;
-                bumpCtr(metrics_.spikes);
+    std::optional<core::CommunityDelta> received;
+    const RadioRun run = radioRetry(
+        link(path), now_, cfg_.syncRequestBytes, res.deltaBytes,
+        cfg_.retry.maxAttempts,
+        [&](u32 attempt, SimTime at, const fault::ExchangeOutcome &oc) {
+            res.time += oc.xfer.latency;
+            res.energy += oc.xfer.radioEnergy;
+            if (recorder_ != nullptr) {
+                obs::SyncEvent ev;
+                ev.stage = obs::SyncStage::FrameDelivery;
+                ev.ok = oc.ok;
+                ev.attempt = attempt;
+                ev.fromVersion = res.fromVersion;
+                ev.bytes = res.deltaBytes;
+                ev.detail = oc.noCoverage ? 1 : oc.failed ? 2 : 0;
+                ev.start = at;
+                ev.duration = oc.xfer.latency;
+                recordSyncStage(ev);
             }
+            if (!oc.ok)
+                return false;
             // The exchange delivered; the payload may still have been
             // mangled in flight. Verify the frame before trusting it.
-            std::string received = frame;
+            std::string bytes = frame;
             if (faults_)
-                faults_->maybeCorruptPayload(received);
+                faults_->maybeCorruptPayload(bytes);
             core::FrameError ferr;
-            delta = core::unframeDelta(received, &ferr);
+            received = core::unframeDelta(bytes, &ferr);
             if (recorder_ != nullptr) {
                 obs::SyncEvent ev;
                 ev.stage = obs::SyncStage::CrcCheck;
-                ev.ok = delta.has_value();
+                ev.ok = received.has_value();
                 ev.attempt = attempt;
                 ev.fromVersion = res.fromVersion;
                 ev.detail = u64(ferr);
-                ev.start = now_ + elapsed;
+                ev.start = at + oc.xfer.latency;
                 recordSyncStage(ev);
             }
-            if (delta.has_value()) {
-                res.ok = true;
-                break;
-            }
+            if (received.has_value())
+                return true;
+            // A corrupt frame re-requests like a failed exchange, under
+            // the same backoff.
             ++res.corruptRejected;
             ++resilience_.corruptDeltas;
             bumpCtr(metrics_.corruptDelta);
-            // Fall through: a corrupt frame re-requests like a failed
-            // exchange, under the same backoff.
-        } else {
-            if (oc.noCoverage) {
-                ++resilience_.noCoverageAttempts;
-                bumpCtr(metrics_.noCoverage);
+            return false;
+        },
+        [&](u32 attempt, SimTime at, SimTime backoff) {
+            if (recorder_ != nullptr) {
+                obs::SyncEvent ev;
+                ev.stage = obs::SyncStage::Backoff;
+                ev.attempt = attempt;
+                ev.fromVersion = res.fromVersion;
+                ev.start = at;
+                ev.duration = backoff;
+                recordSyncStage(ev);
             }
-            if (oc.failed) {
-                ++resilience_.failedAttempts;
-                bumpCtr(metrics_.failed);
-            }
-        }
-        if (attempt >= rp.maxAttempts || elapsed >= rp.queryBudget)
-            break;
+            res.backoffTime += backoff;
+        });
+    res.attempts = run.attempts;
+    now_ += run.elapsed;
 
-        // Same deterministic backoff timeline as a query retry.
-        SimTime backoff = SimTime(std::llround(
-            double(rp.baseBackoff) *
-            std::pow(rp.backoffFactor, double(attempt - 1))));
-        backoff = std::min(backoff, rp.maxBackoff);
-        if (faults_)
-            backoff = SimTime(std::llround(double(backoff) *
-                                           faults_->jitter(rp.jitter)));
-        if (recorder_ != nullptr) {
-            obs::SyncEvent ev;
-            ev.stage = obs::SyncStage::Backoff;
-            ev.attempt = attempt;
-            ev.fromVersion = res.fromVersion;
-            ev.start = now_ + elapsed;
-            ev.duration = backoff;
-            recordSyncStage(ev);
-        }
-        res.backoffTime += backoff;
-        elapsed += backoff;
-    }
-    now_ += elapsed;
-    if (!res.ok) {
+    // One terminal event per sync: Abort, Reject or Commit.
+    obs::SyncEvent end;
+    end.ok = false;
+    end.start = now_;
+    SimTime apply = 0;
+    if (!run.ok) {
         // A sync defeated by corruption (not mere connectivity)
         // advances the escalation streak: the link delivers, the
         // payloads don't survive, so a fresh full install is the way
         // out. Pure radio failure retries as-is next window.
         if (res.corruptRejected > 0)
             ++badDeltaStreak_;
+        end.stage = obs::SyncStage::Abort;
+        end.attempt = res.attempts;
+        end.fromVersion = res.fromVersion;
+        end.detail = res.corruptRejected;
+    } else {
+        const auto ar = core::tryApplyCommunityDelta(*ps_, *received, apply);
+        end.fromVersion = received->fromVersion;
+        end.toVersion = received->toVersion;
         if (recorder_ != nullptr) {
-            obs::SyncEvent ev;
-            ev.stage = obs::SyncStage::Abort;
-            ev.ok = false;
-            ev.attempt = res.attempts;
-            ev.fromVersion = res.fromVersion;
-            ev.detail = res.corruptRejected;
-            ev.start = now_;
-            recordSyncStage(ev);
-        }
-        clearSyncTrace();
-        // Abort: res.time is pure radio time — no delta was applied.
-        if (health_) {
-            obs::health::SyncHealthSample s;
-            s.ok = false;
-            s.radio = res.time;
-            s.backoff = res.backoffTime;
-            health_->onSync(s);
-        }
-        return res;
-    }
-
-    SimTime apply = 0;
-    const auto ar = core::tryApplyCommunityDelta(*ps_, *delta, apply);
-    if (recorder_ != nullptr) {
-        obs::SyncEvent ev;
-        ev.stage = obs::SyncStage::Validate;
-        ev.ok = ar.ok;
-        ev.fromVersion = delta->fromVersion;
-        ev.toVersion = delta->toVersion;
-        ev.detail = u64(ar.error);
-        ev.start = now_;
-        recordSyncStage(ev);
-    }
-    if (!ar.ok) {
-        // Verified frame, but the delta does not fit this device's
-        // state (version skew). Transactional apply left the cache
-        // untouched; retrying the same delta cannot help.
-        res.ok = false;
-        res.rejected = true;
-        res.applyError = ar.error;
-        ++resilience_.rejectedDeltas;
-        bumpCtr(metrics_.rejectedDelta);
-        ++badDeltaStreak_;
-        if (recorder_ != nullptr) {
-            obs::SyncEvent ev;
-            ev.stage = obs::SyncStage::Reject;
-            ev.ok = false;
-            ev.fromVersion = delta->fromVersion;
-            ev.toVersion = delta->toVersion;
+            obs::SyncEvent ev = end;
+            ev.stage = obs::SyncStage::Validate;
+            ev.ok = ar.ok;
             ev.detail = u64(ar.error);
-            ev.start = now_;
             recordSyncStage(ev);
         }
-        clearSyncTrace();
-        // Reject: apply time is not part of res.time (the rollback
-        // leaves the cache untouched), so the ledger matches it.
-        if (health_) {
-            obs::health::SyncHealthSample s;
-            s.ok = false;
-            s.radio = res.time;
-            s.backoff = res.backoffTime;
-            health_->onSync(s);
+        if (!ar.ok) {
+            // Verified frame, but the delta does not fit this device's
+            // state (version skew). Transactional apply left the cache
+            // untouched; retrying the same delta cannot help.
+            res.rejected = true;
+            res.applyError = ar.error;
+            ++resilience_.rejectedDeltas;
+            bumpCtr(metrics_.rejectedDelta);
+            ++badDeltaStreak_;
+            end.stage = obs::SyncStage::Reject;
+            end.detail = u64(ar.error);
+        } else {
+            res.ok = true;
+            res.apply = ar.stats;
+            res.toVersion = received->toVersion;
+            communityVersion_ = received->toVersion;
+            badDeltaStreak_ = 0;
+            end.stage = obs::SyncStage::Commit;
+            end.ok = true;
+            end.detail = u64(ar.stats.added + ar.stats.evicted +
+                             ar.stats.reranked);
+            end.duration = apply;
         }
-        return res;
     }
-    if (recorder_ != nullptr) {
-        obs::SyncEvent ev;
-        ev.stage = obs::SyncStage::Commit;
-        ev.fromVersion = delta->fromVersion;
-        ev.toVersion = delta->toVersion;
-        ev.detail = u64(ar.stats.added + ar.stats.evicted +
-                        ar.stats.reranked);
-        ev.start = now_;
-        ev.duration = apply;
-        recordSyncStage(ev);
-    }
+    recordSyncStage(end);
     clearSyncTrace();
-    // Commit: res.time still holds the radio share here; apply joins
-    // it below and is charged to the CPU ledger.
+    // The ledger sees radio time only; a commit's apply is charged to
+    // the CPU ledger (a reject's rollback leaves the cache untouched
+    // and is charged nowhere).
     if (health_) {
         obs::health::SyncHealthSample s;
-        s.ok = true;
+        s.ok = res.ok;
         s.radio = res.time;
         s.backoff = res.backoffTime;
-        s.apply = apply;
-        s.bytes = res.deltaBytes;
+        if (res.ok) {
+            s.apply = apply;
+            s.bytes = res.deltaBytes;
+        }
         health_->onSync(s);
     }
-    res.apply = ar.stats;
-    res.time += apply;
-    now_ += apply;
-    communityVersion_ = delta->toVersion;
-    res.toVersion = delta->toVersion;
-    badDeltaStreak_ = 0;
+    if (res.ok) {
+        res.time += apply;
+        now_ += apply;
+    }
     return res;
 }
 

@@ -27,7 +27,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "radio/link.h"
-#include "util/stats.h"
 
 namespace pc::device {
 
@@ -53,13 +52,15 @@ std::string servePathKey(ServePath p);
 
 /**
  * How the device retries failed radio exchanges (bounded retries,
- * exponential backoff with jitter, per-query time budget). With no
+ * exponential backoff with jitter, per-operation time budget). Query
+ * misses and community syncs share one attempt loop and so one policy;
+ * the miss-queue drain makes a single attempt per queued miss. With no
  * fault plan attached the first attempt always succeeds and none of
  * this machinery engages.
  */
 struct RetryPolicy
 {
-    /** Total exchange attempts per query (1 = no retry). */
+    /** Total exchange attempts per operation (1 = no retry). */
     u32 maxAttempts = 4;
     /** Backoff before the first retry. */
     SimTime baseBackoff = fromMillis(400);
@@ -67,9 +68,12 @@ struct RetryPolicy
     double backoffFactor = 2.0;
     /** Backoff ceiling. */
     SimTime maxBackoff = 5 * kSecond;
-    /** Multiplicative jitter (+-fraction) on each backoff. */
+    /**
+     * Multiplicative jitter (+-fraction) on each backoff. A jittered
+     * backoff below zero (jitter above 1) waits zero.
+     */
     double jitter = 0.25;
-    /** Give up once a query has burned this much wall time. */
+    /** Give up once an operation has burned this much sim time. */
     SimTime queryBudget = 45 * kSecond;
 };
 
@@ -98,7 +102,7 @@ struct DeviceConfig
 struct ResilienceStats
 {
     u64 radioAttempts = 0;     ///< Exchange attempts started.
-    u64 retries = 0;           ///< Attempts beyond a query's first.
+    u64 retries = 0;           ///< Attempts beyond an operation's first.
     u64 noCoverageAttempts = 0; ///< Attempts begun inside an outage.
     u64 failedAttempts = 0;    ///< Attempts killed mid-exchange.
     u64 latencySpikes = 0;     ///< Successful but congested exchanges.
@@ -111,8 +115,7 @@ struct ResilienceStats
     u64 corruptDeltas = 0;     ///< Delta frames failing the CRC check.
     u64 rejectedDeltas = 0;    ///< Verified deltas failing validation.
 
-    /** Counters as a mergeable bag (workbench reporting). */
-    CounterBag toCounters() const;
+    bool operator==(const ResilienceStats &) const = default;
 };
 
 /** Everything measured about one served query. */
@@ -255,7 +258,7 @@ class MobileDevice
      */
     void beginSyncTrace();
 
-    /** Discard the active sync trace (shed / no-version outcomes). */
+    /** Discard the active sync trace (no-version and finished syncs). */
     void clearSyncTrace() { syncCtx_ = obs::TraceContext{}; }
 
     /**
@@ -270,9 +273,6 @@ class MobileDevice
 
     /** What the device did about injected faults. */
     const ResilienceStats &resilience() const { return resilience_; }
-
-    /** Reset resilience counters. */
-    void resetResilience() { resilience_ = ResilienceStats{}; }
 
     /** Misses queued while the cloud was unreachable (oldest first). */
     const std::vector<workload::PairRef> &missQueue() const
@@ -291,8 +291,9 @@ class MobileDevice
 
     /**
      * Drain the offline miss queue over the given radio path: fetch
-     * each queued miss and feed it to personalization, stopping early
-     * if connectivity fails again. Call when coverage returns.
+     * each queued miss (one attempt, no retry) and feed it to
+     * personalization, stopping at the first failed attempt. Call when
+     * coverage returns.
      */
     SyncResult syncMissQueue(ServePath path = ServePath::ThreeG);
 
@@ -310,55 +311,37 @@ class MobileDevice
         u32 corruptRejected = 0; ///< Frames rejected by the CRC check.
         /** The verified delta failed validation (state mismatch). */
         bool rejected = false;
-        /**
-         * The server shed the sync (admission control) before any
-         * radio traffic; retry next window. Set by the service, never
-         * by the device itself.
-         */
-        bool shed = false;
         /** Why validation rejected it (None unless `rejected`). */
         core::DeltaApplyError applyError = core::DeltaApplyError::None;
         core::DeltaApplyStats apply{}; ///< Application accounting.
     };
 
     /**
-     * Download and apply one community-model delta from the cloud
-     * update service over a radio path, with the same retry/backoff
-     * machinery (and fault plan) a query miss uses. The delta travels
-     * as a CRC-32 integrity frame (core::frameDelta); this overload
-     * frames it locally and defers to syncCommunityFrame. On success
-     * the delta is applied to PocketSearch (core/delta.h rules) and
-     * the device's community version advances to delta.toVersion; on
+     * Download and apply one community-model delta over a radio path —
+     * the device's one community-sync entry point. The delta travels
+     * as a CRC-32 integrity frame (core::frameDelta) sized for the
+     * radio by core::deltaWireBytes (frame plus patched flash
+     * records). Every attempt runs through the same retry loop, policy
+     * and fault plan as a query miss, and each delivery may have a bit
+     * flipped in flight (FaultPlan::maybeCorruptPayload). A frame that
+     * fails the CRC-32 check is counted, dropped and re-requested under
+     * the standard backoff — corrupt bytes never reach the cache. A
+     * frame that verifies but whose delta fails transactional
+     * validation (version skew: the device's table is not the state the
+     * delta was diffed against) is rejected whole with `rejected` set
+     * and no retry, since re-downloading the same mismatch cannot help.
+     *
+     * On success the delta is applied to PocketSearch (core/delta.h
+     * rules) and the community version advances to delta.toVersion; on
      * failure the cache and version are untouched and the service can
-     * retry next sync window.
+     * retry next sync window. A corrupt-defeated or rejected sync
+     * advances the bad-delta streak; after kBadDeltaEscalation in a row
+     * needsFullInstall() turns true and the service falls back to a
+     * full install, which resets the streak when it lands.
      */
     CommunitySyncResult
     syncCommunityUpdate(const core::CommunityDelta &delta,
                         ServePath path = ServePath::ThreeG);
-
-    /**
-     * Download and apply one framed community delta. Every radio
-     * attempt delivers `frame` through the attached fault plan (which
-     * may flip a bit in flight); a frame that fails the CRC-32 check
-     * is counted, dropped, and re-requested under the standard retry
-     * backoff — corrupt bytes never reach the cache. A frame that
-     * verifies but whose delta fails transactional validation
-     * (version skew: the device's table is not the state the delta
-     * was diffed against) is rejected whole with `rejected` set and
-     * no retry, since re-downloading the same mismatch cannot help.
-     * Both terminal outcomes advance the bad-delta streak; after
-     * kBadDeltaEscalation consecutive bad syncs needsFullInstall()
-     * turns true and the service falls back to a full install, which
-     * resets the streak when it lands.
-     *
-     * @param frame core::frameDelta() bytes as sent by the service.
-     * @param wire_bytes Modelled downlink payload for the radio
-     *        (frame plus patched flash records; deltaWireBytes).
-     * @param path Radio path.
-     */
-    CommunitySyncResult
-    syncCommunityFrame(const std::string &frame, Bytes wire_bytes,
-                       ServePath path = ServePath::ThreeG);
 
     /** Consecutive bad syncs before escalating to a full install. */
     static constexpr u32 kBadDeltaEscalation = 3;
@@ -439,13 +422,30 @@ class MobileDevice
     void addSegment(QueryOutcome &out, const char *label, SimTime dur,
                     MilliWatts power) const;
 
+    /** How one operation's radio attempts ended. */
+    struct RadioRun
+    {
+        bool ok = false;     ///< An attempt was accepted.
+        u32 attempts = 0;    ///< Attempts made.
+        SimTime elapsed = 0; ///< Exchange plus backoff time.
+    };
+
     /**
-     * Run the radio exchange with retry/backoff under the attached
-     * fault plan. Appends trace segments to `out` and advances its
-     * radio/backoff accounting. @return True once an attempt succeeds.
+     * The device's one radio retry loop (query miss, community sync,
+     * miss-queue drain). Each attempt runs through the attached fault
+     * plan starting at `start` plus the time elapsed so far; the loop
+     * counts it in resilience_/metrics_, then calls
+     * `on_attempt(attempt, at, outcome)`, which returns true to accept
+     * the attempt and stop. Otherwise the loop stops at `max_attempts`
+     * or the policy's budget, or waits a jittered exponential backoff
+     * (never negative) reported through `on_backoff(attempt, at,
+     * backoff)`. The hooks are inlined callables, so the loop adds no
+     * allocation.
      */
-    bool radioExchangeWithRetry(QueryOutcome &out, radio::RadioLink &radio,
-                                SimTime start);
+    template <typename OnAttempt, typename OnBackoff>
+    RadioRun radioRetry(radio::RadioLink &radio, SimTime start,
+                        Bytes uplink, Bytes downlink, u32 max_attempts,
+                        OnAttempt &&on_attempt, OnBackoff &&on_backoff);
 
     DeviceConfig cfg_;
     std::unique_ptr<pc::nvm::FlashDevice> flash_;

@@ -168,23 +168,16 @@ FaultPlan::maybeFlipBit(std::string &buf, Bytes from, Bytes len,
     return true;
 }
 
-CounterBag
-FaultPlan::toCounters() const
-{
-    CounterBag bag;
-    bag.set("fault.outage_attempts", stats_.outageAttempts);
-    bag.set("fault.exchange_failures", stats_.exchangeFailures);
-    bag.set("fault.latency_spikes", stats_.latencySpikes);
-    bag.set("fault.payload_corruptions", stats_.payloadCorruptions);
-    bag.set("fault.bit_flips", stats_.bitFlips);
-    bag.set("fault.crashes", stats_.crashes);
-    return bag;
-}
-
 void
 FaultPlan::publishMetrics(obs::MetricRegistry &reg) const
 {
-    reg.importCounters(toCounters());
+    reg.counter("fault.outage_attempts").bump(stats_.outageAttempts);
+    reg.counter("fault.exchange_failures").bump(stats_.exchangeFailures);
+    reg.counter("fault.latency_spikes").bump(stats_.latencySpikes);
+    reg.counter("fault.payload_corruptions")
+        .bump(stats_.payloadCorruptions);
+    reg.counter("fault.bit_flips").bump(stats_.bitFlips);
+    reg.counter("fault.crashes").bump(stats_.crashes);
 }
 
 } // namespace pc::fault

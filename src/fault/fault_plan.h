@@ -34,7 +34,6 @@
 
 #include "obs/metrics.h"
 #include "util/rng.h"
-#include "util/stats.h"
 #include "util/types.h"
 
 namespace pc::fault {
@@ -93,6 +92,8 @@ struct InjectedStats
     u64 payloadCorruptions = 0; ///< Delivered payloads with a flipped bit.
     u64 bitFlips = 0;          ///< Bits flipped on storage reads.
     u64 crashes = 0;           ///< Power-loss events fired.
+
+    bool operator==(const InjectedStats &) const = default;
 };
 
 /**
@@ -190,9 +191,6 @@ class FaultPlan
      * leaves this count unchanged (bench_trace_overhead enforces it).
      */
     u64 rngDraws() const { return rng_.draws(); }
-
-    /** Injected-fault counters as a mergeable bag. */
-    CounterBag toCounters() const;
 
     /**
      * Fold the injected-fault ground truth into a registry (bumps the

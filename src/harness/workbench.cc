@@ -6,16 +6,6 @@
 namespace pc::harness {
 
 void
-printCounterReport(const std::string &title, const CounterBag &bag)
-{
-    AsciiTable t(title);
-    t.header({"counter", "count"});
-    for (const auto &[name, value] : bag.items())
-        t.row({name, strformat("%llu", (unsigned long long)value)});
-    t.print();
-}
-
-void
 printMetricsReport(const std::string &title,
                    const obs::MetricsSnapshot &snap)
 {

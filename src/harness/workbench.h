@@ -14,21 +14,11 @@
 #include "core/cache_content.h"
 #include "logs/triplets.h"
 #include "obs/metrics.h"
-#include "util/stats.h"
 #include "workload/loggen.h"
 #include "workload/population.h"
 #include "workload/universe.h"
 
 namespace pc::harness {
-
-/**
- * Print a counter bag as a two-column table. The fault-injection
- * experiments merge the plan's injected-fault counters with the
- * device's resilience counters and report them through here, so every
- * experiment shows the same ledger: what was injected, and what the
- * device did about it.
- */
-void printCounterReport(const std::string &title, const CounterBag &bag);
 
 /**
  * Print a registry snapshot as tables: one for counters (skipping

@@ -44,7 +44,7 @@ namespace pc::obs {
 enum class SyncTier : u8
 {
     Device = 0, ///< The phone: request, delivery, verify, apply.
-    Server = 1, ///< The cloud service: lookup, build, admission.
+    Server = 1, ///< The cloud service: lookup, build, escalation.
 };
 
 /** Display name of a tier ("device" / "server"). */
@@ -61,7 +61,8 @@ enum class SyncStage : u8
     SyncRequest = 0, ///< Device opens the sync (the trace root).
     VersionLookup,   ///< Server resolves device/target versions.
     DeltaBuild,      ///< Server diffs from->to (from 0 = full install).
-    Shed,            ///< Admission control dropped the sync.
+    Shed,            ///< Sync dropped before delivery (unused; kept
+                     ///< so older postmortems parse by name).
     Escalate,        ///< Server forced a full install (bad streak).
     NoVersion,       ///< Target version off the history window.
     FrameDelivery,   ///< One radio attempt carrying the frame.

@@ -85,15 +85,6 @@ MetricsSnapshot::deltaSince(const MetricsSnapshot &earlier) const
     return d;
 }
 
-CounterBag
-MetricsSnapshot::toCounterBag() const
-{
-    CounterBag bag;
-    for (const auto &[n, v] : counters)
-        bag.set(n, v);
-    return bag;
-}
-
 void
 MetricsSnapshot::writeJson(std::ostream &os, bool pretty) const
 {
@@ -257,14 +248,6 @@ MetricRegistry::mergeFrom(const MetricRegistry &other)
         Histogram &dst = h->exact() ? exactHistogram(n) : histogram(n);
         dst.mergeFrom(*h);
     }
-}
-
-void
-MetricRegistry::importCounters(const CounterBag &bag,
-                               const std::string &prefix)
-{
-    for (const auto &[n, v] : bag.items())
-        counter(prefix + n).bump(v);
 }
 
 } // namespace pc::obs

@@ -6,13 +6,12 @@
  * flash store, PocketSearch, the fault plan) registers typed handles —
  * counters, gauges, distributions — under hierarchical dotted names
  * ("device.radio.3g.retries", "simfs.reads") in one MetricRegistry.
- * The registry subsumes the hand-threaded CounterBag plumbing the
- * fault-injection experiments used: a snapshot flattens every metric
- * into a deterministic, name-sorted report; deltas isolate one phase
- * of an experiment; merges fold per-shard registries (e.g. one device
- * per serving path, or a whole simulated fleet) into one view —
- * counts and moments combine exactly (parallel Welford), quantiles
- * via mergeable sketches within a documented error bound.
+ * A snapshot flattens every metric into a deterministic, name-sorted
+ * report; deltas isolate one phase of an experiment; merges fold
+ * per-shard registries (e.g. one device per serving path, or a whole
+ * simulated fleet) into one view — counts and moments combine exactly
+ * (parallel Welford), quantiles via mergeable sketches within a
+ * documented error bound.
  *
  * Handles returned by the registry are stable for the registry's
  * lifetime, so hot paths bump a cached pointer instead of re-hashing
@@ -195,9 +194,6 @@ struct MetricsSnapshot
      */
     MetricsSnapshot deltaSince(const MetricsSnapshot &earlier) const;
 
-    /** Counters (only) as a CounterBag, in snapshot (name) order. */
-    CounterBag toCounterBag() const;
-
     /** Serialize as a JSON object. */
     void writeJson(std::ostream &os, bool pretty = false) const;
 };
@@ -244,13 +240,6 @@ class MetricRegistry
      * rules). Metrics absent here are created in the source's mode.
      */
     void mergeFrom(const MetricRegistry &other);
-
-    /**
-     * Import a legacy CounterBag: each entry bumps the counter
-     * `prefix + name` (bag merge semantics).
-     */
-    void importCounters(const CounterBag &bag,
-                        const std::string &prefix = "");
 
     /** Number of registered metrics across all types. */
     std::size_t size() const

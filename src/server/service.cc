@@ -22,7 +22,6 @@ CloudUpdateService::ingest(const workload::SearchLog &log)
     auto [it, inserted] = history_.emplace(version, std::move(m));
     pc_assert(inserted, "model version already published");
     latest_ = version;
-    syncsThisVersion_ = 0; // fresh version, fresh admission budget
     while (history_.size() > cfg_.maxVersions)
         history_.erase(history_.begin());
     publishBuildMetrics(it->second);
@@ -81,37 +80,6 @@ device::MobileDevice::CommunitySyncResult
 CloudUpdateService::syncDevice(device::MobileDevice &dev,
                                u64 target_version, device::ServePath path)
 {
-    if (cfg_.syncBudgetPerVersion != 0 &&
-        syncsThisVersion_ >= cfg_.syncBudgetPerVersion) {
-        if (dev.flightRecorder() != nullptr) {
-            // Even a shed sync leaves a causal record: the device
-            // asked, admission control said no.
-            dev.beginSyncTrace();
-            obs::SyncEvent ev;
-            ev.tier = obs::SyncTier::Server;
-            ev.stage = obs::SyncStage::Shed;
-            ev.ok = false;
-            ev.fromVersion = dev.communityVersion();
-            ev.toVersion = latest_;
-            ev.detail = cfg_.syncBudgetPerVersion;
-            ev.start = dev.now();
-            dev.recordSyncStage(ev);
-            dev.clearSyncTrace();
-        }
-        // Budget spent: shed before generating a delta or touching
-        // the radio. The device stays at its version and retries
-        // after the next publish.
-        SyncAccounting acct;
-        acct.shed = true;
-        accountSync(acct);
-        device::MobileDevice::CommunitySyncResult res;
-        res.shed = true;
-        res.fromVersion = dev.communityVersion();
-        res.toVersion = dev.communityVersion();
-        return res;
-    }
-    if (cfg_.syncBudgetPerVersion != 0)
-        ++syncsThisVersion_;
     SyncAccounting acct;
     const auto res = syncDetached(dev, &acct, target_version, path);
     accountSync(acct);

@@ -8,69 +8,6 @@
 namespace pc {
 
 void
-CounterBag::bump(const std::string &name, u64 delta)
-{
-    for (auto &[n, v] : items_) {
-        if (n == name) {
-            v += delta;
-            return;
-        }
-    }
-    items_.emplace_back(name, delta);
-}
-
-void
-CounterBag::set(const std::string &name, u64 value)
-{
-    for (auto &[n, v] : items_) {
-        if (n == name) {
-            v = value;
-            return;
-        }
-    }
-    items_.emplace_back(name, value);
-}
-
-u64
-CounterBag::value(const std::string &name) const
-{
-    for (const auto &[n, v] : items_) {
-        if (n == name)
-            return v;
-    }
-    return 0;
-}
-
-bool
-CounterBag::contains(const std::string &name) const
-{
-    for (const auto &[n, v] : items_) {
-        (void)v;
-        if (n == name)
-            return true;
-    }
-    return false;
-}
-
-void
-CounterBag::merge(const CounterBag &other)
-{
-    for (const auto &[n, v] : other.items_)
-        bump(n, v);
-}
-
-u64
-CounterBag::total() const
-{
-    u64 sum = 0;
-    for (const auto &[n, v] : items_) {
-        (void)n;
-        sum += v;
-    }
-    return sum;
-}
-
-void
 RunningStat::add(double x)
 {
     ++n_;

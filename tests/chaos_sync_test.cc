@@ -4,8 +4,8 @@
  * transfer property (every truncation rejected), exhaustive single-bit
  * flip rejection, transactional delta apply (validate-then-commit
  * leaves a mismatched device untouched), corrupt-delta retry plus the
- * bad-streak escalation to a full install, server-side admission
- * control (shed budget), poisoned-log ingest skip-and-count, the typed
+ * bad-streak escalation to a full install, backoff clamping under a
+ * jitter above 1, poisoned-log ingest skip-and-count, the typed
  * out-of-window error paths of findModel/tryMakeDelta, and one small
  * end-to-end chaos fleet run whose invariant checker must stay silent.
  */
@@ -284,35 +284,40 @@ TEST(DeltaApply, CorruptFramesAreRejectedCountedAndEscalate)
     EXPECT_EQ(dev.badDeltaStreak(), 0u);
 }
 
-TEST(AdmissionControl, BudgetShedsAndResetsAtIngest)
+TEST(RetryBackoff, TimeNeverRunsBackwardsUnderWideJitter)
 {
+    // A jitter above 1 can draw a negative backoff multiplier; the
+    // shared retry loop waits zero instead of rewinding the clock.
     Workbench &wb = sharedWorkbench();
-    ServiceConfig cfg;
-    cfg.build.shards = 2;
-    cfg.build.threads = 1;
-    cfg.syncBudgetPerVersion = 2;
-    CloudUpdateService svc(wb.universe(), cfg);
-    svc.ingest(slicedLog(wb, wb.buildLog().size() / 2));
+    const auto delta = windowedService().makeDelta(0);
+    device::DeviceConfig dc;
+    dc.retry.jitter = 1.5;
+    for (u64 seed = 1; seed <= 20; ++seed) {
+        device::MobileDevice dev(wb.universe(), dc);
+        fault::FaultConfig fc;
+        fc.seed = seed;
+        fc.radio.payloadCorruptRate = 1.0; // every frame retries
+        fault::FaultPlan faults(fc);
+        dev.attachFaults(&faults);
+        obs::FlightRecorder rec(seed);
+        dev.attachFlightRecorder(&rec);
 
-    device::MobileDevice a(wb.universe()), b(wb.universe()),
-        c(wb.universe());
-    EXPECT_TRUE(svc.syncDevice(a).ok);
-    EXPECT_TRUE(svc.syncDevice(b).ok);
-    const auto shedRes = svc.syncDevice(c);
-    EXPECT_FALSE(shedRes.ok);
-    EXPECT_TRUE(shedRes.shed);
-    EXPECT_EQ(c.communityVersion(), 0u);
-    EXPECT_EQ(c.pocketSearch().pairs(), 0u)
-        << "a shed sync must not touch the device";
-    EXPECT_EQ(
-        svc.metrics().snapshot().counterValue("server.sync.shed"), 1u);
-    EXPECT_EQ(svc.metrics().snapshot().counterValue("server.syncs.ok"),
-              2u);
-
-    // The next publish refills the budget; the shed device gets in.
-    svc.ingest(wb.buildLog());
-    EXPECT_TRUE(svc.syncDevice(c).ok);
-    EXPECT_EQ(c.communityVersion(), 2u);
+        const auto res = dev.syncCommunityUpdate(delta);
+        EXPECT_FALSE(res.ok) << "seed " << seed;
+        EXPECT_GE(res.backoffTime, 0) << "seed " << seed;
+        SimTime lastDelivery = 0;
+        for (const auto &ev : rec.events()) {
+            if (ev.stage == obs::SyncStage::Backoff) {
+                EXPECT_GE(ev.duration, 0) << "seed " << seed;
+            }
+            if (ev.stage == obs::SyncStage::FrameDelivery) {
+                EXPECT_GE(ev.start, lastDelivery) << "seed " << seed;
+                lastDelivery = ev.start;
+            }
+        }
+        EXPECT_EQ(dev.now(), res.time + res.backoffTime)
+            << "seed " << seed;
+    }
 }
 
 TEST(Ingest, PoisonedRecordsAreSkippedAndCounted)

@@ -24,9 +24,7 @@ TEST(FaultPlanTest, DisabledPlanInjectsNothing)
     std::string buf(64, 'x');
     EXPECT_FALSE(plan.maybeFlipBit(buf, 0, buf.size(), 10'000));
     EXPECT_EQ(buf, std::string(64, 'x'));
-    EXPECT_EQ(plan.stats().exchangeFailures, 0u);
-    EXPECT_EQ(plan.stats().bitFlips, 0u);
-    EXPECT_EQ(plan.toCounters().total(), 0u);
+    EXPECT_EQ(plan.stats(), InjectedStats{});
 }
 
 TEST(FaultPlanTest, OutageScheduleIsDeterministic)

@@ -275,19 +275,7 @@ TEST(Histogram, RegistryMergeCreatesAbsentInSourceMode)
     EXPECT_EQ(dst.exactHistogram("precise").count(), 1u);
 }
 
-TEST(MetricRegistry, ImportCountersBumpsWithPrefix)
-{
-    CounterBag bag;
-    bag.bump("hits", 3);
-    bag.bump("misses", 2);
-    MetricRegistry reg;
-    reg.counter("legacy.hits").bump(1);
-    reg.importCounters(bag, "legacy.");
-    EXPECT_EQ(reg.counter("legacy.hits").value(), 4u);
-    EXPECT_EQ(reg.counter("legacy.misses").value(), 2u);
-}
-
-TEST(MetricsSnapshot, ToCounterBagAndJson)
+TEST(MetricsSnapshot, CountersInNameOrderAndJson)
 {
     MetricRegistry reg;
     reg.counter("b").bump(2);
@@ -295,10 +283,9 @@ TEST(MetricsSnapshot, ToCounterBagAndJson)
     reg.histogram("h").observe(1.0);
     const auto snap = reg.snapshot();
 
-    const CounterBag bag = snap.toCounterBag();
-    ASSERT_EQ(bag.size(), 2u);
-    EXPECT_EQ(bag.items()[0].first, "a") << "snapshot (name) order";
-    EXPECT_EQ(bag.value("b"), 2u);
+    ASSERT_EQ(snap.counters.size(), 2u);
+    EXPECT_EQ(snap.counters[0].first, "a") << "snapshot (name) order";
+    EXPECT_EQ(snap.counterValue("b"), 2u);
 
     std::ostringstream os;
     snap.writeJson(os);
