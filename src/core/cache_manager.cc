@@ -47,10 +47,10 @@ CacheManager::CacheManager(const QueryUniverse &universe)
     }
 }
 
-std::vector<CacheManager::DevicePair>
+std::vector<InstallItem>
 CacheManager::parseUpload(const std::vector<WirePair> &wire) const
 {
-    std::vector<DevicePair> out;
+    std::vector<InstallItem> out;
     out.reserve(wire.size());
     for (const auto &w : wire) {
         const auto it = reverse_.find(matchKey(w.queryFnv, w.urlHash));
@@ -60,17 +60,17 @@ CacheManager::parseUpload(const std::vector<WirePair> &wire) const
             pc_warn("unmatchable device pair hash");
             continue;
         }
-        out.push_back(DevicePair{it->second, w.score, w.accessed});
+        out.push_back(InstallItem{it->second, w.score, w.accessed});
     }
     return out;
 }
 
-UpdateStats
-CacheManager::update(PocketSearch &ps, const logs::TripletTable &fresh,
-                     const UpdatePolicy &policy, SimTime &time) const
+std::vector<InstallItem>
+CacheManager::planRebuild(const PocketSearch &ps,
+                          const logs::TripletTable &fresh,
+                          const UpdatePolicy &policy,
+                          UpdateStats &stats) const
 {
-    UpdateStats stats;
-
     // 1. Phone -> server: the hash table travels as an actual encoded
     //    blob; the server decodes it and matches the hashes against
     //    its own logs.
@@ -84,30 +84,15 @@ CacheManager::update(PocketSearch &ps, const logs::TripletTable &fresh,
     CacheContentBuilder builder(universe_, ps.config().layout);
     CacheContents fresh_contents = builder.build(fresh, policy.content);
 
-    std::unordered_map<u64, double> fresh_scores;
-    fresh_scores.reserve(fresh_contents.pairs.size());
-    for (const auto &sp : fresh_contents.pairs) {
-        const auto &q = universe_.query(sp.pair.query);
-        const auto &r = universe_.result(sp.pair.result);
-        fresh_scores.emplace(matchKey(fnv1a(q.text), urlHash(r.url)),
-                             sp.score);
-    }
-
     // 3. Merge. Start from the fresh set; retain user-accessed device
     //    pairs unless expired; resolve conflicts with max score.
-    struct Merged
-    {
-        workload::PairRef pair;
-        double score;
-        bool accessed;
-    };
-    std::unordered_map<u64, Merged> merged;
+    std::unordered_map<u64, InstallItem> merged;
     merged.reserve(fresh_contents.pairs.size() + device_pairs.size());
     for (const auto &sp : fresh_contents.pairs) {
         const auto &q = universe_.query(sp.pair.query);
         const auto &r = universe_.result(sp.pair.result);
         merged.emplace(matchKey(fnv1a(q.text), urlHash(r.url)),
-                       Merged{sp.pair, sp.score, false});
+                       InstallItem{sp.pair, sp.score, false});
     }
     stats.pairsAdded = merged.size();
 
@@ -135,21 +120,30 @@ CacheManager::update(PocketSearch &ps, const logs::TripletTable &fresh,
             ++stats.pairsExpired;
             continue;
         }
-        merged.emplace(key, Merged{dp.pair, dp.score, true});
+        merged.emplace(key, InstallItem{dp.pair, dp.score, true});
         ++stats.pairsKept;
     }
 
-    // 4. Server -> phone: new hash table + database patches.
-    ps.clearTable();
-    for (const auto &[key, m] : merged) {
+    // 4. Server -> phone: the new hash table's pairs.
+    std::vector<InstallItem> items;
+    items.reserve(merged.size());
+    for (const auto &[key, item] : merged) {
         (void)key;
-        if (ps.installPair(m.pair, m.score, m.accessed, time)) {
-            ++stats.recordsPatched;
-            stats.bytesToPhone += QueryUniverse::recordSize(
-                universe_.result(m.pair.result));
-        }
+        items.push_back(item);
     }
-    stats.bytesToPhone += ps.dramBytes();
+    return items;
+}
+
+UpdateStats
+CacheManager::update(PocketSearch &ps, const logs::TripletTable &fresh,
+                     const UpdatePolicy &policy, SimTime &time) const
+{
+    UpdateStats stats;
+    const auto items = planRebuild(ps, fresh, policy, stats);
+    ps.clearTable();
+    const InstallResult installed = ps.installPairs(items, time);
+    stats.recordsPatched = installed.records;
+    stats.bytesToPhone += installed.recordBytes + ps.dramBytes();
     return stats;
 }
 

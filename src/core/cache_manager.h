@@ -17,7 +17,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/delta.h"
 #include "core/pocket_search.h"
 #include "core/table_codec.h"
 #include "logs/triplets.h"
@@ -83,27 +82,20 @@ class CacheManager
                        const UpdatePolicy &policy, SimTime &time) const;
 
     /**
-     * Apply an incremental community delta instead of a full rebuild
-     * (the cloud update service's sync path — see core/delta.h).
+     * The server half of update(): upload, merge and the install list
+     * the phone receives, in install order. update() clears the
+     * device table and installs exactly this list. Fills every field
+     * of `stats` except recordsPatched and the patch share of
+     * bytesToPhone.
      */
-    static DeltaApplyStats applyDelta(PocketSearch &ps,
-                                      const CommunityDelta &delta,
-                                      SimTime &time)
-    {
-        return applyCommunityDelta(ps, delta, time);
-    }
+    std::vector<InstallItem> planRebuild(const PocketSearch &ps,
+                                         const logs::TripletTable &fresh,
+                                         const UpdatePolicy &policy,
+                                         UpdateStats &stats) const;
 
   private:
-    /** Pair + retained state read back from the device table. */
-    struct DevicePair
-    {
-        workload::PairRef pair;
-        double score;
-        bool accessed;
-    };
-
     /** Decode an uploaded table blob into universe pairs. */
-    std::vector<DevicePair>
+    std::vector<InstallItem>
     parseUpload(const std::vector<WirePair> &wire) const;
 
     const QueryUniverse &universe_;

@@ -22,6 +22,14 @@ constexpr std::size_t kScoredBytes = 4 + 4 + 8 + 8;
 /** Evict record: pair ids only. */
 constexpr std::size_t kEvictBytes = 4 + 4;
 
+/** encodeDelta() size for these op counts (u64: no overflow). */
+constexpr u64
+payloadBytes(u64 adds, u64 evicts, u64 reranks)
+{
+    return kHeaderBytes + (adds + reranks) * kScoredBytes +
+           evicts * kEvictBytes;
+}
+
 template <typename T>
 void
 put(std::string &out, T v)
@@ -60,26 +68,6 @@ pairInRange(const workload::PairRef &p, const QueryUniverse &u)
     return p.query < u.numQueries() && p.result < u.numResults();
 }
 
-/**
- * Install one add, merging with an already-cached pair by maximum
- * score (the user's personalization got there first).
- */
-void
-commitAdd(PocketSearch &ps, const ScoredPair &sp, SimTime &time,
-          DeltaApplyStats &stats)
-{
-    const auto existing = ps.findPair(sp.pair);
-    if (existing.has_value()) {
-        ++stats.conflicts;
-        if (sp.score > existing->score)
-            ps.setPairScore(sp.pair, sp.score);
-        return;
-    }
-    ++stats.added;
-    if (ps.installPair(sp.pair, sp.score, false, time))
-        ++stats.recordsPatched;
-}
-
 } // namespace
 
 const char *
@@ -105,6 +93,12 @@ diffContents(const CacheContents &from, const CacheContents &to,
     CommunityDelta d;
     d.fromVersion = from_version;
     d.toVersion = to_version;
+    if (from.pairs.empty()) {
+        // Full install: every target pair is an add, in `to` order —
+        // what the general path yields, without its two hash sets.
+        d.adds = to.pairs;
+        return d;
+    }
 
     std::unordered_map<u64, const ScoredPair *> base;
     base.reserve(from.pairs.size());
@@ -139,32 +133,23 @@ tryApplyCommunityDelta(PocketSearch &ps, const CommunityDelta &delta,
     // Validate: every pair id must be interpretable and every
     // evict/re-rank target must resolve in the live table. Nothing is
     // mutated until the whole delta checks out.
-    for (const auto &sp : delta.adds) {
-        if (!pairInRange(sp.pair, u)) {
+    const auto invalid = [&](const workload::PairRef &p,
+                             DeltaApplyError missing) {
+        if (!pairInRange(p, u))
             res.error = DeltaApplyError::BadPairId;
+        else if (missing != DeltaApplyError::None && !ps.findPair(p))
+            res.error = missing;
+        return res.error != DeltaApplyError::None;
+    };
+    for (const auto &sp : delta.adds)
+        if (invalid(sp.pair, DeltaApplyError::None))
             return res;
-        }
-    }
-    for (const auto &p : delta.evicts) {
-        if (!pairInRange(p, u)) {
-            res.error = DeltaApplyError::BadPairId;
+    for (const auto &p : delta.evicts)
+        if (invalid(p, DeltaApplyError::MissingEvictTarget))
             return res;
-        }
-        if (!ps.findPair(p).has_value()) {
-            res.error = DeltaApplyError::MissingEvictTarget;
+    for (const auto &sp : delta.reranks)
+        if (invalid(sp.pair, DeltaApplyError::MissingRerankTarget))
             return res;
-        }
-    }
-    for (const auto &sp : delta.reranks) {
-        if (!pairInRange(sp.pair, u)) {
-            res.error = DeltaApplyError::BadPairId;
-            return res;
-        }
-        if (!ps.findPair(sp.pair).has_value()) {
-            res.error = DeltaApplyError::MissingRerankTarget;
-            return res;
-        }
-    }
 
     // Commit. Every operation below was proven to resolve, so the
     // sequence cannot fail part-way for state reasons.
@@ -182,49 +167,65 @@ tryApplyCommunityDelta(PocketSearch &ps, const CommunityDelta &delta,
             const auto &r = u.result(sp.pair.result);
             wanted.insert(matchKey(fnv1a(q.text), urlHash(r.url)));
         }
-        // The table only exposes hashes; map them back to pair ids the
-        // way the server does (cache_manager's reverse map), built
-        // lazily because this path is the rare recovery one.
-        std::unordered_map<u64, workload::PairRef> reverse;
-        reverse.reserve(ps.pairs() * 2);
-        for (u32 qid = 0; qid < u.numQueries(); ++qid) {
-            const u64 qh = fnv1a(u.query(qid).text);
-            for (const auto &[rid, w] : u.query(qid).results) {
-                (void)w;
-                reverse.emplace(
-                    matchKey(qh, urlHash(u.result(rid).url)),
-                    workload::PairRef{qid, rid});
-            }
-        }
-        struct Stale
+        struct Unwanted
         {
-            workload::PairRef pair;
+            u64 qfnv;
+            u64 urlHash;
             bool accessed;
         };
-        std::vector<Stale> stale;
+        std::vector<Unwanted> unwanted;
         ps.table().forEachPair([&](u64 qfnv, const ResultRef &r) {
-            const u64 key = matchKey(qfnv, r.urlHash);
-            if (wanted.count(key))
-                return;
-            const auto it = reverse.find(key);
+            if (!wanted.count(matchKey(qfnv, r.urlHash)))
+                unwanted.push_back(Unwanted{qfnv, r.urlHash, r.userAccessed});
+        });
+        // The table only exposes hashes; map them back to pair ids the
+        // way the server does (cache_manager's reverse map), over just
+        // the queries the unwanted pairs belong to.
+        std::unordered_set<u64> queries;
+        for (const auto &uw : unwanted)
+            queries.insert(uw.qfnv);
+        std::unordered_map<u64, workload::PairRef> reverse;
+        for (u32 qid = 0; !queries.empty() && qid < u.numQueries(); ++qid) {
+            const u64 qh = fnv1a(u.query(qid).text);
+            if (!queries.count(qh))
+                continue;
+            for (const auto &[rid, w] : u.query(qid).results) {
+                (void)w;
+                reverse.emplace(matchKey(qh, urlHash(u.result(rid).url)),
+                                workload::PairRef{qid, rid});
+            }
+        }
+        for (const auto &uw : unwanted) {
+            const auto it = reverse.find(matchKey(uw.qfnv, uw.urlHash));
             if (it == reverse.end()) {
                 pc_warn("unmatchable device pair in reconcile");
-                return;
+                continue;
             }
-            stale.push_back(Stale{it->second, r.userAccessed});
-        });
-        for (const auto &s : stale) {
-            if (s.accessed) {
+            if (uw.accessed) {
                 ++stats.keptAccessed;
                 continue;
             }
-            ps.evictPair(s.pair);
+            ps.evictPair(it->second);
             ++stats.staleEvicted;
         }
     }
 
+    // Adds go in as one batch. A conflict (the user's clicks got there
+    // first) merges by maximum score; its staged suggest entry is
+    // already flushed, so setPairScore's resync sees the whole batch.
+    std::vector<InstallItem> items;
+    items.reserve(delta.adds.size());
     for (const auto &sp : delta.adds)
-        commitAdd(ps, sp, time, stats);
+        items.push_back(InstallItem{sp.pair, sp.score, false});
+    const InstallResult installed = ps.installPairs(items, time);
+    stats.added = installed.inserted;
+    stats.recordsPatched = installed.records;
+    stats.conflicts = installed.conflicts.size();
+    for (const std::size_t i : installed.conflicts) {
+        const ScoredPair &sp = delta.adds[i];
+        if (sp.score > ps.findPair(sp.pair)->score)
+            ps.setPairScore(sp.pair, sp.score);
+    }
 
     for (const auto &p : delta.evicts) {
         const auto existing = ps.findPair(p);
@@ -253,23 +254,12 @@ tryApplyCommunityDelta(PocketSearch &ps, const CommunityDelta &delta,
     return res;
 }
 
-DeltaApplyStats
-applyCommunityDelta(PocketSearch &ps, const CommunityDelta &delta,
-                    SimTime &time)
-{
-    const auto res = tryApplyCommunityDelta(ps, delta, time);
-    pc_assert(res.ok, "community delta failed validation: ",
-              deltaApplyErrorName(res.error));
-    return res.stats;
-}
-
 std::string
 encodeDelta(const CommunityDelta &delta)
 {
     std::string out;
-    out.reserve(kHeaderBytes +
-                kScoredBytes * (delta.adds.size() + delta.reranks.size()) +
-                kEvictBytes * delta.evicts.size());
+    out.reserve(payloadBytes(delta.adds.size(), delta.evicts.size(),
+                             delta.reranks.size()));
     out.append(kPayloadMagic, 4);
     put<u64>(out, delta.fromVersion);
     put<u64>(out, delta.toVersion);
@@ -308,10 +298,7 @@ decodeDelta(std::string_view payload)
     const u32 reranks = get<u32>(p + 24);
     // Length check before any allocation: a corrupted count cannot
     // trigger a huge reserve. u64 arithmetic avoids overflow.
-    const u64 want = u64(kHeaderBytes) +
-                     u64(adds + u64(reranks)) * kScoredBytes +
-                     u64(evicts) * kEvictBytes;
-    if (payload.size() != want)
+    if (payload.size() != payloadBytes(adds, evicts, reranks))
         return std::nullopt;
 
     p = payload.data() + kHeaderBytes;
@@ -404,16 +391,19 @@ unframeDelta(std::string_view frame, FrameError *error)
 Bytes
 deltaWireBytes(const CommunityDelta &delta, const QueryUniverse &universe)
 {
-    Bytes bytes = Bytes(encodeDelta(delta).size()) + kDeltaFrameOverhead;
+    Bytes bytes = payloadBytes(delta.adds.size(), delta.evicts.size(),
+                               delta.reranks.size()) +
+                  kDeltaFrameOverhead;
     // Result records ship once per distinct result (the patch files
     // are per result, not per pair); ids outside the universe are
     // synthetic test pairs and carry no record.
-    std::unordered_set<u32> shipped;
+    std::vector<bool> shipped(universe.numResults());
     for (const auto &sp : delta.adds) {
-        if (sp.pair.result < universe.numResults() &&
-            shipped.insert(sp.pair.result).second)
-            bytes += QueryUniverse::recordSize(
-                universe.result(sp.pair.result));
+        const u32 rid = sp.pair.result;
+        if (rid < universe.numResults() && !shipped[rid]) {
+            shipped[rid] = true;
+            bytes += QueryUniverse::recordSize(universe.result(rid));
+        }
     }
     return bytes;
 }

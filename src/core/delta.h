@@ -131,15 +131,6 @@ DeltaApplyResult tryApplyCommunityDelta(PocketSearch &ps,
                                         SimTime &time);
 
 /**
- * Legacy strict apply: asserts the delta validates. Callers that
- * control both ends (tests, the in-process cache manager) use this;
- * anything that received bytes over a link uses the try form.
- */
-DeltaApplyStats applyCommunityDelta(PocketSearch &ps,
-                                    const CommunityDelta &delta,
-                                    SimTime &time);
-
-/**
  * Canonical payload serialization: fixed-width little-endian fields,
  * no map iteration anywhere. Byte-equal encodings <=> equal deltas.
  */

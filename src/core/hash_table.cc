@@ -15,33 +15,30 @@ QueryHashTable::QueryHashTable(HashEntryLayout layout)
 }
 
 const QueryHashTable::Entry *
-QueryHashTable::findEntry(std::string_view query, u32 slot) const
+QueryHashTable::findEntry(u64 qh, u32 slot) const
 {
-    const auto it = table_.find(queryHash(query, slot));
-    if (it == table_.end())
-        return nullptr;
+    const auto it = table_.find(querySlotKey(qh, slot));
     // Guard against key collisions between different queries: verify the
     // stored query hash matches.
-    if (it->second.queryHash != fnv1a(query))
+    if (it == table_.end() || it->second.queryHash != qh)
         return nullptr;
     return &it->second;
 }
 
 QueryHashTable::Entry *
-QueryHashTable::findEntry(std::string_view query, u32 slot)
+QueryHashTable::findEntry(u64 qh, u32 slot)
 {
     return const_cast<Entry *>(
-        static_cast<const QueryHashTable *>(this)->findEntry(query, slot));
+        static_cast<const QueryHashTable *>(this)->findEntry(qh, slot));
 }
 
 std::vector<ResultRef>
-QueryHashTable::lookup(std::string_view query, SimTime *time) const
+QueryHashTable::chain(u64 qh, u32 *entries) const
 {
-    if (time)
-        *time += kLookupLatency;
     std::vector<ResultRef> out;
-    for (u32 slot = 0; slot < kMaxChain; ++slot) {
-        const Entry *e = findEntry(query, slot);
+    u32 slot = 0;
+    for (; slot < kMaxChain; ++slot) {
+        const Entry *e = findEntry(qh, slot);
         if (!e)
             break;
         for (u32 i = 0; i < layout_.resultsPerEntry; ++i) {
@@ -49,6 +46,17 @@ QueryHashTable::lookup(std::string_view query, SimTime *time) const
                 out.push_back(e->sr[i]);
         }
     }
+    if (entries)
+        *entries = slot;
+    return out;
+}
+
+std::vector<ResultRef>
+QueryHashTable::lookup(std::string_view query, SimTime *time) const
+{
+    if (time)
+        *time += kLookupLatency;
+    std::vector<ResultRef> out = chain(fnv1a(query));
     std::sort(out.begin(), out.end(),
               [](const ResultRef &a, const ResultRef &b) {
                   if (a.score != b.score)
@@ -58,52 +66,51 @@ QueryHashTable::lookup(std::string_view query, SimTime *time) const
     return out;
 }
 
-bool
-QueryHashTable::locate(std::string_view query, u64 url_hash, u64 &key,
-                       u32 &idx) const
+const ResultRef *
+QueryHashTable::locate(std::string_view query, u64 url_hash) const
 {
+    const u64 qh = fnv1a(query);
     for (u32 slot = 0; slot < kMaxChain; ++slot) {
-        const Entry *e = findEntry(query, slot);
+        const Entry *e = findEntry(qh, slot);
         if (!e)
-            return false;
+            return nullptr;
         for (u32 i = 0; i < layout_.resultsPerEntry; ++i) {
-            if (e->sr[i].urlHash == url_hash) {
-                key = queryHash(query, slot);
-                idx = i;
-                return true;
-            }
+            if (e->sr[i].urlHash == url_hash)
+                return &e->sr[i];
         }
     }
-    return false;
+    return nullptr;
 }
 
 bool
 QueryHashTable::containsPair(std::string_view query, u64 url_hash) const
 {
-    u64 key;
-    u32 idx;
-    return locate(query, url_hash, key, idx);
+    return locate(query, url_hash) != nullptr;
 }
 
 std::optional<ResultRef>
 QueryHashTable::findPair(std::string_view query, u64 url_hash) const
 {
-    u64 key;
-    u32 idx;
-    if (!locate(query, url_hash, key, idx))
-        return std::nullopt;
-    return table_.at(key).sr[idx];
+    if (const ResultRef *r = locate(query, url_hash))
+        return *r;
+    return std::nullopt;
 }
 
 bool
 QueryHashTable::insert(std::string_view query, u64 url_hash, double score,
                        bool user_accessed)
 {
+    return insert(fnv1a(query), url_hash, score, user_accessed);
+}
+
+bool
+QueryHashTable::insert(u64 qh, u64 url_hash, double score,
+                       bool user_accessed)
+{
     pc_assert(url_hash != 0, "url hash 0 is the empty-slot sentinel");
     // One walk over the chain both rejects a duplicate and remembers the
     // first free slot; the chain ends at the first missing key. Only
     // when no entry has a free slot does a new entry get appended there.
-    const u64 qh = fnv1a(query);
     Entry *free_entry = nullptr;
     u32 free_idx = 0;
     for (u32 slot = 0; slot < kMaxChain; ++slot) {
@@ -138,8 +145,7 @@ QueryHashTable::insert(std::string_view query, u64 url_hash, double score,
         }
     }
     if (!free_entry)
-        pc_panic("hash chain overflow for query '", std::string(query),
-                 "'");
+        pc_panic("hash chain overflow for query hash ", qh);
     free_entry->sr[free_idx] = ResultRef{url_hash, score, user_accessed};
     ++pairs_;
     return true;
@@ -152,9 +158,10 @@ QueryHashTable::applyClick(std::string_view query, u64 url_hash,
     // Decay every unclicked sibling of the query: S = S * e^-lambda
     // (Equation 2); raise the clicked pair by 1 (Equation 1).
     const double decay = std::exp(-lambda);
+    const u64 qh = fnv1a(query);
     bool existed = false;
     for (u32 slot = 0; slot < kMaxChain; ++slot) {
-        Entry *e = findEntry(query, slot);
+        Entry *e = findEntry(qh, slot);
         if (!e)
             break;
         for (u32 i = 0; i < layout_.resultsPerEntry; ++i) {
@@ -173,7 +180,7 @@ QueryHashTable::applyClick(std::string_view query, u64 url_hash,
     if (!existed) {
         // First click on a previously uncached pair: new entry with the
         // maximum initial score (Section 5.3).
-        insert(query, url_hash, 1.0, true);
+        insert(qh, url_hash, 1.0, true);
     }
     return existed;
 }
@@ -181,23 +188,19 @@ QueryHashTable::applyClick(std::string_view query, u64 url_hash,
 bool
 QueryHashTable::setScore(std::string_view query, u64 url_hash, double score)
 {
-    u64 key;
-    u32 idx;
-    if (!locate(query, url_hash, key, idx))
-        return false;
-    table_[key].sr[idx].score = score;
-    return true;
+    auto *r = const_cast<ResultRef *>(locate(query, url_hash));
+    if (r)
+        r->score = score;
+    return r != nullptr;
 }
 
 bool
 QueryHashTable::markAccessed(std::string_view query, u64 url_hash)
 {
-    u64 key;
-    u32 idx;
-    if (!locate(query, url_hash, key, idx))
-        return false;
-    table_[key].sr[idx].userAccessed = true;
-    return true;
+    auto *r = const_cast<ResultRef *>(locate(query, url_hash));
+    if (r)
+        r->userAccessed = true;
+    return r != nullptr;
 }
 
 bool
@@ -205,18 +208,9 @@ QueryHashTable::erasePair(std::string_view query, u64 url_hash)
 {
     // Collect the whole chain, drop the pair, then rebuild the chain so
     // slot keys stay contiguous.
-    std::vector<ResultRef> all;
+    const u64 qh = fnv1a(query);
     u32 chain_len = 0;
-    for (u32 slot = 0; slot < kMaxChain; ++slot) {
-        const Entry *e = findEntry(query, slot);
-        if (!e)
-            break;
-        ++chain_len;
-        for (u32 i = 0; i < layout_.resultsPerEntry; ++i) {
-            if (e->sr[i].urlHash != 0)
-                all.push_back(e->sr[i]);
-        }
-    }
+    std::vector<ResultRef> all = chain(qh, &chain_len);
     const auto it = std::find_if(all.begin(), all.end(),
                                  [&](const ResultRef &r) {
                                      return r.urlHash == url_hash;
@@ -226,28 +220,21 @@ QueryHashTable::erasePair(std::string_view query, u64 url_hash)
     all.erase(it);
 
     for (u32 slot = 0; slot < chain_len; ++slot)
-        table_.erase(queryHash(query, slot));
+        table_.erase(querySlotKey(qh, slot));
     pairs_ -= 1 + all.size();
     for (const auto &r : all)
-        insert(query, r.urlHash, r.score, r.userAccessed);
+        insert(qh, r.urlHash, r.score, r.userAccessed);
     return true;
 }
 
 std::size_t
 QueryHashTable::eraseQuery(std::string_view query)
 {
-    std::size_t removed = 0;
-    for (u32 slot = 0; slot < kMaxChain; ++slot) {
-        const u64 key = queryHash(query, slot);
-        auto it = table_.find(key);
-        if (it == table_.end() || it->second.queryHash != fnv1a(query))
-            break;
-        for (u32 i = 0; i < layout_.resultsPerEntry; ++i) {
-            if (it->second.sr[i].urlHash != 0)
-                ++removed;
-        }
-        table_.erase(it);
-    }
+    const u64 qh = fnv1a(query);
+    u32 chain_len = 0;
+    const std::size_t removed = chain(qh, &chain_len).size();
+    for (u32 slot = 0; slot < chain_len; ++slot)
+        table_.erase(querySlotKey(qh, slot));
     pairs_ -= removed;
     return removed;
 }

@@ -73,6 +73,14 @@ class QueryHashTable
                 bool user_accessed = false);
 
     /**
+     * insert() with the query already hashed (query_fnv = fnv1a(query)):
+     * the same single chain walk finds a cached pair (false, table
+     * untouched) or inserts it (true).
+     */
+    bool insert(u64 query_fnv, u64 url_hash, double score,
+                bool user_accessed);
+
+    /**
      * Apply a user click (Section 5.3): the clicked pair's score rises
      * by 1 (inserting it with score 1 if absent) and every *unclicked*
      * sibling of the same query decays by e^-lambda. The clicked pair's
@@ -153,12 +161,18 @@ class QueryHashTable
     /** Chain-walk bound: slots never exceed this (sanity guard). */
     static constexpr u32 kMaxChain = 1024;
 
-    const Entry *findEntry(std::string_view query, u32 slot) const;
-    Entry *findEntry(std::string_view query, u32 slot);
+    /** Chain entry `slot` of the query with fnv1a hash `qh`, or null. */
+    const Entry *findEntry(u64 qh, u32 slot) const;
+    Entry *findEntry(u64 qh, u32 slot);
 
-    /** Collect (entry slot key, result index) of a pair, if present. */
-    bool locate(std::string_view query, u64 url_hash, u64 &key,
-                u32 &idx) const;
+    /**
+     * Every cached result of a query, in chain order; `*entries`
+     * receives the chain's entry count.
+     */
+    std::vector<ResultRef> chain(u64 qh, u32 *entries = nullptr) const;
+
+    /** The cached slot of a pair, or nullptr: one chain walk. */
+    const ResultRef *locate(std::string_view query, u64 url_hash) const;
 
     HashEntryLayout layout_;
     std::unordered_map<u64, Entry> table_;

@@ -67,35 +67,52 @@ PocketSearch::loadCommunity(const CacheContents &contents, SimTime &time)
 {
     if (cfg_.mode == CacheMode::PersonalizationOnly)
         return;
-    // installPair per pair, except that the suggest index is built by
-    // one bulk merge at the end: the table inserts and flash appends
-    // keep their per-pair order, and the merged index equals the one
-    // per-pair inserts produce.
-    std::vector<std::pair<std::string_view, double>> batch;
+    std::vector<InstallItem> items;
+    items.reserve(contents.pairs.size());
+    for (const auto &sp : contents.pairs)
+        items.push_back(InstallItem{sp.pair, sp.score, false});
+    installPairs(items, time);
+}
+
+InstallResult
+PocketSearch::installPairs(std::span<const InstallItem> items,
+                           SimTime &time)
+{
+    InstallResult res;
+    std::vector<std::pair<std::string_view, double>> staged;
     if (cfg_.enableSuggest)
-        batch.reserve(contents.pairs.size());
-    for (const auto &sp : contents.pairs) {
-        const auto &q = universe_.query(sp.pair.query);
-        const auto &r = universe_.result(sp.pair.result);
-        table_.insert(q.text, urlHash(r.url), sp.score,
-                      /*user_accessed=*/false);
+        staged.reserve(items.size());
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        const InstallItem &it = items[i];
+        const auto &q = universe_.query(it.pair.query);
+        const auto &r = universe_.result(it.pair.result);
+        const u64 uh = urlHash(r.url);
+        // A conflict stages its score too, as installPair always did: a
+        // duplicate in one push ratchets the box to its maximum. For a
+        // delta conflict that changes nothing, since the box already
+        // holds at least every cached score of its query.
         if (cfg_.enableSuggest)
-            batch.emplace_back(q.text, sp.score);
-        db_.addRecord(r, time);
+            staged.emplace_back(q.text, it.score);
+        if (!table_.insert(fnv1a(q.text), uh, it.score, it.accessed)) {
+            res.conflicts.push_back(i);
+            continue;
+        }
+        ++res.inserted;
+        if (db_.addRecord(r, uh, time)) {
+            ++res.records;
+            res.recordBytes += QueryUniverse::recordSize(r);
+        }
     }
-    suggest_.insertBulk(std::move(batch));
+    suggest_.insertBulk(std::move(staged));
+    return res;
 }
 
 bool
 PocketSearch::installPair(const workload::PairRef &p, double score,
                           bool user_accessed, SimTime &time)
 {
-    const auto &q = universe_.query(p.query);
-    const auto &r = universe_.result(p.result);
-    table_.insert(q.text, urlHash(r.url), score, user_accessed);
-    if (cfg_.enableSuggest)
-        suggest_.insert(q.text, score);
-    return db_.addRecord(r, time);
+    const InstallItem item{p, score, user_accessed};
+    return installPairs({&item, 1}, time).records > 0;
 }
 
 void
@@ -273,7 +290,7 @@ PocketSearch::recordClick(const workload::PairRef &p, SimTime &time)
         if (!refs.empty())
             suggest_.insert(q.text, refs.front().score);
     }
-    if (db_.addRecord(r, time)) {
+    if (db_.addRecord(r, uh, time)) {
         ++stats_.recordsLearned;
         if (metrics_.recordsLearned)
             metrics_.recordsLearned->bump();

@@ -13,6 +13,7 @@
 #define PC_CORE_POCKET_SEARCH_H
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -101,6 +102,24 @@ struct SnapshotPair
     bool accessed = false;
 };
 
+/** One pair for PocketSearch::installPairs. */
+struct InstallItem
+{
+    workload::PairRef pair;
+    double score = 0.0;
+    bool accessed = false; ///< User-accessed flag of a new table entry.
+};
+
+/** What one PocketSearch::installPairs call did. */
+struct InstallResult
+{
+    std::size_t inserted = 0; ///< Pairs new to the hash table.
+    std::size_t records = 0;  ///< Records newly written to flash.
+    Bytes recordBytes = 0;    ///< Their modelled sizes, summed.
+    /** Indices of items whose pair was already cached, in order. */
+    std::vector<std::size_t> conflicts;
+};
+
 /** Cumulative serving statistics. */
 struct ServeStats
 {
@@ -128,11 +147,26 @@ class PocketSearch
                  const PocketSearchConfig &cfg = {});
 
     /**
-     * Install community contents (the overnight push). In
-     * PersonalizationOnly mode this is a no-op — that cache starts cold.
+     * Install community contents (the overnight push) through
+     * installPairs. In PersonalizationOnly mode this is a no-op — that
+     * cache starts cold.
      * @param[out] time Accumulates the flash write latency of the push.
      */
     void loadCommunity(const CacheContents &contents, SimTime &time);
+
+    /**
+     * The one install path: community push, delta adds and the cache
+     * manager's rebuild all come through here. Per item, in order: one
+     * table walk inserts the pair, or finds it already cached (a
+     * conflict: table and flash untouched, index reported); a new
+     * pair's record is appended to flash unless present; the item's
+     * (query, score) is staged for auto-suggest. The staged entries
+     * merge in one SuggestIndex::insertBulk before the call returns, so
+     * a later resyncSuggest (evictPair, setPairScore) sees them all.
+     * @param[out] time Accumulates flash write latency.
+     */
+    InstallResult installPairs(std::span<const InstallItem> items,
+                               SimTime &time);
 
     /**
      * Look up a query string; on a hit, fetch up to `max_results`
@@ -160,9 +194,7 @@ class PocketSearch
     void recordClick(const workload::PairRef &p, SimTime &time);
 
     /**
-     * Install one pair directly (community push / update protocol).
-     * Inserts into the hash table, ships the record to flash if absent
-     * and keeps the auto-suggest index in sync.
+     * installPairs for one pair.
      * @param[out] time Accumulates flash write latency.
      * @return True if the database gained a new record.
      */

@@ -141,7 +141,12 @@ ResultDatabase::appendRecord(u64 key, std::string_view rec, SimTime &time)
 bool
 ResultDatabase::addRecord(const ResultInfo &r, SimTime &time)
 {
-    const u64 key = urlHash(r.url);
+    return addRecord(r, urlHash(r.url), time);
+}
+
+bool
+ResultDatabase::addRecord(const ResultInfo &r, u64 key, SimTime &time)
+{
     if (engine_) {
         if (engine_->contains(key))
             return false;

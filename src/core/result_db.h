@@ -86,6 +86,9 @@ class ResultDatabase
      */
     bool addRecord(const ResultInfo &r, SimTime &time);
 
+    /** addRecord with the key already computed (key == urlHash(r.url)). */
+    bool addRecord(const ResultInfo &r, u64 key, SimTime &time);
+
     /**
      * Overwrite the record keyed by urlHash(r.url) (server refreshed a
      * cached result). Falls back to addRecord when absent. Flat mode

@@ -13,7 +13,7 @@
  *
  * A device whose version fell off the bounded history — or that never
  * synced (version 0) — receives a full install: a delta from the empty
- * model, which applyCommunityDelta handles identically.
+ * model, which tryApplyCommunityDelta handles identically.
  *
  * The service keeps its own obs::MetricRegistry ("server.*": ingest
  * volume, queue depths, delta sizes and op counts, sync outcomes) so a

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/cache_manager.h"
 #include "core/pocket_search.h"
 #include "core/table_codec.h"
 #include "harness/workbench.h"
@@ -246,9 +247,38 @@ struct Phone
     std::unique_ptr<PocketSearch> ps;
 };
 
+/** Expect two phones to hold byte-identical caches and flash. */
+void
+expectSamePhone(const Phone &a, const Phone &b)
+{
+    EXPECT_EQ(encodeTable(a.ps->table()), encodeTable(b.ps->table()));
+
+    const auto &sa = a.ps->suggestIndex();
+    const auto &sb = b.ps->suggestIndex();
+    EXPECT_EQ(sa.size(), sb.size());
+    EXPECT_EQ(sa.memoryBytes(), sb.memoryBytes());
+    const auto dump_a = sa.suggest("", ~0u);
+    const auto dump_b = sb.suggest("", ~0u);
+    ASSERT_EQ(dump_a.size(), dump_b.size());
+    for (std::size_t i = 0; i < dump_a.size(); ++i) {
+        EXPECT_EQ(dump_a[i].query, dump_b[i].query);
+        EXPECT_EQ(dump_a[i].score, dump_b[i].score);
+    }
+
+    const auto files_a = a.dbFiles();
+    const auto files_b = b.dbFiles();
+    ASSERT_EQ(files_a.size(), files_b.size());
+    for (std::size_t i = 0; i < files_a.size(); ++i) {
+        // Plain bool: a mismatch would otherwise print whole files.
+        EXPECT_TRUE(files_a[i] == files_b[i]) << a.ps->db().fileNames()[i];
+    }
+    EXPECT_EQ(a.device->pagesProgrammed(), b.device->pagesProgrammed());
+    EXPECT_EQ(a.device->blocksErased(), b.device->blocksErased());
+}
+
 TEST(PocketSearchInstall, LoadCommunityMatchesInstallPairPerPair)
 {
-    const harness::Workbench wb(harness::smallWorkbenchConfig());
+    harness::Workbench wb(harness::smallWorkbenchConfig());
     const CacheContents &contents = wb.communityCache();
     ASSERT_GT(contents.pairs.size(), 100u);
 
@@ -262,34 +292,50 @@ TEST(PocketSearchInstall, LoadCommunityMatchesInstallPairPerPair)
         single.ps->installPair(sp.pair, sp.score, /*user_accessed=*/false,
                                single_time);
 
-    EXPECT_EQ(encodeTable(bulk.ps->table()),
-              encodeTable(single.ps->table()));
-
-    const auto &a = bulk.ps->suggestIndex();
-    const auto &b = single.ps->suggestIndex();
-    EXPECT_EQ(a.size(), b.size());
-    EXPECT_EQ(a.memoryBytes(), b.memoryBytes());
-    const auto dump_a = a.suggest("", ~0u);
-    const auto dump_b = b.suggest("", ~0u);
-    ASSERT_EQ(dump_a.size(), dump_b.size());
-    for (std::size_t i = 0; i < dump_a.size(); ++i) {
-        EXPECT_EQ(dump_a[i].query, dump_b[i].query);
-        EXPECT_EQ(dump_a[i].score, dump_b[i].score);
-    }
-
-    const auto files_a = bulk.dbFiles();
-    const auto files_b = single.dbFiles();
-    ASSERT_EQ(files_a.size(), files_b.size());
-    for (std::size_t i = 0; i < files_a.size(); ++i) {
-        // Plain bool: a mismatch would otherwise print whole files.
-        EXPECT_TRUE(files_a[i] == files_b[i])
-            << bulk.ps->db().fileNames()[i];
-    }
+    expectSamePhone(bulk, single);
     EXPECT_EQ(bulk_time, single_time);
     EXPECT_GT(bulk_time, 0);
-    EXPECT_EQ(bulk.device->pagesProgrammed(),
-              single.device->pagesProgrammed());
-    EXPECT_EQ(bulk.device->blocksErased(), single.device->blocksErased());
+
+    // The cache manager's rebuild against a later month: the bulk phone
+    // runs update(), the other clears its table and installs the
+    // planned list one pair at a time. Clicks give the merge retained
+    // user pairs and conflicts.
+    for (Phone *p : {&bulk, &single}) {
+        SimTime t = 0;
+        for (std::size_t i = 0; i < 3; ++i)
+            p->ps->recordClick(contents.pairs[i * 7].pair, t);
+        p->ps->recordClick({wb.universe().numQueries() - 1,
+                            wb.universe().query(
+                                wb.universe().numQueries() - 1)
+                                .results.front()
+                                .first},
+                           t);
+    }
+    const auto fresh = logs::TripletTable::fromLog(wb.nextCommunityMonth());
+    const CacheManager manager(wb.universe());
+    const UpdatePolicy policy;
+
+    bulk_time = 0;
+    const UpdateStats got = manager.update(*bulk.ps, fresh, policy, bulk_time);
+
+    UpdateStats want;
+    const auto items = manager.planRebuild(*single.ps, fresh, policy, want);
+    single_time = 0;
+    single.ps->clearTable();
+    for (const auto &item : items) {
+        if (single.ps->installPair(item.pair, item.score, item.accessed,
+                                   single_time))
+            ++want.recordsPatched;
+    }
+
+    expectSamePhone(bulk, single);
+    EXPECT_EQ(bulk_time, single_time);
+    EXPECT_EQ(got.recordsPatched, want.recordsPatched);
+    EXPECT_GT(got.recordsPatched, 0u);
+    EXPECT_GT(got.pairsKept, 0u);
+    EXPECT_EQ(got.pairsKept, want.pairsKept);
+    EXPECT_EQ(got.pairsAdded, want.pairsAdded);
+    EXPECT_EQ(got.conflicts, want.conflicts);
 }
 
 } // namespace
