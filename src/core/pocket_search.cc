@@ -42,6 +42,20 @@ PocketSearch::PocketSearch(const QueryUniverse &universe,
 {
 }
 
+PocketSearch::PocketSearch(const PocketSearch &image,
+                           pc::simfs::FlashStore &store)
+    : universe_(image.universe_),
+      store_(store),
+      cfg_(image.cfg_),
+      table_(image.table_),
+      db_(image.db_, store),
+      suggest_(image.suggest_),
+      stats_(image.stats_)
+{
+    pc_assert(image.metrics_.lookups == nullptr,
+              "cannot clone a cache with a metrics registry attached");
+}
+
 SimTime
 PocketSearch::tierProbePenalty() const
 {

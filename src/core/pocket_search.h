@@ -15,6 +15,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/cache_content.h"
@@ -145,6 +146,15 @@ class PocketSearch
     PocketSearch(const QueryUniverse &universe,
                  pc::simfs::FlashStore &store,
                  const PocketSearchConfig &cfg = {});
+
+    /**
+     * Clone `image` onto `store`, itself a clone of the image's store:
+     * the hash table (bucket count and node order included, so later
+     * inserts iterate exactly as on the image), the result database,
+     * auto-suggest and serving stats are copied. The image must have
+     * no metrics registry attached.
+     */
+    PocketSearch(const PocketSearch &image, pc::simfs::FlashStore &store);
 
     /**
      * Install community contents (the overnight push) through
@@ -319,6 +329,8 @@ class PocketSearch
     ServeStats stats_;
     Metrics metrics_;
 };
+
+static_assert(!std::is_copy_constructible_v<PocketSearch>);
 
 } // namespace pc::core
 

@@ -45,6 +45,19 @@ ResultDatabase::ResultDatabase(pc::simfs::FlashStore &store,
         recoverLocations();
 }
 
+ResultDatabase::ResultDatabase(const ResultDatabase &image,
+                               pc::simfs::FlashStore &store)
+    : store_(store),
+      cfg_(image.cfg_),
+      prefix_(image.prefix_),
+      dataFiles_(image.dataFiles_),
+      indexFiles_(image.indexFiles_),
+      locations_(image.locations_)
+{
+    pc_assert(!cfg_.useStoreEngine,
+              "cannot clone a database backed by the slab engine");
+}
+
 void
 ResultDatabase::recoverLocations()
 {

@@ -19,6 +19,7 @@
 
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -78,6 +79,14 @@ class ResultDatabase
      */
     ResultDatabase(pc::simfs::FlashStore &store, const DbConfig &cfg = {},
                    std::string prefix = "psearch");
+
+    /**
+     * Clone `image` onto `store`, itself a clone of the image's store
+     * (so file ids carry over): the location map is copied, nothing is
+     * read or written. Flat-file mode only — the slab engine is not
+     * cloned.
+     */
+    ResultDatabase(const ResultDatabase &image, pc::simfs::FlashStore &store);
 
     /**
      * Add a record keyed by urlHash(r.url); no-op if present.
@@ -176,6 +185,8 @@ class ResultDatabase
     std::string encodeBuf_;
     std::unique_ptr<pc::store::StoreEngine> engine_;
 };
+
+static_assert(!std::is_copy_constructible_v<ResultDatabase>);
 
 } // namespace pc::core
 

@@ -55,6 +55,33 @@ MobileDevice::MobileDevice(const core::QueryUniverse &universe,
     ps_ = std::make_unique<PocketSearch>(universe, *store_, ps_cfg);
 }
 
+MobileDevice::MobileDevice(const MobileDevice &image)
+    : cfg_(image.cfg_),
+      browser_(cfg_.browser),
+      threeG_(radio::threeGConfig()),
+      edge_(radio::edgeConfig()),
+      wifi_(radio::wifiConfig()),
+      now_(image.now_),
+      communityVersion_(image.communityVersion_),
+      badDeltaStreak_(image.badDeltaStreak_),
+      resilience_(image.resilience_),
+      missQueue_(image.missQueue_)
+{
+    pc_assert(image.registry_ == nullptr,
+              "cannot clone a device with a metrics registry attached");
+    pc_assert(image.tracer_ == nullptr,
+              "cannot clone a device with a tracer attached");
+    pc_assert(image.recorder_ == nullptr,
+              "cannot clone a device with a flight recorder attached");
+    pc_assert(image.health_ == nullptr,
+              "cannot clone a device with a health accountant attached");
+    pc_assert(image.faults_ == nullptr,
+              "cannot clone a device with a fault plan attached");
+    flash_ = std::make_unique<pc::nvm::FlashDevice>(*image.flash_);
+    store_ = std::make_unique<pc::simfs::FlashStore>(*image.store_, *flash_);
+    ps_ = std::make_unique<PocketSearch>(*image.ps_, *store_);
+}
+
 SimTime
 MobileDevice::installCommunityCache(const core::CacheContents &contents)
 {

@@ -141,6 +141,8 @@ struct QueryOutcome
     bool staleServe = false;
     /** Whole-device power timeline (base + radio), for Figure 16. */
     std::vector<PowerSegment> trace;
+
+    bool operator==(const QueryOutcome &) const = default;
 };
 
 /**
@@ -157,6 +159,22 @@ class MobileDevice
     MobileDevice(const core::QueryUniverse &universe,
                  const DeviceConfig &cfg = {},
                  const PocketSearchConfig &ps_cfg = {});
+
+    /**
+     * Clone an image device — typically one whose only history is
+     * installCommunityCache — for a fleet that would otherwise install
+     * the same contents on every phone. Flash (wear, erase counts,
+     * stats), store (file bytes, block lists) and PocketSearch are
+     * value-copied and rebound to the clone; the device clock, model
+     * version and resilience state are copied too. Radios and browser
+     * start fresh. Observers and faults attach after the clone: the
+     * image must have no registry, tracer, flight recorder, health
+     * accountant or fault plan attached, and no slab-engine database.
+     * Cloning only reads the image, so workers may clone one shared
+     * image concurrently.
+     */
+    explicit MobileDevice(const MobileDevice &image);
+    MobileDevice &operator=(const MobileDevice &) = delete;
 
     /**
      * Install community cache contents (the overnight push).

@@ -64,6 +64,19 @@ ReplayDriver::run(const ReplayConfig &cfg) const
     workload::PopulationSampler sampler(pop_);
     Rng seeder(cfg.seed);
 
+    // Every user's phone starts from the same installed cache, so
+    // install it once and clone it per user.
+    pc::nvm::FlashConfig fc;
+    fc.capacity = 64 * kMiB;
+    pc::nvm::FlashDevice imageFlash(fc);
+    pc::simfs::FlashStore imageStore(imageFlash);
+    core::PocketSearchConfig ps_cfg;
+    ps_cfg.mode = cfg.mode;
+    ps_cfg.lambda = cfg.lambda;
+    core::PocketSearch image(universe_, imageStore, ps_cfg);
+    SimTime sink = 0;
+    image.loadCommunity(contents_, sink);
+
     for (int c = 0; c < 4; ++c) {
         const auto cls = UserClass(c);
         ClassReplayResult agg;
@@ -84,16 +97,9 @@ ReplayDriver::run(const ReplayConfig &cfg) const
             const auto events = stream.month(0);
 
             // Each user gets their own phone: flash + store + cache.
-            pc::nvm::FlashConfig fc;
-            fc.capacity = 64 * kMiB;
-            pc::nvm::FlashDevice flash(fc);
-            pc::simfs::FlashStore store(flash);
-            core::PocketSearchConfig ps_cfg;
-            ps_cfg.mode = cfg.mode;
-            ps_cfg.lambda = cfg.lambda;
-            core::PocketSearch ps(universe_, store, ps_cfg);
-            SimTime sink = 0;
-            ps.loadCommunity(contents_, sink);
+            pc::nvm::FlashDevice flash(imageFlash);
+            pc::simfs::FlashStore store(imageStore, flash);
+            core::PocketSearch ps(image, store);
 
             auto res = replayUser(profile, events, ps);
             sum_hit += res.hitRate();

@@ -161,7 +161,8 @@ class DeviceSim
 {
   public:
     DeviceSim(const Workbench &wb, const FleetRunConfig &cfg,
-              std::size_t i, const workload::UserProfile &profile)
+              const device::MobileDevice &image, std::size_t i,
+              const workload::UserProfile &profile)
         : cfg_(cfg), i_(i), chaos_(cfg.chaos.enabled),
           devSeed_(cfg.seed * 1000003ull + u64(i) * 7919ull)
     {
@@ -169,15 +170,9 @@ class DeviceSim
         out_.classKey = userClassKey(profile.cls);
         out_.registry = std::make_unique<obs::MetricRegistry>();
 
-        // Chaos runs pin the cache to CommunityOnly so a synced device
-        // table is byte-comparable to the server model (the invariant
-        // the fold checks); chaos off leaves the config untouched.
-        core::PocketSearchConfig psCfg;
-        if (chaos_)
-            psCfg.mode = core::CacheMode::CommunityOnly;
-        dev_.emplace(wb.universe(), cfg.device, psCfg);
-        if (!cfg.cloud)
-            dev_->installCommunityCache(wb.communityCache());
+        // Every device starts as a clone of the run's image (built in
+        // runFleet); observers and faults attach after the clone.
+        dev_.emplace(image);
         dev_->attachMetrics(out_.registry.get());
 
         // Chaos attaches the flight recorder: every sync leaves a
@@ -581,9 +576,10 @@ driveFlashCrowd(DeviceSim &sim, const FleetRunConfig &cfg, std::size_t i)
  */
 DeviceTelemetry
 simulateDevice(const Workbench &wb, const FleetRunConfig &cfg,
-               std::size_t i, const workload::UserProfile &profile)
+               const device::MobileDevice &image, std::size_t i,
+               const workload::UserProfile &profile)
 {
-    DeviceSim sim(wb, cfg, i, profile);
+    DeviceSim sim(wb, cfg, image, i, profile);
     if (cfg.flashCrowd.enabled) {
         driveFlashCrowd(sim, cfg, i);
     } else {
@@ -733,11 +729,28 @@ runFleet(const Workbench &wb, const FleetRunConfig &cfg,
     if (std::size_t(threads) > cfg.devices)
         threads = cfg.devices > 0 ? unsigned(cfg.devices) : 1;
 
+    // The state every device starts from, built once before any worker
+    // starts: without a cloud service the community push is installed
+    // here, and each DeviceSim clones the result instead of repeating
+    // the identical install. Workers only read it. Chaos runs pin the
+    // cache to CommunityOnly so a synced device table is
+    // byte-comparable to the server model (the invariant the fold
+    // checks); chaos off leaves the config untouched.
+    core::PocketSearchConfig psCfg;
+    if (cfg.chaos.enabled)
+        psCfg.mode = core::CacheMode::CommunityOnly;
+    device::MobileDevice image(wb.universe(), cfg.device, psCfg);
+    if (!cfg.cloud) {
+        SimTime installTime = 0;
+        image.pocketSearch().loadCommunity(wb.communityCache(),
+                                           installTime);
+    }
+
     FleetRunResult result;
     if (threads == 1) {
         // In-place: one device world alive at a time.
         for (std::size_t i = 0; i < profiles.size(); ++i)
-            foldDevice(simulateDevice(wb, cfg, i, profiles[i]), cfg,
+            foldDevice(simulateDevice(wb, cfg, image, i, profiles[i]), cfg,
                        ctx, collector, result);
     } else {
         // Device indices out through one bounded queue, telemetry back
@@ -760,7 +773,7 @@ runFleet(const Workbench &wb, const FleetRunConfig &cfg,
                 std::size_t i = 0;
                 while (tasks.pop(i))
                     results.push(
-                        simulateDevice(wb, cfg, i, profiles[i]));
+                        simulateDevice(wb, cfg, image, i, profiles[i]));
             });
         }
 

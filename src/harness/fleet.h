@@ -325,7 +325,9 @@ std::string validateFleetRunConfig(const FleetRunConfig &cfg);
  * Run the fleet against `wb`'s world, reducing into `collector`. The
  * collector must have been constructed with a window width of one
  * month (workload::kMonth) for the outage episode to land in its own
- * windows; other widths roll up correspondingly coarser.
+ * windows; other widths roll up correspondingly coarser. Every device
+ * starts as a clone of one image device built per call, which holds
+ * the installed community push when no cloud service is attached.
  */
 FleetRunResult runFleet(const Workbench &wb, const FleetRunConfig &cfg,
                         obs::FleetCollector &collector);

@@ -33,6 +33,8 @@ struct PowerSegment
     std::string label;   ///< e.g. "wakeup", "rtt", "downlink", "tail".
     SimTime duration;    ///< Length of the interval.
     MilliWatts power;    ///< Radio power over the interval.
+
+    bool operator==(const PowerSegment &) const = default;
 };
 
 /** Outcome of one modelled exchange. */

@@ -23,6 +23,22 @@ FlashStore::FlashStore(pc::nvm::FlashDevice &device, const StoreConfig &cfg)
               "allocation unit and flash page size must nest");
 }
 
+FlashStore::FlashStore(const FlashStore &image, pc::nvm::FlashDevice &device)
+    : device_(device),
+      cfg_(image.cfg_),
+      files_(image.files_),
+      byName_(image.byName_),
+      freeBlocks_(image.freeBlocks_),
+      nextBlock_(image.nextBlock_)
+{
+    pc_assert(image.faults_ == nullptr,
+              "cannot clone a store with a fault plan attached");
+    pc_assert(image.metrics_.creates == nullptr,
+              "cannot clone a store with a metrics registry attached");
+    pc_assert(&device != &image.device_,
+              "a store clone needs its own flash device");
+}
+
 void
 FlashStore::attachMetrics(obs::MetricRegistry *reg)
 {

@@ -23,6 +23,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "fault/fault_plan.h"
@@ -78,6 +80,19 @@ class FlashStore
      * @param cfg Allocation/overhead configuration.
      */
     FlashStore(pc::nvm::FlashDevice &device, const StoreConfig &cfg = {});
+
+    /**
+     * Clone `image` onto `device`, itself a copy of the image's flash:
+     * files, names, bytes, block lists and the allocator state are
+     * copied, and the clone charges `device`. The image must have no
+     * fault plan or metrics registry attached — observers and faults
+     * attach after the clone.
+     */
+    FlashStore(const FlashStore &image, pc::nvm::FlashDevice &device);
+
+    /** A plain copy would share the source's device; clone instead. */
+    FlashStore(const FlashStore &) = delete;
+    FlashStore &operator=(const FlashStore &) = delete;
 
     /**
      * Create an empty file.
@@ -169,6 +184,15 @@ class FlashStore
     /** Names of all live files (sorted). */
     std::vector<std::string> listFiles() const;
 
+    /** A file's bytes, untimed (inspection/tests). */
+    std::string_view contents(FileId id) const { return fileAt(id).data; }
+
+    /** A file's allocated block indices, in order (inspection/tests). */
+    const std::vector<u64> &blocks(FileId id) const
+    {
+        return fileAt(id).blocks;
+    }
+
     /** The underlying flash device. */
     pc::nvm::FlashDevice &device() { return device_; }
 
@@ -245,6 +269,8 @@ class FlashStore
     std::vector<u64> freeBlocks_;
     u64 nextBlock_ = 0;
 };
+
+static_assert(!std::is_copy_constructible_v<FlashStore>);
 
 } // namespace pc::simfs
 

@@ -7,6 +7,13 @@
  * same configuration — the byte-identity contract bench_fleet_telemetry
  * gates at full scale and CI re-checks under ThreadSanitizer.
  *
+ * Every device is a clone of one community image runFleet builds
+ * before its workers start. The push (no-cloud) cells run the default
+ * Combined mode, so at 2, 3 and 8 workers devices clone the shared
+ * image while they learn clicks; the cells assert that learning
+ * happened, and under ThreadSanitizer a write to the shared image
+ * shows up as a race.
+ *
  * Labelled `slow` (the 100-device cells dominate); the fast tier
  * keeps fleet_test's sequential coverage.
  */
@@ -39,6 +46,7 @@ struct RunBytes
     std::string seriesCsv;
     std::string anomaliesCsv;
     std::string cloudJson; ///< Service registry after accounting replay.
+    u64 pairsLearned = 0;  ///< Pairs personalization added, fleet-wide.
     FleetRunResult result;
 };
 
@@ -114,8 +122,10 @@ runCell(unsigned threads, std::size_t devices, bool outage, bool cloud)
     out.result = runFleet(wb, cfg, collector);
 
     {
+        const auto snap = collector.fleetRegistry().snapshot();
+        out.pairsLearned = snap.counterValue("core.search.pairs_learned");
         std::ostringstream os;
-        collector.fleetRegistry().snapshot().writeJson(os, true);
+        snap.writeJson(os, true);
         out.snapshotJson = scrubTimingLines(os.str());
     }
     {
@@ -155,6 +165,9 @@ TEST_P(FleetParallelGrid, EveryThreadCountMatchesSequentialBytes)
         EXPECT_GT(want.result.cloudSyncs + want.result.cloudSyncFailures,
                   0u)
             << "cloud cells must actually sync";
+    } else {
+        EXPECT_GT(want.pairsLearned, 0u)
+            << "push cells must learn clicks on their image clones";
     }
 
     for (const unsigned threads : {2u, 3u, 8u}) {
@@ -168,6 +181,7 @@ TEST_P(FleetParallelGrid, EveryThreadCountMatchesSequentialBytes)
             << "anomaly CSV bytes diverged";
         EXPECT_EQ(got.cloudJson, want.cloudJson)
             << "service registry (sync accounting replay) diverged";
+        EXPECT_EQ(got.pairsLearned, want.pairsLearned);
         EXPECT_EQ(got.result.queries, want.result.queries);
         EXPECT_EQ(got.result.cacheHits, want.result.cacheHits);
         EXPECT_EQ(got.result.degradedServes, want.result.degradedServes);
