@@ -52,8 +52,6 @@ PocketSearch::PocketSearch(const PocketSearch &image,
       suggest_(image.suggest_),
       stats_(image.stats_)
 {
-    pc_assert(image.metrics_.lookups == nullptr,
-              "cannot clone a cache with a metrics registry attached");
 }
 
 SimTime
@@ -208,37 +206,17 @@ PocketSearch::suggestWithResults(std::string_view prefix,
     return out;
 }
 
-void
-PocketSearch::attachMetrics(obs::MetricRegistry *reg)
-{
-    if (!reg) {
-        metrics_ = Metrics{};
-        return;
-    }
-    metrics_.lookups = &reg->counter("core.search.lookups");
-    metrics_.queryHits = &reg->counter("core.search.query_hits");
-    metrics_.pairHits = &reg->counter("core.search.pair_hits");
-    metrics_.clicks = &reg->counter("core.search.clicks");
-    metrics_.pairsLearned = &reg->counter("core.search.pairs_learned");
-    metrics_.recordsLearned =
-        &reg->counter("core.search.records_learned");
-}
-
 LookupOutcome
 PocketSearch::lookup(const std::string &query_text, u32 max_results)
 {
     LookupOutcome out;
     ++stats_.lookups;
-    if (metrics_.lookups)
-        metrics_.lookups->bump();
     out.hashLookupTime += tierProbePenalty();
     const auto refs = table_.lookup(query_text, &out.hashLookupTime);
     if (refs.empty())
         return out;
     out.hit = true;
     ++stats_.queryHits;
-    if (metrics_.queryHits)
-        metrics_.queryHits->bump();
     const u32 n = std::min<u32>(max_results, u32(refs.size()));
     for (u32 i = 0; i < n; ++i) {
         ResultRecord rec;
@@ -255,11 +233,8 @@ PocketSearch::lookupPair(const workload::PairRef &p, u32 max_results)
 {
     const auto &q = universe_.query(p.query);
     LookupOutcome out = lookup(q.text, max_results);
-    if (out.hit && containsPair(p)) {
+    if (out.hit && containsPair(p))
         ++stats_.pairHits;
-        if (metrics_.pairHits)
-            metrics_.pairHits->bump();
-    }
     return out;
 }
 
@@ -281,8 +256,6 @@ void
 PocketSearch::recordClick(const workload::PairRef &p, SimTime &time)
 {
     ++stats_.clicksRecorded;
-    if (metrics_.clicks)
-        metrics_.clicks->bump();
     const auto &q = universe_.query(p.query);
     const auto &r = universe_.result(p.result);
     const u64 uh = urlHash(r.url);
@@ -293,22 +266,16 @@ PocketSearch::recordClick(const workload::PairRef &p, SimTime &time)
     }
 
     const bool existed = table_.applyClick(q.text, uh, cfg_.lambda);
-    if (!existed) {
+    if (!existed)
         ++stats_.pairsLearned;
-        if (metrics_.pairsLearned)
-            metrics_.pairsLearned->bump();
-    }
     if (cfg_.enableSuggest) {
         // Keep the box in sync: the clicked query's best score rose.
         const auto refs = table_.lookup(q.text);
         if (!refs.empty())
             suggest_.insert(q.text, refs.front().score);
     }
-    if (db_.addRecord(r, uh, time)) {
+    if (db_.addRecord(r, uh, time))
         ++stats_.recordsLearned;
-        if (metrics_.recordsLearned)
-            metrics_.recordsLearned->bump();
-    }
 }
 
 void

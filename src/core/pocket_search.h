@@ -22,7 +22,6 @@
 #include "core/hash_table.h"
 #include "core/result_db.h"
 #include "core/suggest.h"
-#include "obs/metrics.h"
 
 namespace pc::core {
 
@@ -151,8 +150,7 @@ class PocketSearch
      * Clone `image` onto `store`, itself a clone of the image's store:
      * the hash table (bucket count and node order included, so later
      * inserts iterate exactly as on the image), the result database,
-     * auto-suggest and serving stats are copied. The image must have
-     * no metrics registry attached.
+     * auto-suggest and serving stats are copied.
      */
     PocketSearch(const PocketSearch &image, pc::simfs::FlashStore &store);
 
@@ -272,17 +270,11 @@ class PocketSearch
     /** Result database physical (block-rounded) size. */
     Bytes flashPhysicalBytes() const { return db_.physicalBytes(); }
 
-    /** Serving statistics. */
-    const ServeStats &stats() const { return stats_; }
-    /** Reset serving statistics. */
-    void resetStats() { stats_ = ServeStats{}; }
-
     /**
-     * Register serving counters under "core.search.*" (lookups,
-     * query_hits, pair_hits, clicks, pairs_learned, records_learned),
-     * mirroring ServeStats into the registry. nullptr detaches.
+     * Serving statistics. They only ever grow: a device mirrors them
+     * into its registry as "core.search.*".
      */
-    void attachMetrics(obs::MetricRegistry *reg);
+    const ServeStats &stats() const { return stats_; }
 
     /** Mutable hash table (cache manager / tests). */
     QueryHashTable &table() { return table_; }
@@ -301,17 +293,6 @@ class PocketSearch
     void clearTable();
 
   private:
-    /** Cached metric handles (null when no registry is attached). */
-    struct Metrics
-    {
-        obs::Counter *lookups = nullptr;
-        obs::Counter *queryHits = nullptr;
-        obs::Counter *pairHits = nullptr;
-        obs::Counter *clicks = nullptr;
-        obs::Counter *pairsLearned = nullptr;
-        obs::Counter *recordsLearned = nullptr;
-    };
-
     /**
      * Re-derive a query's auto-suggest score after an evict/rerank.
      * SuggestIndex::insert only ratchets scores upward, so the entry is
@@ -327,7 +308,6 @@ class PocketSearch
     ResultDatabase db_;
     SuggestIndex suggest_;
     ServeStats stats_;
-    Metrics metrics_;
 };
 
 static_assert(!std::is_copy_constructible_v<PocketSearch>);

@@ -118,30 +118,46 @@ MobileDevice::attachMetrics(obs::MetricRegistry *reg)
 {
     registry_ = reg;
     store_->attachMetrics(reg);
-    ps_->attachMetrics(reg);
-    for (ServePath p :
-         {ServePath::ThreeG, ServePath::Edge, ServePath::Wifi}) {
-        radio::RadioLink &l = link(p);
-        l.attachMetrics(reg, reg ? "device.radio." + l.name() : "");
-    }
+    metricMirrors_.clear();
+    energyMirrors_.clear();
     if (!reg) {
         metrics_ = Metrics{};
         return;
     }
     metrics_.queries = &reg->counter("device.queries");
     metrics_.cacheHits = &reg->counter("device.cache_hits");
-    metrics_.attempts = &reg->counter("device.radio.attempts");
-    metrics_.retries = &reg->counter("device.radio.retries");
-    metrics_.noCoverage = &reg->counter("device.radio.no_coverage");
-    metrics_.failed = &reg->counter("device.radio.failed");
-    metrics_.spikes = &reg->counter("device.radio.latency_spikes");
-    metrics_.degraded = &reg->counter("device.degraded.serves");
-    metrics_.stale = &reg->counter("device.degraded.stale");
-    metrics_.offline = &reg->counter("device.degraded.offline_pages");
-    metrics_.queued = &reg->counter("device.missq.queued");
-    metrics_.synced = &reg->counter("device.missq.synced");
-    metrics_.corruptDelta = &reg->counter("device.sync.corrupt_delta");
-    metrics_.rejectedDelta = &reg->counter("device.sync.rejected_delta");
+    const auto mirror = [&](const std::string &name, const u64 &source) {
+        metricMirrors_.push_back({&reg->counter(name), &source, source});
+    };
+    const ResilienceStats &rs = resilience_;
+    mirror("device.radio.attempts", rs.radioAttempts);
+    mirror("device.radio.retries", rs.retries);
+    mirror("device.radio.no_coverage", rs.noCoverageAttempts);
+    mirror("device.radio.failed", rs.failedAttempts);
+    mirror("device.radio.latency_spikes", rs.latencySpikes);
+    mirror("device.degraded.serves", rs.degradedServes);
+    mirror("device.degraded.stale", rs.staleServes);
+    mirror("device.degraded.offline_pages", rs.offlinePages);
+    mirror("device.missq.queued", rs.queuedMisses);
+    mirror("device.missq.synced", rs.syncedMisses);
+    mirror("device.sync.corrupt_delta", rs.corruptDeltas);
+    mirror("device.sync.rejected_delta", rs.rejectedDeltas);
+    const core::ServeStats &ss = ps_->stats();
+    mirror("core.search.lookups", ss.lookups);
+    mirror("core.search.query_hits", ss.queryHits);
+    mirror("core.search.pair_hits", ss.pairHits);
+    mirror("core.search.clicks", ss.clicksRecorded);
+    mirror("core.search.pairs_learned", ss.pairsLearned);
+    mirror("core.search.records_learned", ss.recordsLearned);
+    for (ServePath p :
+         {ServePath::ThreeG, ServePath::Edge, ServePath::Wifi}) {
+        const radio::RadioLink &l = link(p);
+        const std::string prefix = "device.radio." + l.name();
+        mirror(prefix + ".requests", l.requests());
+        mirror(prefix + ".wakeups", l.wakeups());
+        energyMirrors_.push_back(
+            {&reg->gauge(prefix + ".energy_mj"), &l, l.requests()});
+    }
     const ServePath all[4] = {ServePath::PocketSearch,
                               ServePath::ThreeG, ServePath::Edge,
                               ServePath::Wifi};
@@ -157,18 +173,38 @@ void
 MobileDevice::attachHealth(obs::health::HealthAccountant *acct)
 {
     health_ = acct;
-    // Radio busy is charged inside RadioLink::commit so every
-    // committed exchange — query miss, community sync, miss-queue
-    // drain — lands in the per-link ledger exactly once.
+    healthMirrors_.clear();
+    if (!acct)
+        return;
     for (ServePath p :
          {ServePath::ThreeG, ServePath::Edge, ServePath::Wifi}) {
-        radio::RadioLink &l = link(p);
-        if (acct) {
-            const auto ledger = acct->radioLedger(l.name());
-            l.attachHealth(ledger.first, ledger.second);
-        } else {
-            l.attachHealth(nullptr, nullptr);
+        const radio::RadioLink &l = link(p);
+        const auto [busy, ops] = acct->radioLedger(l.name());
+        healthMirrors_.push_back({busy, &l.busyNs(), l.busyNs()});
+        healthMirrors_.push_back({ops, &l.requests(), l.requests()});
+    }
+}
+
+void
+MobileDevice::publishCounts()
+{
+    // Most sources stand still in any one operation; only a moved one
+    // touches its registry counter.
+    for (std::vector<Mirror> *mirrors : {&metricMirrors_, &healthMirrors_}) {
+        for (Mirror &m : *mirrors) {
+            const u64 value = *m.source;
+            if (value == m.seen)
+                continue;
+            pc_assert(value > m.seen, "a mirrored count ran backwards");
+            m.counter->bump(value - m.seen);
+            m.seen = value;
         }
+    }
+    for (EnergyMirror &e : energyMirrors_) {
+        if (e.link->requests() == e.seenRequests)
+            continue;
+        e.gauge->set(e.link->totalEnergy() / 1000.0);
+        e.seenRequests = e.link->requests();
     }
 }
 
@@ -195,9 +231,9 @@ MobileDevice::finishQueryObs(const workload::PairRef &pair, ServePath path,
 {
     const int idx = int(path);
     if (registry_) {
-        bumpCtr(metrics_.queries);
+        metrics_.queries->bump();
         if (out.cacheHit)
-            bumpCtr(metrics_.cacheHits);
+            metrics_.cacheHits->bump();
         metrics_.latency[idx]->observe(toMillis(out.latency));
         metrics_.energy[idx]->observe(out.energy / 1000.0);
     }
@@ -258,27 +294,18 @@ MobileDevice::radioRetry(radio::RadioLink &radio, SimTime start,
     for (;;) {
         ++run.attempts;
         ++resilience_.radioAttempts;
-        bumpCtr(metrics_.attempts);
-        if (run.attempts > 1) {
+        if (run.attempts > 1)
             ++resilience_.retries;
-            bumpCtr(metrics_.retries);
-        }
 
         const SimTime at = start + run.elapsed;
         const auto oc = flink.attempt(at, uplink, downlink, cfg_.serverTime);
         run.elapsed += oc.xfer.latency;
-        if (oc.latencySpike) {
+        if (oc.latencySpike)
             ++resilience_.latencySpikes;
-            bumpCtr(metrics_.spikes);
-        }
-        if (oc.noCoverage) {
+        if (oc.noCoverage)
             ++resilience_.noCoverageAttempts;
-            bumpCtr(metrics_.noCoverage);
-        }
-        if (oc.failed) {
+        if (oc.failed)
             ++resilience_.failedAttempts;
-            bumpCtr(metrics_.failed);
-        }
         if (on_attempt(run.attempts, at, oc)) {
             run.ok = true;
             return run;
@@ -369,22 +396,18 @@ MobileDevice::serveQuery(const workload::PairRef &pair, ServePath path,
             // returns.
             out.degraded = true;
             ++resilience_.degradedServes;
-            bumpCtr(metrics_.degraded);
             if (path == ServePath::PocketSearch) {
                 missQueue_.push_back(pair);
                 ++resilience_.queuedMisses;
-                bumpCtr(metrics_.queued);
             }
             if (lookup.hit) {
                 out.staleServe = true;
                 ++resilience_.staleServes;
-                bumpCtr(metrics_.stale);
                 out.fetchTime = lookup.fetchTime;
                 addSegment(out, "stale-fetch", out.fetchTime,
                            cfg_.basePower);
             } else {
                 ++resilience_.offlinePages;
-                bumpCtr(metrics_.offline);
             }
         }
     }
@@ -426,6 +449,7 @@ MobileDevice::serveQuery(const workload::PairRef &pair, ServePath path,
     }
     finishQueryObs(pair, path, out, t0);
     now_ += out.latency;
+    publishCounts();
     return out;
 }
 
@@ -457,7 +481,6 @@ MobileDevice::syncMissQueue(ServePath path)
         ps_->recordClick(missQueue_[done], learn);
         ++res.synced;
         ++resilience_.syncedMisses;
-        bumpCtr(metrics_.synced);
         ++done;
     }
     missQueue_.erase(missQueue_.begin(),
@@ -465,6 +488,7 @@ MobileDevice::syncMissQueue(ServePath path)
     res.remaining = missQueue_.size();
     if (health_ && (res.synced > 0 || res.time > 0))
         health_->onMissSync(res.synced, res.time);
+    publishCounts();
     return res;
 }
 
@@ -558,7 +582,6 @@ MobileDevice::syncCommunityUpdate(const core::CommunityDelta &delta,
             // the same backoff.
             ++res.corruptRejected;
             ++resilience_.corruptDeltas;
-            bumpCtr(metrics_.corruptDelta);
             return false;
         },
         [&](u32 attempt, SimTime at, SimTime backoff) {
@@ -610,7 +633,6 @@ MobileDevice::syncCommunityUpdate(const core::CommunityDelta &delta,
             res.rejected = true;
             res.applyError = ar.error;
             ++resilience_.rejectedDeltas;
-            bumpCtr(metrics_.rejectedDelta);
             ++badDeltaStreak_;
             end.stage = obs::SyncStage::Reject;
             end.detail = u64(ar.error);
@@ -647,6 +669,7 @@ MobileDevice::syncCommunityUpdate(const core::CommunityDelta &delta,
         res.time += apply;
         now_ += apply;
     }
+    publishCounts();
     return res;
 }
 

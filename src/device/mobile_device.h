@@ -222,9 +222,13 @@ class MobileDevice
      * Attach a metrics registry: the device registers its counters
      * ("device.queries", "device.radio.attempts", ...), per-path
      * latency/energy histograms ("device.latency_ms.<path>"), and
-     * wires the store ("simfs.*"), PocketSearch ("core.search.*") and
-     * every radio link ("device.radio.<link>.*") into the same
-     * registry. nullptr detaches everything.
+     * wires the store ("simfs.*") into the same registry. The counts
+     * its layers keep themselves — ResilienceStats, PocketSearch's
+     * ServeStats ("core.search.*") and every radio link's totals
+     * ("device.radio.<link>.*") — are mirrored into the registry at
+     * the exit of each serveQuery, syncCommunityUpdate and
+     * syncMissQueue; counts made before the attach stay uncounted.
+     * nullptr detaches everything.
      */
     void attachMetrics(obs::MetricRegistry *reg);
 
@@ -256,16 +260,14 @@ class MobileDevice
     /**
      * Attach a health accountant (obs/health.h): every served query
      * and community sync folds its already-measured spans into the
-     * busy-time/demand ledgers, and each radio link's committed
-     * exchanges bump its per-link ledger. nullptr detaches. Same cost
-     * contract as the flight recorder: detached is one pointer test,
-     * attached is cached-counter adds — zero allocations, zero RNG
-     * draws, zero behaviour change (health_test gates this).
+     * busy-time/demand ledgers, and each radio link's busy time and
+     * committed exchanges are mirrored into its per-link ledger at
+     * each operation's exit. nullptr detaches. Same cost contract as
+     * the flight recorder: detached is one pointer test, attached is
+     * cached-counter adds — zero allocations, zero RNG draws, zero
+     * behaviour change (health_test gates this).
      */
     void attachHealth(obs::health::HealthAccountant *acct);
-
-    /** The attached health accountant (may be nullptr). */
-    obs::health::HealthAccountant *health() const { return health_; }
 
     /**
      * Open the causal trace of the next community sync and record its
@@ -404,29 +406,32 @@ class MobileDevice
     {
         obs::Counter *queries = nullptr;
         obs::Counter *cacheHits = nullptr;
-        obs::Counter *attempts = nullptr;
-        obs::Counter *retries = nullptr;
-        obs::Counter *noCoverage = nullptr;
-        obs::Counter *failed = nullptr;
-        obs::Counter *spikes = nullptr;
-        obs::Counter *degraded = nullptr;
-        obs::Counter *stale = nullptr;
-        obs::Counter *offline = nullptr;
-        obs::Counter *queued = nullptr;
-        obs::Counter *synced = nullptr;
-        obs::Counter *corruptDelta = nullptr;
-        obs::Counter *rejectedDelta = nullptr;
         obs::Histogram *latency[4] = {};
         obs::Histogram *energy[4] = {};
     };
 
-    /** Bump a cached counter if metrics are attached. */
-    static void
-    bumpCtr(obs::Counter *c, u64 delta = 1)
+    /** A registry counter copying a count its layer keeps. */
+    struct Mirror
     {
-        if (c)
-            c->bump(delta);
-    }
+        obs::Counter *counter;
+        const u64 *source;
+        u64 seen; ///< Source value at the last publish (or attach).
+    };
+
+    /** A link's energy gauge, set when the link's requests move. */
+    struct EnergyMirror
+    {
+        obs::Gauge *gauge;
+        const radio::RadioLink *link;
+        u64 seenRequests;
+    };
+
+    /**
+     * Bump every mirror by how far its source moved since the last
+     * publish, and refresh the energy gauge of every link used since.
+     * Runs at the single exit of each device operation.
+     */
+    void publishCounts();
 
     /** Record a component span if a tracer is attached. */
     void traceSpan(const char *name, const char *cat, SimTime start,
@@ -452,7 +457,7 @@ class MobileDevice
      * The device's one radio retry loop (query miss, community sync,
      * miss-queue drain). Each attempt runs through the attached fault
      * plan starting at `start` plus the time elapsed so far; the loop
-     * counts it in resilience_/metrics_, then calls
+     * counts it in resilience_, then calls
      * `on_attempt(attempt, at, outcome)`, which returns true to accept
      * the attempt and stop. Otherwise the loop stops at `max_attempts`
      * or the policy's budget, or waits a jittered exponential backoff
@@ -481,6 +486,9 @@ class MobileDevice
     std::vector<workload::PairRef> missQueue_;
     obs::MetricRegistry *registry_ = nullptr;
     Metrics metrics_;
+    std::vector<Mirror> metricMirrors_;       ///< Built by attachMetrics.
+    std::vector<EnergyMirror> energyMirrors_; ///< Built by attachMetrics.
+    std::vector<Mirror> healthMirrors_;       ///< Built by attachHealth.
     obs::Tracer *tracer_ = nullptr;
     u32 traceTrack_ = 0;
     obs::FlightRecorder *recorder_ = nullptr;

@@ -14,12 +14,13 @@
  *                                   plus community-delta apply time;
  *  - `health.device.flash.*`      — result-page fetch spans;
  *  - `health.device.radio.<l>.*`  — per-link committed exchange
- *                                   latency (RadioLink::attachHealth
- *                                   bumps it in commit(), so query
- *                                   misses, community syncs, and
- *                                   miss-queue drains all count, and
- *                                   no-coverage probes — which never
- *                                   commit — don't);
+ *                                   latency and count (the link's own
+ *                                   totals from commit(), mirrored by
+ *                                   the device at each operation's
+ *                                   exit, so query misses, community
+ *                                   syncs, and miss-queue drains all
+ *                                   count, and no-coverage probes —
+ *                                   which never commit — don't);
  *  - `health.device.query.*` / `health.device.sync.*` — end-to-end
  *    pipeline ledgers (latency-tiled spans; kept out of the
  *    bottleneck ranking because their mass double-counts the
@@ -106,7 +107,8 @@ struct SyncHealthSample
  * Per-device busy-time/demand ledger. Constructed against the
  * device's registry (cold path: registers every handle up front);
  * the device then feeds it one POD sample per query/sync. Radio
- * ledgers are owned here but bumped inside RadioLink::commit() via
+ * ledgers are registered here but fed by the device, which mirrors
+ * each link's busy time and committed exchanges into the
  * radioLedger() handles, so every committed exchange counts exactly
  * once no matter which pipeline drove it.
  */
@@ -126,8 +128,8 @@ class HealthAccountant
 
     /**
      * Busy/ops counter pair for radio link `link` (e.g. "3g"),
-     * registered as health.device.radio.<link>.{busy_ns,ops}. Meant
-     * for RadioLink::attachHealth at device attach time.
+     * registered as health.device.radio.<link>.{busy_ns,ops}. The
+     * device mirrors the link's totals into them.
      */
     std::pair<Counter *, Counter *>
     radioLedger(const std::string &link);

@@ -103,46 +103,15 @@ RadioLink::request(SimTime now, Bytes uplinkBytes, Bytes downlinkBytes,
 }
 
 void
-RadioLink::attachMetrics(obs::MetricRegistry *reg,
-                         const std::string &prefix)
-{
-    if (!reg) {
-        requestsCtr_ = nullptr;
-        wakeupsCtr_ = nullptr;
-        energyGauge_ = nullptr;
-        return;
-    }
-    requestsCtr_ = &reg->counter(prefix + ".requests");
-    wakeupsCtr_ = &reg->counter(prefix + ".wakeups");
-    energyGauge_ = &reg->gauge(prefix + ".energy_mj");
-}
-
-void
-RadioLink::attachHealth(obs::Counter *busy_ns, obs::Counter *ops)
-{
-    pc_assert(!busy_ns == !ops,
-              "RadioLink::attachHealth: both counters or neither");
-    healthBusy_ = busy_ns;
-    healthOps_ = ops;
-}
-
-void
 RadioLink::commit(SimTime now, const TransferResult &res)
 {
-    if (wakeupsCtr_ && needsWakeup(now))
-        wakeupsCtr_->bump();
+    if (needsWakeup(now))
+        ++wakeups_;
     readyUntil_ = now + res.latency + cfg_.tailDuration;
     totalEnergy_ += res.radioEnergy;
     ++requests_;
-    if (requestsCtr_)
-        requestsCtr_->bump();
-    if (energyGauge_)
-        energyGauge_->set(totalEnergy_ / 1000.0);
-    if (healthBusy_) {
-        if (res.latency > 0)
-            healthBusy_->bump(u64(res.latency));
-        healthOps_->bump();
-    }
+    if (res.latency > 0)
+        busyNs_ += u64(res.latency);
 }
 
 TransferResult

@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "util/types.h"
 
 namespace pc::radio {
@@ -120,38 +119,32 @@ class RadioLink
     /** Total radio energy across all requests so far. */
     MicroJoules totalEnergy() const { return totalEnergy_; }
 
-    /** Number of requests served. */
-    u64 requests() const { return requests_; }
-
     /**
-     * Register this link's metrics under `prefix` (hierarchical, e.g.
-     * "device.radio.3g"): `<prefix>.requests` and `<prefix>.wakeups`
-     * counters plus a `<prefix>.energy_mj` gauge, updated per commit.
-     * nullptr detaches.
+     * Committed exchanges so far. This and the two totals below are
+     * the link's own counts; a device mirrors them into its metrics
+     * registry and health ledgers, so they only ever grow.
      */
-    void attachMetrics(obs::MetricRegistry *reg,
-                       const std::string &prefix);
+    const u64 &requests() const { return requests_; }
+
+    /** Committed exchanges that paid the wake-up ramp. */
+    const u64 &wakeups() const { return wakeups_; }
 
     /**
-     * Attach busy-time/ops ledger counters (obs/health.h): every
-     * committed exchange bumps `busy_ns` by its latency and `ops` by
-     * one. Commit is the single choke point for radio activity —
-     * query misses, community syncs, and miss-queue drains all pass
+     * Summed latency of committed exchanges (ns): the link's busy
+     * time. Commit is the single choke point for radio activity —
+     * query misses, community syncs and miss-queue drains all pass
      * through it, and fault-layer no-coverage probes (which never
-     * commit) don't. Both pointers or neither; nullptr detaches.
+     * commit) don't.
      */
-    void attachHealth(obs::Counter *busy_ns, obs::Counter *ops);
+    const u64 &busyNs() const { return busyNs_; }
 
   private:
     LinkConfig cfg_;
     SimTime readyUntil_ = -1; ///< End of the last tail; -1 = cold.
     MicroJoules totalEnergy_ = 0;
     u64 requests_ = 0;
-    obs::Counter *requestsCtr_ = nullptr;
-    obs::Counter *wakeupsCtr_ = nullptr;
-    obs::Gauge *energyGauge_ = nullptr;
-    obs::Counter *healthBusy_ = nullptr;
-    obs::Counter *healthOps_ = nullptr;
+    u64 wakeups_ = 0;
+    u64 busyNs_ = 0;
 };
 
 /** Transfer time of `bytes` at `bps` (bits per second). */

@@ -54,6 +54,22 @@ operator new[](std::size_t n)
     return ::operator new(n);
 }
 
+// std::stable_sort's temporary buffer comes from the nothrow form and
+// goes back through the replaced delete below, so it must be
+// malloc-backed too (AddressSanitizer reports the mismatch otherwise).
+void *
+operator new(std::size_t n, const std::nothrow_t &) noexcept
+{
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(n ? n : 1);
+}
+
+void *
+operator new[](std::size_t n, const std::nothrow_t &tag) noexcept
+{
+    return ::operator new(n, tag);
+}
+
 // GCC can't see that the replacement operator new above is
 // malloc-backed when it inline-pairs gtest's `new TestClass` with
 // these deletes, so it flags free() as mismatched. It isn't.
@@ -407,7 +423,8 @@ tinyUniverse()
     return cfg;
 }
 
-void
+/** Install a community cache of results 0..19; returns its contents. */
+core::CacheContents
 warmCache(device::MobileDevice &dev, workload::QueryUniverse &uni)
 {
     workload::SearchLog log(uni);
@@ -422,7 +439,9 @@ warmCache(device::MobileDevice &dev, workload::QueryUniverse &uni)
     core::ContentPolicy policy;
     policy.kind = core::ThresholdKind::VolumeShare;
     policy.volumeShare = 1.0;
-    dev.installCommunityCache(builder.build(table, policy));
+    core::CacheContents contents = builder.build(table, policy);
+    dev.installCommunityCache(contents);
+    return contents;
 }
 
 struct NeutralityPhase
@@ -432,27 +451,41 @@ struct NeutralityPhase
     SimTime backoff = 0;
     u64 hits = 0;
     u64 degraded = 0;
+    u64 queued = 0;
+    bool syncOk = false;
+    u32 syncAttempts = 0;
+    u32 corruptRejected = 0;
+    SimTime syncTime = 0;
+    u64 drained = 0;
+    SimTime drainTime = 0;
     u64 rngDraws = 0;
     u64 allocs = 0;
 };
 
 /**
  * One phase of the cost-contract check: a fresh device under a seeded
- * fault plan serving a mixed hit/miss workload, with or without a
- * health accountant attached. Everything inside the serve window is
- * summed; the accountant (whose construction registers handles — the
- * cold path) is built outside it.
+ * fault plan serving a mixed hit/miss workload, then running a faulty
+ * community sync and a miss-queue drain, with or without a health
+ * accountant attached. Everything inside that window is summed; the
+ * accountant (whose construction registers handles — the cold path)
+ * and the delta are built outside it.
  */
 NeutralityPhase
 runNeutralityPhase(workload::QueryUniverse &uni, bool attach)
 {
     device::MobileDevice dev(uni);
-    warmCache(dev, uni);
+    const core::CacheContents warm = warmCache(dev, uni);
+    core::CacheContents next = warm;
+    next.pairs.erase(next.pairs.begin(), next.pairs.begin() + 3);
+    const core::CommunityDelta delta = core::diffContents(warm, next, 1, 2);
 
     fault::FaultConfig fc;
     fc.seed = 99;
     fc.radio.exchangeFailureRate = 0.4;
     fc.radio.latencySpikeRate = 0.2;
+    fc.radio.payloadCorruptRate = 0.5;
+    fc.radio.outageShare = 0.3;
+    fc.radio.meanOutageDuration = 60 * kSecond;
     fault::FaultPlan plan(fc);
     dev.attachFaults(&plan);
 
@@ -479,6 +512,35 @@ runNeutralityPhase(workload::QueryUniverse &uni, bool attach)
         out.hits += q.cacheHit;
         out.degraded += q.degraded;
     }
+    // Misses the radio cannot fetch within the budget are queued for
+    // the drain below.
+    for (u32 i = 0; i < 20; ++i) {
+        const u32 r = 900 + i;
+        const workload::PairRef pair{
+            uni.result(r).queries.front().first, r};
+        const u64 a0 = g_allocs.load(std::memory_order_relaxed);
+        const auto q =
+            dev.serveQuery(pair, device::ServePath::PocketSearch, false);
+        out.allocs += g_allocs.load(std::memory_order_relaxed) - a0;
+        out.latency += q.latency;
+        out.degraded += q.degraded;
+    }
+    out.queued = dev.missQueue().size();
+
+    // Coverage returns before the sync and the drains.
+    dev.advanceTime(120 * kSecond);
+    const u64 a0 = g_allocs.load(std::memory_order_relaxed);
+    const auto sync = dev.syncCommunityUpdate(delta);
+    out.syncOk = sync.ok;
+    out.syncAttempts = sync.attempts;
+    out.corruptRejected = sync.corruptRejected;
+    out.syncTime = sync.time;
+    for (u32 i = 0; i < 5 && !dev.missQueue().empty(); ++i) {
+        const auto drain = dev.syncMissQueue();
+        out.drained += drain.synced;
+        out.drainTime += drain.time;
+    }
+    out.allocs += g_allocs.load(std::memory_order_relaxed) - a0;
     out.rngDraws = plan.rngDraws();
     if (attach)
         dev.attachHealth(nullptr);
@@ -497,6 +559,16 @@ TEST(HealthNeutrality, AttachIsBehaviourRngAndAllocNeutral)
     EXPECT_EQ(off.backoff, on.backoff);
     EXPECT_EQ(off.hits, on.hits);
     EXPECT_EQ(off.degraded, on.degraded);
+    EXPECT_EQ(off.queued, on.queued);
+    EXPECT_EQ(off.syncOk, on.syncOk);
+    EXPECT_EQ(off.syncAttempts, on.syncAttempts);
+    EXPECT_EQ(off.corruptRejected, on.corruptRejected);
+    EXPECT_EQ(off.syncTime, on.syncTime);
+    EXPECT_EQ(off.drained, on.drained);
+    EXPECT_EQ(off.drainTime, on.drainTime);
+    EXPECT_GT(on.drained, 0u) << "the drains must fetch queued misses";
+    EXPECT_GT(on.syncAttempts + on.corruptRejected, 1u)
+        << "the sync must meet a fault";
     EXPECT_EQ(off.rngDraws, on.rngDraws)
         << "health accounting must not consume fault-plan RNG";
     EXPECT_EQ(off.allocs, on.allocs)

@@ -6,8 +6,9 @@
  * the reported end-to-end latency EXACTLY (probe + fetch/exchange +
  * backoff + render tiling, no gaps, no double counting), (b) an
  * umbrella "query" span matching the latency, (c) registry counters
- * that agree with the device's ResilienceStats, and (d) valid Chrome
- * trace JSON.
+ * that mirror exactly the counts the device's layers keep (resilience,
+ * serving, per-link radio totals and health ledgers), across detach
+ * and re-attach, and (d) valid Chrome trace JSON.
  */
 
 #include <gtest/gtest.h>
@@ -16,8 +17,10 @@
 #include <string>
 #include <vector>
 
+#include "core/delta.h"
 #include "device/mobile_device.h"
 #include "logs/triplets.h"
+#include "obs/health.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -47,8 +50,9 @@ class ObsIntegrationTest : public ::testing::Test
         warmCache();
     }
 
-    void
-    warmCache()
+    /** Community contents caching results 0..19 under their head query. */
+    core::CacheContents
+    warmContents()
     {
         workload::SearchLog log(uni_);
         for (u32 r = 0; r < 20; ++r) {
@@ -63,8 +67,10 @@ class ObsIntegrationTest : public ::testing::Test
         core::ContentPolicy policy;
         policy.kind = core::ThresholdKind::VolumeShare;
         policy.volumeShare = 1.0;
-        device_.installCommunityCache(builder.build(table, policy));
+        return builder.build(table, policy);
     }
+
+    void warmCache() { device_.installCommunityCache(warmContents()); }
 
     workload::PairRef
     cachedPair(u32 r = 0)
@@ -289,20 +295,7 @@ TEST_F(ObsIntegrationTest, MetricsAreZeroCostWhenDetached)
     // A second device with nothing attached must behave identically:
     // observability is read-only instrumentation.
     MobileDevice bare(uni_);
-    workload::SearchLog log(uni_);
-    for (u32 r = 0; r < 20; ++r) {
-        const u32 q = uni_.result(r).queries.front().first;
-        for (int i = 0; i < int(40 - r); ++i) {
-            log.add({1, SimTime(i), {q, r},
-                     workload::DeviceType::Smartphone});
-        }
-    }
-    const auto table = logs::TripletTable::fromLog(log);
-    core::CacheContentBuilder builder(uni_);
-    core::ContentPolicy policy;
-    policy.kind = core::ThresholdKind::VolumeShare;
-    policy.volumeShare = 1.0;
-    bare.installCommunityCache(builder.build(table, policy));
+    bare.installCommunityCache(warmContents());
 
     const auto a =
         device_.serveQuery(cachedPair(), ServePath::PocketSearch, false);
@@ -311,6 +304,214 @@ TEST_F(ObsIntegrationTest, MetricsAreZeroCostWhenDetached)
     EXPECT_EQ(a.latency, b.latency);
     EXPECT_EQ(a.energy, b.energy);
     EXPECT_EQ(a.cacheHit, b.cacheHit);
+}
+
+/** A registry counter name and the value of the count it mirrors. */
+using Sources = std::vector<std::pair<std::string, u64>>;
+
+/** Every counter the device mirrors, with its source's current value. */
+Sources
+mirroredSources(MobileDevice &dev)
+{
+    const ResilienceStats &rs = dev.resilience();
+    const core::ServeStats &ss = dev.pocketSearch().stats();
+    Sources out = {
+        {"device.radio.attempts", rs.radioAttempts},
+        {"device.radio.retries", rs.retries},
+        {"device.radio.no_coverage", rs.noCoverageAttempts},
+        {"device.radio.failed", rs.failedAttempts},
+        {"device.radio.latency_spikes", rs.latencySpikes},
+        {"device.degraded.serves", rs.degradedServes},
+        {"device.degraded.stale", rs.staleServes},
+        {"device.degraded.offline_pages", rs.offlinePages},
+        {"device.missq.queued", rs.queuedMisses},
+        {"device.missq.synced", rs.syncedMisses},
+        {"device.sync.corrupt_delta", rs.corruptDeltas},
+        {"device.sync.rejected_delta", rs.rejectedDeltas},
+        {"core.search.lookups", ss.lookups},
+        {"core.search.query_hits", ss.queryHits},
+        {"core.search.pair_hits", ss.pairHits},
+        {"core.search.clicks", ss.clicksRecorded},
+        {"core.search.pairs_learned", ss.pairsLearned},
+        {"core.search.records_learned", ss.recordsLearned},
+    };
+    for (ServePath p :
+         {ServePath::ThreeG, ServePath::Edge, ServePath::Wifi}) {
+        const radio::RadioLink &l = dev.link(p);
+        const std::string mirror = "device.radio." + l.name();
+        const std::string ledger = "health.device.radio." + l.name();
+        out.emplace_back(mirror + ".requests", l.requests());
+        out.emplace_back(mirror + ".wakeups", l.wakeups());
+        out.emplace_back(ledger + ".busy_ns", l.busyNs());
+        out.emplace_back(ledger + ".ops", l.requests());
+    }
+    return out;
+}
+
+/** The registry's value of every name in `names`, in order. */
+Sources
+registryCounts(const obs::MetricRegistry &reg, const Sources &names)
+{
+    const auto snap = reg.snapshot();
+    Sources out;
+    for (const auto &[name, v] : names)
+        out.emplace_back(name, snap.counterValue(name));
+    return out;
+}
+
+/**
+ * Each mirror reads what it read at `reg_before` plus how far its
+ * source moved from `before` to `after`.
+ */
+void
+expectMirrored(const Sources &reg_now, const Sources &reg_before,
+               const Sources &before, const Sources &after)
+{
+    ASSERT_EQ(reg_now.size(), after.size());
+    for (std::size_t i = 0; i < after.size(); ++i) {
+        EXPECT_EQ(reg_now[i].second,
+                  reg_before[i].second + after[i].second -
+                      before[i].second)
+            << after[i].first;
+    }
+}
+
+/** Source growth of one named count between two readings. */
+u64
+grew(const Sources &before, const Sources &after, const std::string &name)
+{
+    for (std::size_t i = 0; i < after.size(); ++i)
+        if (after[i].first == name)
+            return after[i].second - before[i].second;
+    ADD_FAILURE() << "no mirrored count " << name;
+    return 0;
+}
+
+TEST_F(ObsIntegrationTest, EveryMirrorCopiesItsSourceExactly)
+{
+    MobileDevice dev(uni_);
+    const core::CacheContents warm = warmContents();
+    dev.installCommunityCache(warm);
+    fault::FaultConfig fc;
+    fc.seed = 4;
+    fc.radio.outageShare = 0.3;
+    fc.radio.meanOutageDuration = 10 * kSecond;
+    fc.radio.exchangeFailureRate = 0.3;
+    fc.radio.latencySpikeRate = 0.3;
+    fc.radio.payloadCorruptRate = 0.5;
+    fault::FaultPlan plan(fc);
+    dev.attachFaults(&plan);
+
+    // The next model drops a few pairs and reranks one. A delta that
+    // evicts a pair the device never cached is version skew: it is
+    // rejected whole.
+    core::CacheContents next = warm;
+    next.pairs.erase(next.pairs.begin(), next.pairs.begin() + 3);
+    next.pairs.front().score *= 0.5;
+    const core::CommunityDelta delta = core::diffContents(warm, next, 2, 3);
+    core::CommunityDelta skew;
+    skew.fromVersion = 3;
+    skew.toVersion = 4;
+    skew.evicts.push_back(uncachedPair(999));
+
+    const auto work = [&](u32 first, u32 n) {
+        for (u32 i = first; i < first + n; ++i) {
+            dev.serveQuery(cachedPair(i % 20), ServePath::PocketSearch);
+            dev.serveQuery(uncachedPair(500 + i), ServePath::PocketSearch);
+            // A cached query whose clicked result is not: served stale
+            // when the radio stays down.
+            dev.serveQuery({cachedPair(i % 20).query, 800 + i},
+                           ServePath::PocketSearch, false);
+            dev.serveQuery(uncachedPair(700 + i), ServePath::Edge, false);
+            dev.advanceTime(20 * kSecond);
+        }
+    };
+
+    // Activity before any attach stays uncounted, Wi-Fi included.
+    work(0, 4);
+    for (u32 i = 0; i < 4; ++i)
+        dev.serveQuery(uncachedPair(900 + i), ServePath::Wifi, false);
+    dev.syncCommunityUpdate(core::diffContents(warm, warm, 1, 2));
+    ASSERT_GT(dev.link(ServePath::Wifi).requests(), 0u);
+
+    obs::MetricRegistry reg;
+    obs::health::HealthAccountant acct(reg);
+    dev.attachMetrics(&reg);
+    dev.attachHealth(&acct);
+    const Sources zero = registryCounts(reg, mirroredSources(dev));
+    const Sources atAttach = mirroredSources(dev);
+
+    // Hits, misses and degraded serves; syncs until one has committed,
+    // a later one was rejected and some frame failed its CRC; then the
+    // miss queue drains.
+    work(4, 12);
+    bool committed = false;
+    bool rejected = false;
+    bool corrupt = false;
+    for (u32 i = 0; i < 20 && !(committed && rejected && corrupt); ++i) {
+        const auto res = dev.syncCommunityUpdate(committed ? skew : delta);
+        rejected = rejected || res.rejected;
+        committed = committed || res.ok;
+        corrupt = corrupt || res.corruptRejected > 0;
+        dev.advanceTime(30 * kSecond);
+    }
+    ASSERT_TRUE(committed);
+    ASSERT_TRUE(rejected);
+    for (u32 i = 0; i < 20 && !dev.missQueue().empty(); ++i) {
+        dev.syncMissQueue(ServePath::ThreeG);
+        dev.advanceTime(30 * kSecond);
+    }
+
+    const Sources afterWork = mirroredSources(dev);
+    expectMirrored(registryCounts(reg, afterWork), zero, atAttach,
+                   afterWork);
+    for (const char *name :
+         {"device.radio.retries", "device.radio.no_coverage",
+          "device.radio.failed", "device.radio.latency_spikes",
+          "device.degraded.stale", "device.degraded.offline_pages",
+          "device.missq.queued", "device.missq.synced",
+          "device.sync.corrupt_delta", "device.sync.rejected_delta",
+          "core.search.pair_hits", "core.search.pairs_learned",
+          "device.radio.3g.wakeups", "device.radio.edge.requests",
+          "health.device.radio.3g.busy_ns"})
+        EXPECT_GT(grew(atAttach, afterWork, name), 0u) << name;
+    EXPECT_EQ(grew(atAttach, afterWork, "device.radio.wifi.requests"), 0u);
+
+    // Energy gauges: the total of a link used since attach, 0 for one
+    // that was not.
+    const auto gauge = [&](const char *name) {
+        const obs::Gauge *g = reg.findGauge(name);
+        return g ? g->value() : -1.0;
+    };
+    EXPECT_DOUBLE_EQ(gauge("device.radio.3g.energy_mj"),
+                     dev.link(ServePath::ThreeG).totalEnergy() / 1000.0);
+    EXPECT_DOUBLE_EQ(gauge("device.radio.edge.energy_mj"),
+                     dev.link(ServePath::Edge).totalEnergy() / 1000.0);
+    EXPECT_EQ(gauge("device.radio.wifi.energy_mj"), 0.0);
+
+    // Detached, nothing is counted...
+    dev.attachMetrics(nullptr);
+    dev.attachHealth(nullptr);
+    const Sources frozen = registryCounts(reg, afterWork);
+    const double frozenEnergy = gauge("device.radio.3g.energy_mj");
+    work(16, 4);
+    dev.syncCommunityUpdate(skew);
+    dev.syncMissQueue(ServePath::ThreeG);
+    EXPECT_EQ(registryCounts(reg, afterWork), frozen);
+    EXPECT_EQ(gauge("device.radio.3g.energy_mj"), frozenEnergy);
+
+    // ...and after re-attach only the new growth lands, once.
+    dev.attachMetrics(&reg);
+    dev.attachHealth(&acct);
+    const Sources reattached = mirroredSources(dev);
+    work(20, 4);
+    dev.syncCommunityUpdate(skew);
+    dev.syncMissQueue(ServePath::ThreeG);
+    const Sources end = mirroredSources(dev);
+    expectMirrored(registryCounts(reg, end), frozen, reattached, end);
+    EXPECT_DOUBLE_EQ(gauge("device.radio.3g.energy_mj"),
+                     dev.link(ServePath::ThreeG).totalEnergy() / 1000.0);
+    dev.attachFaults(nullptr);
 }
 
 } // namespace
