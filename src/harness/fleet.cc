@@ -122,7 +122,7 @@ namespace {
 
 /**
  * Everything one simulated device hands to the in-order fold: the
- * window-boundary snapshots the collector diffs, the final registry
+ * window-boundary samples the collector diffs, the final registry
  * it merges, and the deferred accounting of any cloud syncs. Move-only
  * (the registry), which the WorkQueue supports.
  */
@@ -130,7 +130,7 @@ struct DeviceTelemetry
 {
     std::size_t index = 0;
     std::string classKey;
-    std::vector<std::pair<SimTime, obs::MetricsSnapshot>> windows;
+    std::vector<std::pair<SimTime, obs::MetricsSample>> windows;
     std::unique_ptr<obs::MetricRegistry> registry;
     /** One entry per attempted monthly sync, month order. */
     std::vector<server::CloudUpdateService::SyncAccounting> syncs;
@@ -186,8 +186,8 @@ class DeviceSim
         }
 
         // Health ledgers are plain registry counters, so they ride the
-        // same snapshots and device-index-ordered fold as every other
-        // metric — no extra plumbing keeps them deterministic.
+        // same window samples and device-index-ordered fold as every
+        // other metric — no extra plumbing keeps them deterministic.
         if (cfg.health) {
             health_.emplace(*out_.registry);
             dev_->attachHealth(&*health_);
@@ -335,7 +335,7 @@ class DeviceSim
     /**
      * Month epilogue: drain the misses the device queued while the
      * cloud was dark (coverage is back after an outage/storm month)
-     * and snapshot the telemetry window.
+     * and sample the telemetry window.
      */
     void
     endMonth(u32 m)
@@ -343,7 +343,7 @@ class DeviceSim
         if (!radioDark_ && !dev_->missQueue().empty())
             dev_->syncMissQueue();
         out_.windows.emplace_back(SimTime(m) * workload::kMonth,
-                                  out_.registry->snapshot());
+                                  out_.registry->sample());
     }
 
     /** Flash-crowd OutageStart event: the radio goes dark mid-month. */
@@ -370,11 +370,11 @@ class DeviceSim
         }
     }
 
-    /** Snapshot one telemetry window (flash-crowd sub-month widths). */
+    /** Sample one telemetry window (flash-crowd sub-month widths). */
     void
-    snapshotWindow(SimTime windowStart)
+    sampleWindow(SimTime windowStart)
     {
-        out_.windows.emplace_back(windowStart, out_.registry->snapshot());
+        out_.windows.emplace_back(windowStart, out_.registry->sample());
     }
 
     /** Run epilogue: sabotage injection, chaos evidence, detach. */
@@ -461,10 +461,10 @@ class DeviceSim
  * Flash-crowd schedule: Poisson query arrivals (thinning against the
  * burst-boosted peak rate), a mid-month radio outage with per-device
  * staggered reconnect, monthly cloud syncs at month begins, and
- * telemetry snapshots on the scenario's own (possibly sub-month)
+ * telemetry samples on the scenario's own (possibly sub-month)
  * window width. Two time-ordered inputs are merged: a control list,
  * stable-sorted by time so equal-time controls keep the order they
- * are listed in here (window snapshot, month begin, outage start,
+ * are listed in here (window sample, month begin, outage start,
  * reconnect), and the arrival chain. An arrival runs only when it is
  * strictly earlier than the next control, so at equal times every
  * control runs first. The artifact bytes are therefore a pure
@@ -557,7 +557,7 @@ driveFlashCrowd(DeviceSim &sim, const FleetRunConfig &cfg, std::size_t i)
             arrival = nextArrival(*arrival);
         }
         switch (c.kind) {
-          case Control::Window: sim.snapshotWindow(c.arg); break;
+          case Control::Window: sim.sampleWindow(c.arg); break;
           case Control::MonthBegin:
             sim.beginMonth(u32(c.arg));
             sim.beginStreamMonth(u32(c.arg));
@@ -620,8 +620,8 @@ foldDevice(DeviceTelemetry &&t, const FleetRunConfig &cfg,
            FleetRunResult &result)
 {
     collector.beginDevice(t.classKey);
-    for (const auto &[windowStart, snap] : t.windows)
-        collector.collect(windowStart, snap);
+    for (auto &[windowStart, sample] : t.windows)
+        collector.collect(windowStart, std::move(sample));
     collector.endDevice(*t.registry);
 
     for (const auto &acct : t.syncs) {
@@ -686,10 +686,13 @@ foldDevice(DeviceTelemetry &&t, const FleetRunConfig &cfg,
         }
     }
 
-    const auto snap = t.registry->snapshot();
-    result.queries += snap.counterValue("device.queries");
-    result.cacheHits += snap.counterValue("device.cache_hits");
-    result.degradedServes += snap.counterValue("device.degraded.serves");
+    const auto count = [&](const char *name) {
+        const obs::Counter *c = t.registry->findCounter(name);
+        return c ? c->value() : 0;
+    };
+    result.queries += count("device.queries");
+    result.cacheHits += count("device.cache_hits");
+    result.degradedServes += count("device.degraded.serves");
     ++result.devices;
 }
 

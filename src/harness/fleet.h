@@ -13,7 +13,7 @@
  * `FleetRunConfig::threads` workers over a bounded server::WorkQueue.
  * Each worker simulates whole devices in a private world (device,
  * stream, fault plan, registry) and hands back per-device telemetry:
- * the per-window registry snapshots, the final registry, and — when a
+ * the per-window registry samples, the final registry, and — when a
  * cloud service is attached — the deferred accounting of its monthly
  * syncs (the sync itself runs against the service read-only, see
  * CloudUpdateService::syncDetached). The reducing thread folds those
@@ -141,7 +141,7 @@ struct ChaosConfig
 /**
  * Flash-crowd query storm: the one sub-month scenario. Enabling it
  * switches each device from the month loop to a time-ordered merge of
- * a short control list (window snapshots, month begins, outage start,
+ * a short control list (window samples, month begins, outage start,
  * reconnect) and a Poisson arrival chain; see DESIGN.md "Flash-crowd
  * schedule" for the equal-time order. Per device, query arrivals
  * become a seeded Poisson process (thinning against the burst-boosted

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string_view>
 
 #include "obs/csvutil.h"
 #include "util/logging.h"
@@ -11,15 +12,28 @@ namespace pc::obs {
 
 namespace {
 
-/** Sum of a snapshot's histogram `name`; 0 when absent. */
-double
-histogramSum(const MetricsSnapshot &snap, const std::string &name)
+/** values[i] keyed by names[i]; the first of duplicate names wins. */
+template <class V>
+std::unordered_map<std::string_view, V>
+byName(const std::vector<std::string> &names, const std::vector<V> &values)
 {
-    for (const auto &h : snap.histograms) {
-        if (h.name == name)
-            return h.sum;
-    }
-    return 0.0;
+    std::unordered_map<std::string_view, V> at;
+    for (std::size_t i = 0; i < names.size(); ++i)
+        at.try_emplace(names[i], values[i]);
+    return at;
+}
+
+/** Id of `name` in `ids`, appending it to `names` (as name + suffix)
+ *  when new. */
+u32
+intern(std::unordered_map<std::string, u32> &ids,
+       std::vector<std::string> &names, const std::string &name,
+       const char *suffix)
+{
+    const auto [it, added] = ids.try_emplace(name, u32(names.size()));
+    if (added)
+        names.push_back(name + suffix);
+    return it->second;
 }
 
 } // namespace
@@ -68,9 +82,12 @@ FleetCollector::beginDevice(const std::string &userClass)
     pc_assert(!userClass.empty(), "FleetCollector: empty user class");
     inDevice_ = true;
     currentClass_ = userClass;
-    devicePrev_ = MetricsSnapshot{};
-    classSeries_.try_emplace(userClass, cfg_.windowWidth,
-                             cfg_.maxWindows);
+    devicePrev_ = MetricsSample{};
+    classSeriesNow_ =
+        &classSeries_.try_emplace(userClass, cfg_.windowWidth,
+                                  cfg_.maxWindows)
+             .first->second;
+    classSlotsNow_ = &classSlots_[userClass];
     classRegs_[userClass];
     classDevices_[userClass];
 }
@@ -78,56 +95,175 @@ FleetCollector::beginDevice(const std::string &userClass)
 void
 FleetCollector::collect(SimTime windowStart, const MetricRegistry &reg)
 {
-    collect(windowStart, reg.snapshot());
+    collect(windowStart, reg.sample());
 }
 
 void
 FleetCollector::collect(SimTime windowStart, const MetricsSnapshot &snap)
 {
-    pc_assert(inDevice_, "FleetCollector: collect outside a device");
-    recordDelta(windowStart, snap, devicePrev_);
-    devicePrev_ = snap;
+    collect(windowStart, MetricsSample::fromSnapshot(snap));
 }
 
 void
-FleetCollector::recordDelta(SimTime t, const MetricsSnapshot &snap,
-                            const MetricsSnapshot &prev)
+FleetCollector::collect(SimTime windowStart, MetricsSample sample)
 {
-    TimeSeries &cls = classSeries_.at(currentClass_);
-    const MetricsSnapshot delta = snap.deltaSince(prev);
+    pc_assert(inDevice_, "FleetCollector: collect outside a device");
+    pc_assert(sample.layout &&
+                  sample.counters.size() == sample.layout->counters.size() &&
+                  sample.histogramSums.size() ==
+                      sample.layout->histograms.size(),
+              "FleetCollector: sample does not match its layout");
+    pc_assert(!devicePrev_.layout || windowStart > prevStart_,
+              "FleetCollector: window starts must strictly ascend per "
+              "device (", windowStart, " after ", prevStart_, ")");
 
-    for (const auto &[n, v] : delta.counters) {
-        fleetSeries_.recordCounter(t, n, v);
-        cls.recordCounter(t, n, v);
-    }
+    const LayoutIds &ids = layoutIds(sample.layout);
+    windowDelta(sample);
+    devicePrev_ = std::move(sample);
+    prevStart_ = windowStart;
+    // A registry with no counters or histograms records nothing, and
+    // so must not create a window either.
+    if (ids.counters.empty() && ids.sums.empty())
+        return;
 
     // Histograms cannot delta their distributions, but their summed
-    // mass can: per-window energy/latency totals come from snapshot
-    // sum differences.
+    // mass can: per-window energy/latency totals are sum differences.
     double energy = 0.0;
-    for (const auto &h : snap.histograms) {
-        const double d = h.sum - histogramSum(prev, h.name);
-        fleetSeries_.recordAccum(t, h.name + ".sum", d);
-        cls.recordAccum(t, h.name + ".sum", d);
-        if (h.name.rfind("device.energy_mj.", 0) == 0)
-            energy += d;
+    for (std::size_t j = 0; j < ids.sums.size(); ++j) {
+        if (ids.energy[j])
+            energy += sumDelta_[j];
     }
 
     // Derived per-device observations: recorded as values, so a
     // window summarizes the distribution across devices.
-    const double qd = double(delta.counterValue("device.queries"));
+    const auto at = [&](std::size_t i) {
+        return i == std::string::npos ? 0.0 : double(delta_[i]);
+    };
+    const double qd = at(ids.queries);
+    double values[kValues] = {};
     if (qd > 0.0) {
-        const auto ratio = [&](const char *name, const char *num) {
-            const double r =
-                double(delta.counterValue(num)) / qd;
-            fleetSeries_.recordValue(t, name, r);
-            cls.recordValue(t, name, r);
-        };
-        ratio("device.hit_rate", "device.cache_hits");
-        ratio("device.stale_rate", "device.degraded.stale");
-        ratio("device.degraded_rate", "device.degraded.serves");
-        fleetSeries_.recordValue(t, "device.energy_mj", energy);
-        cls.recordValue(t, "device.energy_mj", energy);
+        values[HitRate] = at(ids.hits) / qd;
+        values[StaleRate] = at(ids.stale) / qd;
+        values[DegradedRate] = at(ids.degraded) / qd;
+        values[EnergyMj] = energy;
+    }
+    recordWindow(fleetSeries_, fleetSlots_, windowStart, ids,
+                 qd > 0.0 ? values : nullptr);
+    recordWindow(*classSeriesNow_, *classSlotsNow_, windowStart, ids,
+                 qd > 0.0 ? values : nullptr);
+}
+
+const FleetCollector::LayoutIds &
+FleetCollector::layoutIds(const std::shared_ptr<const SampleLayout> &layout)
+{
+    if (ids_.layout == layout)
+        return ids_;
+    if (ids_.layout && *ids_.layout == *layout) {
+        ids_.layout = layout; // same names, another device's layout
+        return ids_;
+    }
+    // New names: intern them and find the ratio inputs (first match,
+    // as a name lookup would).
+    LayoutIds ids;
+    ids.layout = layout;
+    const auto &cs = layout->counters;
+    for (const auto &c : cs)
+        ids.counters.push_back(intern(counterIds_, counterNames_, c, ""));
+    const auto find = [&](const char *name) {
+        const auto it = std::find(cs.begin(), cs.end(), name);
+        return it == cs.end() ? std::string::npos
+                              : std::size_t(it - cs.begin());
+    };
+    ids.queries = find("device.queries");
+    ids.hits = find("device.cache_hits");
+    ids.stale = find("device.degraded.stale");
+    ids.degraded = find("device.degraded.serves");
+    for (const auto &h : layout->histograms) {
+        ids.sums.push_back(intern(sumIds_, sumNames_, h, ".sum"));
+        ids.energy.push_back(h.rfind("device.energy_mj.", 0) == 0);
+    }
+    ids_ = std::move(ids);
+    return ids_;
+}
+
+void
+FleetCollector::windowDelta(const MetricsSample &cur)
+{
+    const MetricsSample &prev = devicePrev_;
+    const std::size_t nc = cur.counters.size();
+    const std::size_t nh = cur.histogramSums.size();
+    delta_.resize(nc);
+    sumDelta_.resize(nh);
+    const bool aligned =
+        prev.layout &&
+        (prev.layout == cur.layout || *prev.layout == *cur.layout);
+    if (aligned) {
+        for (std::size_t i = 0; i < nc; ++i) {
+            const u64 v = cur.counters[i], before = prev.counters[i];
+            delta_[i] = v >= before ? v - before : 0;
+        }
+        for (std::size_t j = 0; j < nh; ++j)
+            sumDelta_[j] = cur.histogramSums[j] - prev.histogramSums[j];
+        return;
+    }
+
+    // The layout changed (or this is the device's first window): align
+    // by name; a name the previous sample lacks reads as 0.
+    static const SampleLayout kNone;
+    const SampleLayout &was = prev.layout ? *prev.layout : kNone;
+    const auto prevCounters = byName(was.counters, prev.counters);
+    const auto prevSums = byName(was.histograms, prev.histogramSums);
+    for (std::size_t i = 0; i < nc; ++i) {
+        const auto it = prevCounters.find(cur.layout->counters[i]);
+        const u64 v = cur.counters[i];
+        const u64 b = it == prevCounters.end() ? 0 : it->second;
+        delta_[i] = v >= b ? v - b : 0;
+    }
+    for (std::size_t j = 0; j < nh; ++j) {
+        const auto it = prevSums.find(cur.layout->histograms[j]);
+        sumDelta_[j] = cur.histogramSums[j] -
+                       (it == prevSums.end() ? 0.0 : it->second);
+    }
+}
+
+void
+FleetCollector::recordWindow(TimeSeries &series, SeriesSlots &cache,
+                             SimTime t, const LayoutIds &ids,
+                             const double *values)
+{
+    const std::size_t w = series.windowIndex(t);
+    if (cache.generation != series.generation()) {
+        cache.generation = series.generation();
+        cache.windows.clear();
+    }
+    if (cache.windows.size() <= w)
+        cache.windows.resize(series.windows().size());
+    WindowSlots &slots = cache.windows[w];
+    slots.counters.resize(counterNames_.size(), nullptr);
+    slots.sums.resize(sumNames_.size(), nullptr);
+
+    for (std::size_t i = 0; i < ids.counters.size(); ++i) {
+        u64 *&slot = slots.counters[ids.counters[i]];
+        if (!slot)
+            slot = &series.counterSlot(w, counterNames_[ids.counters[i]]);
+        *slot += delta_[i];
+    }
+    for (std::size_t j = 0; j < ids.sums.size(); ++j) {
+        double *&slot = slots.sums[ids.sums[j]];
+        if (!slot)
+            slot = &series.accumSlot(w, sumNames_[ids.sums[j]]);
+        *slot += sumDelta_[j];
+    }
+    if (!values)
+        return;
+    static const std::string kNames[kValues] = {
+        "device.hit_rate", "device.stale_rate", "device.degraded_rate",
+        "device.energy_mj"};
+    for (int v = 0; v < kValues; ++v) {
+        TimeSeries::ValueSlot &slot = slots.values[v];
+        if (!slot.stat)
+            slot = series.valueSlot(w, kNames[v]);
+        slot.add(values[v]);
     }
 }
 

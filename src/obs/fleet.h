@@ -10,14 +10,16 @@
  *    MetricRegistry::mergeFrom (exact counter sums and Welford-merged
  *    moments, sketch-merged quantiles), plus one registry per user
  *    class.
- *  - **Time series** — at each window boundary the harness calls
- *    collect() with the device's registry; the collector diffs it
- *    against the device's previous snapshot and records the window's
- *    counter deltas, per-histogram sum deltas (energy, latency mass)
- *    and derived per-device ratios (hit rate, stale/degraded share)
- *    into the fleet series and the device's class series. Ratios are
- *    recorded as *value* observations, so a window row carries the
- *    distribution across devices, not just the fleet mean.
+ *  - **Time series** — at each window boundary the harness hands
+ *    collect() the device's MetricsSample (MetricRegistry::sample:
+ *    counter values and histogram sums under a shared name layout).
+ *    The collector subtracts it from the device's previous sample and
+ *    records the window's counter deltas, per-histogram sum deltas
+ *    (energy, latency mass) and derived per-device ratios (hit rate,
+ *    stale/degraded share) into the fleet series and the device's
+ *    class series. Ratios are recorded as *value* observations, so a
+ *    window row carries the distribution across devices, not just the
+ *    fleet mean.
  *  - **Anomaly scan** — an EWMA drift detector walks the fleet series
  *    and flags windows whose value sits more than `threshold`
  *    standard deviations from the smoothed expectation (with a
@@ -34,15 +36,23 @@
  *
  * The parallel fleet harness keeps this protocol: worker threads
  * simulate devices concurrently, but each worker only *captures* its
- * device's per-window MetricsSnapshots plus its final registry; the
+ * device's per-window MetricsSamples plus its final registry; the
  * reducing thread then replays them through beginDevice /
- * collect(t, snapshot) / endDevice in device-index order. Because the
+ * collect(t, sample) / endDevice in device-index order. Because the
  * collector sees the exact operation sequence of the sequential run,
  * its output is byte-identical at every thread count — which is why
  * there is deliberately NO collector-merge API: folding per-worker
  * collectors would go through RunningStat::merge / sketch merges,
  * which are associative only up to floating-point rounding and so
  * cannot honor a byte-exact gate.
+ *
+ * The fold is an array subtraction. Names are compared only when a
+ * sample's layout differs from the previous one (a metric registered
+ * in between, or a new device): then the delta aligns by name, a name
+ * the previous sample lacked reading as 0. Series entries are reached
+ * through slots the collector resolves once per name and window, so a
+ * device-month costs no string lookups. Every collect() overload —
+ * registry, snapshot, sample — goes through that one fold.
  *
  * Everything is deterministic: map-ordered iteration, deterministic
  * sketch merges, %.10g CSV formatting.
@@ -51,9 +61,12 @@
 #ifndef PC_OBS_FLEET_H
 #define PC_OBS_FLEET_H
 
+#include <array>
 #include <map>
+#include <memory>
 #include <ostream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -108,16 +121,20 @@ class FleetCollector
     void beginDevice(const std::string &userClass);
 
     /**
-     * Sample the current device's registry for the window starting at
-     * `windowStart` (deltas are against the previous collect() of
-     * this device). Call once per window, boundaries ascending.
+     * Fold the current device's window starting at `windowStart`: the
+     * delta of `sample` against this device's previous collect().
+     * Call once per window; a device's window starts must strictly
+     * ascend (asserted).
      */
+    void collect(SimTime windowStart, MetricsSample sample);
+
+    /** collect(windowStart, reg.sample()). */
     void collect(SimTime windowStart, const MetricRegistry &reg);
 
     /**
-     * collect() from a snapshot captured earlier (the parallel
-     * harness's replay fold). collect(t, reg) is exactly
-     * collect(t, reg.snapshot()).
+     * collect() from a snapshot captured earlier:
+     * collect(windowStart, MetricsSample::fromSnapshot(snap)), so it
+     * folds exactly as the registry it was taken from would.
      */
     void collect(SimTime windowStart, const MetricsSnapshot &snap);
 
@@ -179,9 +196,50 @@ class FleetCollector
                                   const std::vector<Anomaly> &anomalies);
 
   private:
-    /** Record one device-window delta into fleet + class series. */
-    void recordDelta(SimTime t, const MetricsSnapshot &snap,
-                     const MetricsSnapshot &prev);
+    /** Derived per-device values, recorded when the window saw queries. */
+    enum Value { HitRate, StaleRate, DegradedRate, EnergyMj, kValues };
+
+    /**
+     * What the fold derives once per sample layout: each name's id in
+     * the collector's name tables (which key the slot caches), the
+     * energy histograms and the positions of the ratio inputs.
+     */
+    struct LayoutIds
+    {
+        std::shared_ptr<const SampleLayout> layout;
+        std::vector<u32> counters;   ///< Counter name ids.
+        std::vector<u32> sums;       ///< Histogram ".sum" accum ids.
+        std::vector<char> energy;    ///< Histogram is device.energy_mj.*.
+        /** Counter positions of the ratio inputs; npos when absent. */
+        std::size_t queries = std::string::npos, hits = std::string::npos,
+                    stale = std::string::npos, degraded = std::string::npos;
+    };
+
+    /** One series window's slots by name id; null until first use. */
+    struct WindowSlots
+    {
+        std::vector<u64 *> counters;
+        std::vector<double *> sums;
+        std::array<TimeSeries::ValueSlot, kValues> values;
+    };
+
+    /** Slot cache of one series, dropped when its windows change. */
+    struct SeriesSlots
+    {
+        u64 generation = ~u64(0);
+        std::vector<WindowSlots> windows;
+    };
+
+    /** ids_ for `layout`, re-derived only when its names differ. */
+    const LayoutIds &
+    layoutIds(const std::shared_ptr<const SampleLayout> &layout);
+
+    /** delta_ / sumDelta_ = `cur` minus the device's previous sample. */
+    void windowDelta(const MetricsSample &cur);
+
+    /** Record delta_, sumDelta_ and `values` into one series. */
+    void recordWindow(TimeSeries &series, SeriesSlots &cache, SimTime t,
+                      const LayoutIds &ids, const double *values);
 
     FleetConfig cfg_;
     MetricRegistry fleet_;
@@ -193,7 +251,20 @@ class FleetCollector
 
     bool inDevice_ = false;
     std::string currentClass_;
-    MetricsSnapshot devicePrev_;
+    TimeSeries *classSeriesNow_ = nullptr;
+    SeriesSlots *classSlotsNow_ = nullptr;
+    MetricsSample devicePrev_;  ///< Null layout before a device's first window.
+    SimTime prevStart_ = 0;
+
+    // Fold state: interned names, the current layout's ids, slot
+    // caches and the window's delta scratch.
+    std::unordered_map<std::string, u32> counterIds_, sumIds_;
+    std::vector<std::string> counterNames_, sumNames_;
+    LayoutIds ids_;
+    SeriesSlots fleetSlots_;
+    std::map<std::string, SeriesSlots> classSlots_;
+    std::vector<u64> delta_;
+    std::vector<double> sumDelta_;
 };
 
 } // namespace pc::obs

@@ -15,6 +15,19 @@ Histogram::quantile(double q) const
     return sketch_.quantile(q);
 }
 
+void
+Histogram::quantiles(std::span<const double> qs, std::span<double> out) const
+{
+    if (!exact_) {
+        sketch_.quantiles(qs, out);
+        return;
+    }
+    pc_assert(out.size() == qs.size(),
+              "Histogram::quantiles: output size mismatch");
+    for (std::size_t i = 0; i < qs.size(); ++i)
+        out[i] = quantile(qs[i]);
+}
+
 const QuantileSketch &
 Histogram::sketch() const
 {
@@ -59,6 +72,27 @@ MetricsSnapshot::counterValue(const std::string &name) const
             return v;
     }
     return 0;
+}
+
+MetricsSample
+MetricsSample::fromSnapshot(const MetricsSnapshot &snap)
+{
+    auto layout = std::make_shared<SampleLayout>();
+    MetricsSample s;
+    layout->counters.reserve(snap.counters.size());
+    s.counters.reserve(snap.counters.size());
+    for (const auto &[n, v] : snap.counters) {
+        layout->counters.push_back(n);
+        s.counters.push_back(v);
+    }
+    layout->histograms.reserve(snap.histograms.size());
+    s.histogramSums.reserve(snap.histograms.size());
+    for (const auto &h : snap.histograms) {
+        layout->histograms.push_back(h.name);
+        s.histogramSums.push_back(h.sum);
+    }
+    s.layout = std::move(layout);
+    return s;
 }
 
 MetricsSnapshot
@@ -140,8 +174,10 @@ MetricRegistry::counter(const std::string &name)
 {
     checkType(name, "counter");
     auto &slot = counters_[name];
-    if (!slot)
+    if (!slot) {
         slot.reset(new Counter(name));
+        layout_.reset();
+    }
     return *slot;
 }
 
@@ -160,8 +196,10 @@ MetricRegistry::histogram(const std::string &name)
 {
     checkType(name, "histogram");
     auto &slot = histograms_[name];
-    if (!slot)
+    if (!slot) {
         slot.reset(new Histogram(name));
+        layout_.reset();
+    }
     if (slot->exact())
         pc_fatal("histogram '", name,
                  "' already registered in exact mode, requested as "
@@ -174,8 +212,10 @@ MetricRegistry::exactHistogram(const std::string &name)
 {
     checkType(name, "histogram");
     auto &slot = histograms_[name];
-    if (!slot)
+    if (!slot) {
         slot.reset(new Histogram(name, /*exact=*/true));
+        layout_.reset();
+    }
     if (!slot->exact())
         pc_fatal("histogram '", name,
                  "' already registered in sketch mode, requested as "
@@ -223,11 +263,42 @@ MetricRegistry::snapshot() const
         hs.min = h->min();
         hs.max = h->max();
         hs.sum = h->sum();
-        hs.p50 = h->quantile(0.50);
-        hs.p90 = h->quantile(0.90);
-        hs.p99 = h->quantile(0.99);
+        static constexpr double kQs[] = {0.50, 0.90, 0.99};
+        double q[3] = {};
+        h->quantiles(kQs, q);
+        hs.p50 = q[0];
+        hs.p90 = q[1];
+        hs.p99 = q[2];
         s.histograms.push_back(std::move(hs));
     }
+    return s;
+}
+
+MetricsSample
+MetricRegistry::sample() const
+{
+    if (!layout_) {
+        auto layout = std::make_shared<SampleLayout>();
+        layoutCounters_.clear();
+        for (const auto &[n, c] : counters_) {
+            layout->counters.push_back(n);
+            layoutCounters_.push_back(c.get());
+        }
+        layoutHistograms_.clear();
+        for (const auto &[n, h] : histograms_) {
+            layout->histograms.push_back(n);
+            layoutHistograms_.push_back(h.get());
+        }
+        layout_ = std::move(layout);
+    }
+    MetricsSample s;
+    s.layout = layout_;
+    s.counters.reserve(layoutCounters_.size());
+    for (const Counter *c : layoutCounters_)
+        s.counters.push_back(c->value());
+    s.histogramSums.reserve(layoutHistograms_.size());
+    for (const Histogram *h : layoutHistograms_)
+        s.histogramSums.push_back(h->sum());
     return s;
 }
 

@@ -7,11 +7,12 @@
  * counters, gauges, distributions — under hierarchical dotted names
  * ("device.radio.3g.retries", "simfs.reads") in one MetricRegistry.
  * A snapshot flattens every metric into a deterministic, name-sorted
- * report; deltas isolate one phase of an experiment; merges fold
- * per-shard registries (e.g. one device per serving path, or a whole
- * simulated fleet) into one view — counts and moments combine exactly
- * (parallel Welford), quantiles via mergeable sketches within a
- * documented error bound.
+ * report; a window sample copies only counter values and histogram
+ * sums, all the fleet fold reads; deltas isolate one phase of an
+ * experiment; merges fold per-shard registries (e.g. one device per
+ * serving path, or a whole simulated fleet) into one view — counts
+ * and moments combine exactly (parallel Welford), quantiles via
+ * mergeable sketches within a documented error bound.
  *
  * Handles returned by the registry are stable for the registry's
  * lifetime, so hot paths bump a cached pointer instead of re-hashing
@@ -24,6 +25,7 @@
 #include <map>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -113,6 +115,12 @@ class Histogram
     /** q-quantile (exact in exact mode, else sketched); 0 when empty. */
     double quantile(double q) const;
 
+    /**
+     * out[i] = quantile(qs[i]), bit for bit, from one sort of the
+     * sketch. @pre out.size() == qs.size().
+     */
+    void quantiles(std::span<const double> qs, std::span<double> out) const;
+
     /** Moments accumulator. */
     const RunningStat &stat() const { return stat_; }
 
@@ -199,6 +207,35 @@ struct MetricsSnapshot
 };
 
 /**
+ * Names of a registry's counters and histograms, each list
+ * name-sorted as snapshot() orders them. Immutable once built and
+ * shared by every MetricsSample taken under it, so samples carry no
+ * strings of their own.
+ */
+struct SampleLayout
+{
+    std::vector<std::string> counters;
+    std::vector<std::string> histograms;
+
+    bool operator==(const SampleLayout &) const = default;
+};
+
+/**
+ * What the fleet window fold reads of a registry: counter values and
+ * histogram sums, aligned to `layout` — no names, no gauges, no
+ * quantiles. See MetricRegistry::sample.
+ */
+struct MetricsSample
+{
+    std::shared_ptr<const SampleLayout> layout;
+    std::vector<u64> counters;          ///< Aligned to layout->counters.
+    std::vector<double> histogramSums;  ///< Aligned to layout->histograms.
+
+    /** The same fields read from a snapshot, under a layout of its own. */
+    static MetricsSample fromSnapshot(const MetricsSnapshot &snap);
+};
+
+/**
  * The registry. Owns every handle it vends; handle references stay
  * valid for the registry's lifetime. Registering the same name with
  * the same type returns the existing handle; reusing a name across
@@ -234,6 +271,14 @@ class MetricRegistry
     MetricsSnapshot snapshot() const;
 
     /**
+     * Counter values and histogram sums for a window fold. Two array
+     * copies under a shared layout, which is rebuilt only when a
+     * counter or histogram was registered since the previous sample.
+     * Like every other call, not safe concurrently on one registry.
+     */
+    MetricsSample sample() const;
+
+    /**
      * Fold another registry in: counters add, gauges overwrite,
      * histograms merge (exact sample union in exact mode, sketch
      * merge otherwise — see Histogram::mergeFrom for the mixed-mode
@@ -254,6 +299,12 @@ class MetricRegistry
     std::map<std::string, std::unique_ptr<Counter>> counters_;
     std::map<std::string, std::unique_ptr<Gauge>> gauges_;
     std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+
+    // sample()'s cache: null layout_ means a counter or histogram was
+    // registered since it was built; the handle lists follow its order.
+    mutable std::shared_ptr<const SampleLayout> layout_;
+    mutable std::vector<const Counter *> layoutCounters_;
+    mutable std::vector<const Histogram *> layoutHistograms_;
 };
 
 } // namespace pc::obs

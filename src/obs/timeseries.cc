@@ -14,8 +14,8 @@ TimeSeries::TimeSeries(SimTime windowWidth, std::size_t maxWindows)
     pc_assert(maxWindows >= 2, "TimeSeries needs at least 2 windows");
 }
 
-SeriesWindow &
-TimeSeries::windowFor(SimTime t)
+std::size_t
+TimeSeries::windowIndex(SimTime t)
 {
     pc_assert(t >= 0, "TimeSeries sim time must be non-negative");
     for (;;) {
@@ -24,7 +24,7 @@ TimeSeries::windowFor(SimTime t)
             windows_.begin(), windows_.end(), start,
             [](const SeriesWindow &w, SimTime s) { return w.start < s; });
         if (it != windows_.end() && it->start == start)
-            return *it;
+            return std::size_t(it - windows_.begin());
         if (windows_.size() >= maxWindows_) {
             // Inserting would exceed the cap: halve resolution and
             // retry (the width change moves the target window start).
@@ -34,7 +34,9 @@ TimeSeries::windowFor(SimTime t)
         SeriesWindow w;
         w.start = start;
         w.width = width_;
-        return *windows_.insert(it, std::move(w));
+        ++generation_;
+        const auto at = windows_.insert(it, std::move(w));
+        return std::size_t(at - windows_.begin());
     }
 }
 
@@ -44,6 +46,7 @@ TimeSeries::downsample()
     width_ *= 2;
     pc_assert(width_ > 0, "TimeSeries window width overflow");
     ++downsamples_;
+    ++generation_;
     std::vector<SeriesWindow> merged;
     merged.reserve(windows_.size() / 2 + 1);
     for (auto &w : windows_) {
@@ -70,21 +73,38 @@ TimeSeries::downsample()
 void
 TimeSeries::recordCounter(SimTime t, const std::string &name, u64 delta)
 {
-    windowFor(t).counters[name] += delta;
+    counterSlot(windowIndex(t), name) += delta;
 }
 
 void
 TimeSeries::recordAccum(SimTime t, const std::string &name, double delta)
 {
-    windowFor(t).accums[name] += delta;
+    accumSlot(windowIndex(t), name) += delta;
 }
 
 void
 TimeSeries::recordValue(SimTime t, const std::string &name, double x)
 {
-    SeriesWindow &w = windowFor(t);
-    w.points[name].add(x);
-    w.sketches[name].add(x);
+    valueSlot(windowIndex(t), name).add(x);
+}
+
+u64 &
+TimeSeries::counterSlot(std::size_t w, const std::string &name)
+{
+    return windows_.at(w).counters[name];
+}
+
+double &
+TimeSeries::accumSlot(std::size_t w, const std::string &name)
+{
+    return windows_.at(w).accums[name];
+}
+
+TimeSeries::ValueSlot
+TimeSeries::valueSlot(std::size_t w, const std::string &name)
+{
+    SeriesWindow &win = windows_.at(w);
+    return {&win.points[name], &win.sketches[name]};
 }
 
 std::vector<double>
@@ -127,6 +147,7 @@ void
 TimeSeries::writeCsv(std::ostream &os) const
 {
     os << "start_s,width_s,kind,name,value,count,mean,p50,p90,p99\n";
+    static constexpr double kQs[] = {0.50, 0.90, 0.99};
     for (const auto &w : windows_) {
         const std::string at = csvNumber(double(w.start) / 1e9) + ',' +
                                csvNumber(double(w.width) / 1e9) + ',';
@@ -140,14 +161,13 @@ TimeSeries::writeCsv(std::ostream &os) const
         }
         for (const auto &[n, s] : w.points) {
             const auto sk = w.sketches.find(n);
-            const QuantileSketch *q =
-                sk == w.sketches.end() ? nullptr : &sk->second;
+            double q[3] = {0.0, 0.0, 0.0};
+            if (sk != w.sketches.end())
+                sk->second.quantiles(kQs, q);
             os << at << "value," << csvField(n) << ','
                << csvNumber(s.sum()) << ',' << csvNumber(double(s.count()))
-               << ',' << csvNumber(s.mean()) << ','
-               << csvNumber(q ? q->quantile(0.50) : 0.0) << ','
-               << csvNumber(q ? q->quantile(0.90) : 0.0) << ','
-               << csvNumber(q ? q->quantile(0.99) : 0.0) << '\n';
+               << ',' << csvNumber(s.mean()) << ',' << csvNumber(q[0])
+               << ',' << csvNumber(q[1]) << ',' << csvNumber(q[2]) << '\n';
         }
     }
 }

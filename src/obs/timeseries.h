@@ -84,6 +84,44 @@ class TimeSeries
      */
     void recordValue(SimTime t, const std::string &name, double x);
 
+    /**
+     * Slot access for callers that record the same names into the
+     * same window again and again (the fleet fold): resolve once,
+     * then add through the reference. windowIndex() finds or creates
+     * the window containing t (and may downsample); a *Slot call finds
+     * or creates one name's entry in that window, exactly as the
+     * first record*() of the name there would. Indices and slots stay
+     * valid until generation() changes.
+     */
+    std::size_t windowIndex(SimTime t);
+
+    /** Bumped whenever a window is added or the series downsamples. */
+    u64 generation() const { return generation_; }
+
+    /** Counter `name` of window `w`, created at 0. */
+    u64 &counterSlot(std::size_t w, const std::string &name);
+
+    /** Accum `name` of window `w`, created at 0. */
+    double &accumSlot(std::size_t w, const std::string &name);
+
+    /** Value distribution `name` of one window (see valueSlot). */
+    struct ValueSlot
+    {
+        RunningStat *stat = nullptr;
+        QuantileSketch *sketch = nullptr;
+
+        /** recordValue() without the lookups. */
+        void
+        add(double x) const
+        {
+            stat->add(x);
+            sketch->add(x);
+        }
+    };
+
+    /** Value distribution `name` of window `w`, created empty. */
+    ValueSlot valueSlot(std::size_t w, const std::string &name);
+
     /** Retained windows, start-ascending. */
     const std::vector<SeriesWindow> &windows() const { return windows_; }
 
@@ -117,15 +155,13 @@ class TimeSeries
     void writeCsv(std::ostream &os) const;
 
   private:
-    /** Find-or-create the window containing t; may downsample. */
-    SeriesWindow &windowFor(SimTime t);
-
     /** Halve resolution: merge adjacent pairs, double the width. */
     void downsample();
 
     SimTime width_;
     std::size_t maxWindows_;
     u64 downsamples_ = 0;
+    u64 generation_ = 0;
     std::vector<SeriesWindow> windows_;
 };
 

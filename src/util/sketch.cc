@@ -13,6 +13,7 @@ QuantileSketch::QuantileSketch(u32 k)
     pc_assert(k_ >= 8, "QuantileSketch needs k >= 8");
     levels_.emplace_back();
     levels_.front().reserve(k_);
+    capacity_ = capacityTotal();
 }
 
 bool
@@ -67,7 +68,7 @@ QuantileSketch::add(double x)
     }
     ++n_;
     levels_.front().push_back(x);
-    if (retained() > capacityTotal())
+    if (retained() > capacity_)
         compress();
 }
 
@@ -84,13 +85,15 @@ QuantileSketch::mergeFrom(const QuantileSketch &other)
         max_ = std::max(max_, other.max_);
     }
     n_ += other.n_;
-    if (levels_.size() < other.levels_.size())
+    if (levels_.size() < other.levels_.size()) {
         levels_.resize(other.levels_.size());
+        capacity_ = capacityTotal();
+    }
     for (std::size_t l = 0; l < other.levels_.size(); ++l) {
         levels_[l].insert(levels_[l].end(), other.levels_[l].begin(),
                           other.levels_[l].end());
     }
-    while (retained() > capacityTotal())
+    while (retained() > capacity_)
         compress();
 }
 
@@ -99,7 +102,7 @@ QuantileSketch::compress()
 {
     // Compact the lowest level that is over its own budget; one such
     // level must exist whenever the total budget is exceeded.
-    while (retained() > capacityTotal()) {
+    while (retained() > capacity_) {
         std::size_t victim = levels_.size();
         for (std::size_t l = 0; l < levels_.size(); ++l) {
             if (levels_[l].size() > levelCapacity(l, levels_.size())) {
@@ -117,8 +120,10 @@ void
 QuantileSketch::compactLevel(std::size_t level)
 {
     pc_assert(level + 1 <= kMaxLevels, "QuantileSketch level overflow");
-    if (level + 1 >= levels_.size())
+    if (level + 1 >= levels_.size()) {
         levels_.emplace_back();
+        capacity_ = capacityTotal();
+    }
 
     auto &buf = levels_[level];
     std::sort(buf.begin(), buf.end());
@@ -176,9 +181,32 @@ QuantileSketch::quantile(double q) const
         return max();
     if (n_ == 1)
         return min();
+    return interpolate(weightedItems(), q);
+}
 
-    const auto items = weightedItems();
+void
+QuantileSketch::quantiles(std::span<const double> qs,
+                          std::span<double> out) const
+{
+    pc_assert(out.size() == qs.size(),
+              "QuantileSketch::quantiles: output size mismatch");
+    std::vector<std::pair<double, u64>> items;
+    for (std::size_t i = 0; i < qs.size(); ++i) {
+        const double q = qs[i];
+        if (n_ < 2 || q <= 0.0 || q >= 1.0) {
+            out[i] = quantile(q); // the edge cases sort nothing
+            continue;
+        }
+        if (items.empty())
+            items = weightedItems();
+        out[i] = interpolate(items, q);
+    }
+}
 
+double
+QuantileSketch::interpolate(const std::vector<std::pair<double, u64>> &items,
+                            double q) const
+{
     // Same rank arithmetic as EmpiricalCdf::quantile: target the
     // fractional order statistic q*(n-1) and interpolate between the
     // items covering ranks floor(t) and floor(t)+1. With all weights

@@ -41,6 +41,7 @@
 #define PC_UTIL_SKETCH_H
 
 #include <cstddef>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -94,6 +95,14 @@ class QuantileSketch
      */
     double quantile(double q) const;
 
+    /**
+     * Several quantiles from one sort of the retained items: out[i] is
+     * bit-identical to quantile(qs[i]). Summaries that report
+     * p50/p90/p99 together call this instead of sorting three times.
+     * @pre out.size() == qs.size().
+     */
+    void quantiles(std::span<const double> qs, std::span<double> out) const;
+
     /** Estimated P(X <= x); 0 when empty. */
     double rank(double x) const;
 
@@ -128,6 +137,10 @@ class QuantileSketch
     std::vector<std::pair<double, u64>> weightedItems() const;
 
   private:
+    /** quantile(q) over `items` = weightedItems(), for 0 < q < 1, n >= 2. */
+    double interpolate(const std::vector<std::pair<double, u64>> &items,
+                       double q) const;
+
     /** Capacity of `level` when `height` levels exist. */
     std::size_t levelCapacity(std::size_t level, std::size_t height) const;
 
@@ -149,6 +162,9 @@ class QuantileSketch
     double max_ = 0.0;
     u64 coinState_;
     u64 compactions_ = 0;
+    /** capacityTotal() at the current height, kept because add()
+     *  compares against it on every observation. */
+    std::size_t capacity_ = 0;
     /** levels_[i] holds weight-2^i items, unsorted. */
     std::vector<std::vector<double>> levels_;
 };

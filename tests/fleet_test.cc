@@ -269,6 +269,137 @@ TEST(FleetCollector, AnomalyScanFlagsAnInjectedDip)
     EXPECT_NE(os.str().find("fleet.hit_rate"), std::string::npos);
 }
 
+/**
+ * Three devices of weekly (sub-month) windows, each window handed to
+ * `collect`. From the third window on, every device registers a
+ * counter and a histogram it did not have before, so the fold sees a
+ * layout change inside a device and identical layouts across devices.
+ */
+template <class Collect>
+void
+feedWeeklyFleet(FleetCollector &collector, Collect collect)
+{
+    const SimTime week = workload::kMonth / 4;
+    for (int d = 0; d < 3; ++d) {
+        MetricRegistry reg;
+        Rng rng(u64(d) + 11);
+        collector.beginDevice(d == 1 ? "low" : "heavy");
+        for (int w = 0; w < 10; ++w) {
+            const u64 q = 5 + rng.below(20);
+            reg.counter("device.queries").bump(q);
+            reg.counter("device.cache_hits")
+                .bump(d == 2 && w == 7 ? 0 : q / 2 + u64(w % 3));
+            reg.histogram("device.energy_mj.3g").observe(rng.uniform(1, 9));
+            reg.histogram("device.latency_ms.pocket")
+                .observe(rng.uniform(20, 400));
+            if (w >= 2) {
+                reg.counter("device.degraded.serves").bump(u64(w % 2));
+                reg.histogram("device.energy_mj.wifi")
+                    .observe(rng.uniform(0, 2));
+            }
+            collect(collector, SimTime(w) * week, reg);
+        }
+        collector.endDevice(reg);
+    }
+}
+
+/** Every artifact a collector produces, concatenated. */
+std::string
+collectorBytes(const FleetCollector &c)
+{
+    std::ostringstream os;
+    c.writeSeriesCsv(os);
+    FleetCollector::writeAnomaliesCsv(os, c.scanAnomalies());
+    c.fleetRegistry().snapshot().writeJson(os);
+    for (const auto &[cls, reg] : c.classRegistries()) {
+        os << cls;
+        reg.snapshot().writeJson(os);
+    }
+    for (const auto &[cls, series] : c.classSeries()) {
+        os << cls;
+        series.writeCsv(os);
+    }
+    return os.str();
+}
+
+TEST(FleetCollector, SamplesAndSnapshotsFoldIdentically)
+{
+    FleetConfig cfg;
+    cfg.windowWidth = workload::kMonth / 4;
+    FleetCollector bySample(cfg);
+    FleetCollector bySnapshot(cfg);
+    feedWeeklyFleet(bySample, [](FleetCollector &c, SimTime t,
+                                 const MetricRegistry &reg) {
+        c.collect(t, reg.sample());
+    });
+    feedWeeklyFleet(bySnapshot, [](FleetCollector &c, SimTime t,
+                                   const MetricRegistry &reg) {
+        c.collect(t, reg.snapshot());
+    });
+
+    std::ostringstream series;
+    bySample.writeSeriesCsv(series);
+    EXPECT_NE(series.str().find("device.energy_mj.wifi.sum"),
+              std::string::npos)
+        << "the late histogram must reach the series";
+    EXPECT_NE(series.str().find("device.degraded.serves"),
+              std::string::npos)
+        << "the late counter must reach the series";
+    EXPECT_EQ(bySample.fleetSeries().windows().size(), 10u);
+    EXPECT_EQ(collectorBytes(bySample), collectorBytes(bySnapshot));
+}
+
+TEST(FleetCollector, LateMetricsDeltaFromZero)
+{
+    // A metric registered after a window reads as 0 in the earlier
+    // sample, so its first delta is its whole value.
+    FleetConfig cfg;
+    cfg.windowWidth = 100;
+    FleetCollector collector(cfg);
+    MetricRegistry reg;
+    collector.beginDevice("low");
+    reg.counter("device.queries").bump(4);
+    collector.collect(0, reg);
+    reg.counter("device.queries").bump(6);
+    reg.counter("device.cache_hits").bump(3);
+    reg.histogram("device.energy_mj.3g").observe(2.5);
+    collector.collect(100, reg);
+    collector.endDevice(reg);
+
+    const TimeSeries &fleet = collector.fleetSeries();
+    EXPECT_EQ(fleet.counterSeries("device.queries"),
+              (std::vector<double>{4.0, 6.0}));
+    EXPECT_EQ(fleet.counterSeries("device.cache_hits"),
+              (std::vector<double>{0.0, 3.0}));
+    EXPECT_EQ(fleet.accumSeries("device.energy_mj.3g.sum"),
+              (std::vector<double>{0.0, 2.5}));
+    EXPECT_DOUBLE_EQ(
+        fleet.windows()[1].points.at("device.hit_rate").mean(), 0.5);
+    EXPECT_DOUBLE_EQ(
+        fleet.windows()[1].points.at("device.energy_mj").mean(), 2.5);
+}
+
+TEST(FleetCollectorDeathTest, WindowStartsMustStrictlyAscend)
+{
+    FleetConfig cfg;
+    cfg.windowWidth = 100;
+    FleetCollector collector(cfg);
+    MetricRegistry reg;
+    reg.counter("device.queries").bump(1);
+    collector.beginDevice("low");
+    collector.collect(100, reg);
+    EXPECT_DEATH(collector.collect(100, reg), "strictly ascend");
+    EXPECT_DEATH(collector.collect(0, reg), "strictly ascend");
+    collector.collect(200, reg);
+    collector.endDevice(reg);
+
+    // A new device starts its own sequence.
+    collector.beginDevice("low");
+    collector.collect(0, reg);
+    collector.endDevice(reg);
+    EXPECT_EQ(collector.devices(), 2u);
+}
+
 } // namespace
 } // namespace pc::obs
 

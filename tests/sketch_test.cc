@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <vector>
 
 #include "util/rng.h"
@@ -235,6 +236,33 @@ TEST(QuantileSketch, DeterministicAcrossRuns)
     EXPECT_EQ(a.weightedItems(), b.weightedItems());
     for (double q : kProbes)
         EXPECT_DOUBLE_EQ(a.quantile(q), b.quantile(q));
+}
+
+TEST(QuantileSketch, BatchQuantilesMatchSingleCalls)
+{
+    // quantiles() sorts once for the whole batch; every value must be
+    // bit-identical to its own quantile() call, before and after the
+    // first compaction, edge quantiles included.
+    const double qs[] = {0.0, 0.5, 0.9, 0.99, 1.0};
+    const auto check = [&](const QuantileSketch &s) {
+        double out[std::size(qs)];
+        s.quantiles(qs, out);
+        for (std::size_t i = 0; i < std::size(qs); ++i)
+            EXPECT_EQ(out[i], s.quantile(qs[i])) << "q=" << qs[i];
+    };
+    QuantileSketch s;
+    check(s);
+    Rng rng(37);
+    s.add(rng.uniform(0.0, 10.0));
+    check(s);
+    for (int i = 0; i < 200; ++i)
+        s.add(rng.uniform(0.0, 10.0));
+    ASSERT_EQ(s.compactions(), 0u);
+    check(s);
+    for (int i = 0; i < 50'000; ++i)
+        s.add(rng.uniform(0.0, 10.0));
+    ASSERT_GT(s.compactions(), 0u);
+    check(s);
 }
 
 TEST(QuantileSketch, RankTracksExactCdf)
