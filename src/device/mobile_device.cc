@@ -3,11 +3,10 @@
 #include <cmath>
 
 #include "util/logging.h"
-#include "util/strings.h"
 
 namespace pc::device {
 
-std::string
+const char *
 servePathName(ServePath p)
 {
     switch (p) {
@@ -69,12 +68,9 @@ MobileDevice::MobileDevice(const MobileDevice &image)
 {
     pc_assert(image.registry_ == nullptr,
               "cannot clone a device with a metrics registry attached");
-    pc_assert(image.tracer_ == nullptr,
-              "cannot clone a device with a tracer attached");
-    pc_assert(image.recorder_ == nullptr,
-              "cannot clone a device with a flight recorder attached");
-    pc_assert(image.health_ == nullptr,
-              "cannot clone a device with a health accountant attached");
+    pc_assert(!image.events_.any(),
+              "cannot clone a device with a tracer, flight recorder or "
+              "health accountant attached");
     pc_assert(image.faults_ == nullptr,
               "cannot clone a device with a fault plan attached");
     flash_ = std::make_unique<pc::nvm::FlashDevice>(*image.flash_);
@@ -172,7 +168,7 @@ MobileDevice::attachMetrics(obs::MetricRegistry *reg)
 void
 MobileDevice::attachHealth(obs::health::HealthAccountant *acct)
 {
-    health_ = acct;
+    events_.health = acct;
     healthMirrors_.clear();
     if (!acct)
         return;
@@ -212,17 +208,15 @@ void
 MobileDevice::attachTracer(obs::Tracer *tracer,
                            const std::string &track_label)
 {
-    tracer_ = tracer;
-    traceTrack_ = tracer ? tracer->track(track_label) : 0;
+    events_.tracer = tracer;
+    events_.track = tracer ? tracer->track(track_label) : 0;
 }
 
 void
-MobileDevice::traceSpan(const char *name, const char *cat, SimTime start,
-                        SimTime dur) const
+MobileDevice::emitSpan(const char *name, SimTime start, SimTime dur) const
 {
-    if (!tracer_ || dur <= 0)
-        return;
-    tracer_->span(traceTrack_, name, cat, start, dur);
+    if (dur > 0)
+        events_.emit(obs::SpanRecord{name, start, dur});
 }
 
 void
@@ -237,39 +231,10 @@ MobileDevice::finishQueryObs(const workload::PairRef &pair, ServePath path,
         metrics_.latency[idx]->observe(toMillis(out.latency));
         metrics_.energy[idx]->observe(out.energy / 1000.0);
     }
-    if (health_) {
-        obs::health::QueryHealthSample s;
-        s.cacheHit = out.cacheHit;
-        s.degraded = out.degraded;
-        s.probe = out.hashLookupTime;
-        s.fetch = out.fetchTime;
-        s.radio = out.radioTime;
-        s.backoff = out.backoffTime;
-        s.render = out.renderTime;
-        s.misc = out.miscTime;
-        s.total = out.latency;
-        health_->onQuery(s);
-    }
-    if (tracer_ && out.latency > 0) {
-        obs::TraceSpan span;
-        span.name = ps_->universe().query(pair.query).text;
-        span.category = "query";
-        span.track = traceTrack_;
-        span.start = t0;
-        span.duration = out.latency;
-        span.args.emplace_back("path", servePathName(path));
-        span.args.emplace_back("cache_hit",
-                               out.cacheHit ? "true" : "false");
-        span.args.emplace_back("degraded",
-                               out.degraded ? "true" : "false");
-        span.args.emplace_back("attempts",
-                               strformat("%u", out.attempts));
-        span.args.emplace_back("latency_ms",
-                               strformat("%.3f", toMillis(out.latency)));
-        span.args.emplace_back("energy_mj",
-                               strformat("%.3f", out.energy / 1000.0));
-        tracer_->record(std::move(span));
-    }
+    events_.emit(obs::QueryRecord{&ps_->universe().query(pair.query).text,
+                                  servePathName(path), out.cacheHit,
+                                  out.degraded, out.attempts, t0,
+                                  out.latency, out.energy});
 }
 
 void
@@ -352,7 +317,7 @@ MobileDevice::serveQuery(const workload::PairRef &pair, ServePath path,
         // A miss falls through to 3G (the phone's default data path),
         // having paid only the 10us probe.
         addSegment(out, "probe", out.hashLookupTime, cfg_.basePower);
-        traceSpan("probe", "device", t0, out.hashLookupTime);
+        emitSpan("probe", t0, out.hashLookupTime);
         const RadioRun run = radioRetry(
             link(path == ServePath::PocketSearch ? ServePath::ThreeG : path),
             t0 + out.hashLookupTime, cfg_.requestBytes, cfg_.responseBytes,
@@ -374,15 +339,15 @@ MobileDevice::serveQuery(const workload::PairRef &pair, ServePath path,
                 out.radioTime += oc.xfer.latency;
                 // One span per attempt: the user-visible exchange time
                 // (the tail costs energy, not latency).
-                traceSpan(oc.ok           ? "radio-exchange"
-                          : oc.noCoverage ? "radio-no-coverage"
-                                          : "radio-failed",
-                          "device", at, oc.xfer.latency);
+                emitSpan(oc.ok           ? "radio-exchange"
+                         : oc.noCoverage ? "radio-no-coverage"
+                                         : "radio-failed",
+                         at, oc.xfer.latency);
                 return oc.ok;
             },
             [&](u32, SimTime at, SimTime backoff) {
                 addSegment(out, "backoff", backoff, cfg_.basePower);
-                traceSpan("backoff", "device", at, backoff);
+                emitSpan("backoff", at, backoff);
                 out.backoffTime += backoff;
             });
         out.attempts = run.attempts;
@@ -427,18 +392,18 @@ MobileDevice::serveQuery(const workload::PairRef &pair, ServePath path,
                    out.hashLookupTime + out.fetchTime + out.miscTime,
                    cfg_.basePower);
         addSegment(out, "render", out.renderTime, renderPower);
-        traceSpan("probe", "device", t0, out.hashLookupTime);
-        traceSpan("fetch", "device", tr, out.fetchTime);
-        traceSpan("misc", "device", tr + out.fetchTime, out.miscTime);
-        traceSpan("render", "device", tr + out.fetchTime + out.miscTime,
-                  out.renderTime);
+        emitSpan("probe", t0, out.hashLookupTime);
+        emitSpan("fetch", tr, out.fetchTime);
+        emitSpan("misc", tr + out.fetchTime, out.miscTime);
+        emitSpan("render", tr + out.fetchTime + out.miscTime,
+                 out.renderTime);
     } else {
         addSegment(out, "render", out.renderTime, renderPower);
         addSegment(out, "misc", out.miscTime, cfg_.basePower);
-        traceSpan("stale-fetch", "device", tr, out.fetchTime);
-        traceSpan("render", "device", tr + out.fetchTime, out.renderTime);
-        traceSpan("misc", "device", tr + out.fetchTime + out.renderTime,
-                  out.miscTime);
+        emitSpan("stale-fetch", tr, out.fetchTime);
+        emitSpan("render", tr + out.fetchTime, out.renderTime);
+        emitSpan("misc", tr + out.fetchTime + out.renderTime,
+                 out.miscTime);
     }
     if (record_click && path == ServePath::PocketSearch && !out.degraded) {
         SimTime learn = 0;
@@ -486,38 +451,9 @@ MobileDevice::syncMissQueue(ServePath path)
     missQueue_.erase(missQueue_.begin(),
                      missQueue_.begin() + std::ptrdiff_t(done));
     res.remaining = missQueue_.size();
-    if (health_ && (res.synced > 0 || res.time > 0))
-        health_->onMissSync(res.synced, res.time);
+    events_.emit(obs::health::DrainRecord{res.synced, res.time});
     publishCounts();
     return res;
-}
-
-void
-MobileDevice::beginSyncTrace()
-{
-    if (recorder_ == nullptr)
-        return;
-    syncCtx_ = recorder_->beginTrace();
-    obs::SyncEvent ev;
-    ev.stage = obs::SyncStage::SyncRequest;
-    ev.tier = obs::SyncTier::Device;
-    ev.fromVersion = communityVersion_;
-    ev.toVersion = communityVersion_;
-    ev.start = now_;
-    recordSyncStage(ev);
-}
-
-void
-MobileDevice::recordSyncStage(obs::SyncEvent ev)
-{
-    if (recorder_ == nullptr || !syncCtx_.valid())
-        return;
-    ev.traceId = syncCtx_.traceId;
-    ev.span = syncCtx_.newSpan();
-    ev.parent = syncCtx_.rootSpan;
-    recorder_->record(ev);
-    if (syncCtx_.rootSpan == 0)
-        syncCtx_.rootSpan = ev.span;
 }
 
 MobileDevice::CommunitySyncResult
@@ -533,10 +469,13 @@ MobileDevice::syncCommunityUpdate(const core::CommunityDelta &delta,
     res.deltaBytes = core::deltaWireBytes(delta, ps_->universe());
 
     // A device-initiated sync (no service orchestrating) opens its
-    // own trace; a service-driven one arrives with the context already
+    // own trace; a service-driven one arrives with the trace already
     // holding the server-tier stages.
-    if (recorder_ != nullptr && !syncCtx_.valid())
-        beginSyncTrace();
+    if (!events_.syncOpen())
+        events_.emit(obs::SyncEvent{.stage = obs::SyncStage::SyncRequest,
+                                    .fromVersion = res.fromVersion,
+                                    .toVersion = res.fromVersion,
+                                    .start = now_});
 
     std::optional<core::CommunityDelta> received;
     const RadioRun run = radioRetry(
@@ -545,18 +484,12 @@ MobileDevice::syncCommunityUpdate(const core::CommunityDelta &delta,
         [&](u32 attempt, SimTime at, const fault::ExchangeOutcome &oc) {
             res.time += oc.xfer.latency;
             res.energy += oc.xfer.radioEnergy;
-            if (recorder_ != nullptr) {
-                obs::SyncEvent ev;
-                ev.stage = obs::SyncStage::FrameDelivery;
-                ev.ok = oc.ok;
-                ev.attempt = attempt;
-                ev.fromVersion = res.fromVersion;
-                ev.bytes = res.deltaBytes;
-                ev.detail = oc.noCoverage ? 1 : oc.failed ? 2 : 0;
-                ev.start = at;
-                ev.duration = oc.xfer.latency;
-                recordSyncStage(ev);
-            }
+            events_.emit(obs::SyncEvent{
+                .stage = obs::SyncStage::FrameDelivery, .ok = oc.ok,
+                .attempt = attempt, .fromVersion = res.fromVersion,
+                .bytes = res.deltaBytes,
+                .detail = u64(oc.noCoverage ? 1 : oc.failed ? 2 : 0),
+                .start = at, .duration = oc.xfer.latency});
             if (!oc.ok)
                 return false;
             // The exchange delivered; the payload may still have been
@@ -566,16 +499,10 @@ MobileDevice::syncCommunityUpdate(const core::CommunityDelta &delta,
                 faults_->maybeCorruptPayload(bytes);
             core::FrameError ferr;
             received = core::unframeDelta(bytes, &ferr);
-            if (recorder_ != nullptr) {
-                obs::SyncEvent ev;
-                ev.stage = obs::SyncStage::CrcCheck;
-                ev.ok = received.has_value();
-                ev.attempt = attempt;
-                ev.fromVersion = res.fromVersion;
-                ev.detail = u64(ferr);
-                ev.start = at + oc.xfer.latency;
-                recordSyncStage(ev);
-            }
+            events_.emit(obs::SyncEvent{
+                .stage = obs::SyncStage::CrcCheck, .ok = received.has_value(),
+                .attempt = attempt, .fromVersion = res.fromVersion,
+                .detail = u64(ferr), .start = at + oc.xfer.latency});
             if (received.has_value())
                 return true;
             // A corrupt frame re-requests like a failed exchange, under
@@ -585,15 +512,10 @@ MobileDevice::syncCommunityUpdate(const core::CommunityDelta &delta,
             return false;
         },
         [&](u32 attempt, SimTime at, SimTime backoff) {
-            if (recorder_ != nullptr) {
-                obs::SyncEvent ev;
-                ev.stage = obs::SyncStage::Backoff;
-                ev.attempt = attempt;
-                ev.fromVersion = res.fromVersion;
-                ev.start = at;
-                ev.duration = backoff;
-                recordSyncStage(ev);
-            }
+            events_.emit(obs::SyncEvent{
+                .stage = obs::SyncStage::Backoff, .attempt = attempt,
+                .fromVersion = res.fromVersion, .start = at,
+                .duration = backoff});
             res.backoffTime += backoff;
         });
     res.attempts = run.attempts;
@@ -619,13 +541,11 @@ MobileDevice::syncCommunityUpdate(const core::CommunityDelta &delta,
         const auto ar = core::tryApplyCommunityDelta(*ps_, *received, apply);
         end.fromVersion = received->fromVersion;
         end.toVersion = received->toVersion;
-        if (recorder_ != nullptr) {
-            obs::SyncEvent ev = end;
-            ev.stage = obs::SyncStage::Validate;
-            ev.ok = ar.ok;
-            ev.detail = u64(ar.error);
-            recordSyncStage(ev);
-        }
+        obs::SyncEvent validate = end;
+        validate.stage = obs::SyncStage::Validate;
+        validate.ok = ar.ok;
+        validate.detail = u64(ar.error);
+        events_.emit(validate);
         if (!ar.ok) {
             // Verified frame, but the delta does not fit this device's
             // state (version skew). Transactional apply left the cache
@@ -649,22 +569,7 @@ MobileDevice::syncCommunityUpdate(const core::CommunityDelta &delta,
             end.duration = apply;
         }
     }
-    recordSyncStage(end);
-    clearSyncTrace();
-    // The ledger sees radio time only; a commit's apply is charged to
-    // the CPU ledger (a reject's rollback leaves the cache untouched
-    // and is charged nowhere).
-    if (health_) {
-        obs::health::SyncHealthSample s;
-        s.ok = res.ok;
-        s.radio = res.time;
-        s.backoff = res.backoffTime;
-        if (res.ok) {
-            s.apply = apply;
-            s.bytes = res.deltaBytes;
-        }
-        health_->onSync(s);
-    }
+    events_.emit(end);
     if (res.ok) {
         res.time += apply;
         now_ += apply;

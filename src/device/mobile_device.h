@@ -22,7 +22,7 @@
 #include "core/pocket_search.h"
 #include "device/browser.h"
 #include "fault/faulty_link.h"
-#include "obs/causal.h"
+#include "obs/events.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -45,7 +45,7 @@ enum class ServePath
 };
 
 /** Display name of a serve path. */
-std::string servePathName(ServePath p);
+const char *servePathName(ServePath p);
 
 /** Metric-name-safe key of a serve path ("pocket", "3g", ...). */
 std::string servePathKey(ServePath p);
@@ -168,8 +168,9 @@ class MobileDevice
      * value-copied and rebound to the clone; the device clock, model
      * version and resilience state are copied too. Radios and browser
      * start fresh. Observers and faults attach after the clone: the
-     * image must have no registry, tracer, flight recorder, health
-     * accountant or fault plan attached, and no slab-engine database.
+     * image must have no registry, no event-stream consumer (tracer,
+     * flight recorder, health accountant), no fault plan and no
+     * slab-engine database; the clone's event stream starts empty.
      * Cloning only reads the image, so workers may clone one shared
      * image concurrently.
      */
@@ -233,63 +234,49 @@ class MobileDevice
     void attachMetrics(obs::MetricRegistry *reg);
 
     /**
-     * Attach a tracer: every served query records spans on the track
-     * named `track_label` — an umbrella span (category "query") plus
-     * component spans (category "device": probe, fetch, radio
-     * attempts, backoffs, render, ...) whose durations sum exactly to
-     * the query's end-to-end latency. nullptr detaches.
+     * The device's one event stream (obs/events.h). Each fact of the
+     * pipeline is emitted once — component spans, the query end, every
+     * community-sync stage, each miss drain — and the attached
+     * consumers below are its views. The cloud service emits its
+     * server-tier sync stages here too, so one sync is one chain.
+     */
+    const obs::DeviceEvents &events() const { return events_; }
+
+    /**
+     * Attach a tracer, the Chrome view of the stream: every served
+     * query records spans on the track named `track_label` — an
+     * umbrella span (category "query") plus component spans (category
+     * "device": probe, fetch, radio attempts, backoffs, render, ...)
+     * whose durations sum exactly to the query's end-to-end latency.
+     * nullptr detaches.
      */
     void attachTracer(obs::Tracer *tracer,
                       const std::string &track_label = "device");
 
     /**
-     * Attach a flight recorder: every community sync records typed
-     * causal events (obs/causal.h) covering both tiers of the
-     * pipeline. nullptr detaches; a detached device pays exactly one
-     * pointer test per sync stage — no allocation, no RNG draw, no
-     * behaviour change (bench_trace_overhead gates this).
+     * Attach a flight recorder, the sync-chain view of the stream:
+     * every community sync records typed causal events (obs/causal.h)
+     * covering both tiers of the pipeline. nullptr detaches; a
+     * detached stream costs one any-consumer test per emit — no
+     * allocation, no RNG draw, no behaviour change
+     * (bench_trace_overhead gates this).
      */
     void attachFlightRecorder(obs::FlightRecorder *rec)
     {
-        recorder_ = rec;
+        events_.recorder = rec;
     }
 
-    /** The attached flight recorder (may be nullptr). */
-    obs::FlightRecorder *flightRecorder() const { return recorder_; }
-
     /**
-     * Attach a health accountant (obs/health.h): every served query
-     * and community sync folds its already-measured spans into the
-     * busy-time/demand ledgers, and each radio link's busy time and
-     * committed exchanges are mirrored into its per-link ledger at
-     * each operation's exit. nullptr detaches. Same cost contract as
-     * the flight recorder: detached is one pointer test, attached is
-     * cached-counter adds — zero allocations, zero RNG draws, zero
-     * behaviour change (health_test gates this).
+     * Attach a health accountant (obs/health.h), the ledger view of the
+     * stream: every span, query end, sync stage and miss drain folds
+     * into the busy-time/demand ledgers, and each radio link's busy
+     * time and committed exchanges are mirrored into its per-link
+     * ledger at each operation's exit. nullptr detaches. Same cost
+     * contract as the flight recorder: attached is cached-counter adds
+     * — zero allocations, zero RNG draws, zero behaviour change
+     * (health_test gates this).
      */
     void attachHealth(obs::health::HealthAccountant *acct);
-
-    /**
-     * Open the causal trace of the next community sync and record its
-     * root SyncRequest event. The cloud service calls this before the
-     * version lookup so server-tier stages land in the same trace; a
-     * device-initiated sync opens one lazily. No-op without a
-     * recorder.
-     */
-    void beginSyncTrace();
-
-    /** Discard the active sync trace (no-version and finished syncs). */
-    void clearSyncTrace() { syncCtx_ = obs::TraceContext{}; }
-
-    /**
-     * Record one stage into the active sync trace: the context's
-     * trace/span ids are filled in here, then the event is copied into
-     * the recorder. No-op when no recorder or no open trace. The
-     * service uses this to land server-tier stages in the device's
-     * ring — the recorder is private to the device's worker, so the
-     * cross-tier chain stays thread-free and deterministic.
-     */
-    void recordSyncStage(obs::SyncEvent ev);
 
     /** What the device did about injected faults. */
     const ResilienceStats &resilience() const { return resilience_; }
@@ -433,11 +420,10 @@ class MobileDevice
      */
     void publishCounts();
 
-    /** Record a component span if a tracer is attached. */
-    void traceSpan(const char *name, const char *cat, SimTime start,
-                   SimTime dur) const;
+    /** Emit a component span (none when `dur` is not positive). */
+    void emitSpan(const char *name, SimTime start, SimTime dur) const;
 
-    /** Record the per-query umbrella span and histogram samples. */
+    /** Emit the query end and record its histogram samples. */
     void finishQueryObs(const workload::PairRef &pair, ServePath path,
                         const QueryOutcome &out, SimTime t0);
 
@@ -489,11 +475,7 @@ class MobileDevice
     std::vector<Mirror> metricMirrors_;       ///< Built by attachMetrics.
     std::vector<EnergyMirror> energyMirrors_; ///< Built by attachMetrics.
     std::vector<Mirror> healthMirrors_;       ///< Built by attachHealth.
-    obs::Tracer *tracer_ = nullptr;
-    u32 traceTrack_ = 0;
-    obs::FlightRecorder *recorder_ = nullptr;
-    obs::TraceContext syncCtx_;
-    obs::health::HealthAccountant *health_ = nullptr;
+    obs::DeviceEvents events_;
 };
 
 } // namespace pc::device

@@ -398,18 +398,14 @@ class DeviceSim
                                                       victim.score + 1.0)) {
                     out_.sabotaged = true;
                     if (recorder_.has_value()) {
-                        obs::TraceContext ctx = recorder_->beginTrace();
-                        obs::SyncEvent ev;
-                        ev.traceId = ctx.traceId;
-                        ev.span = ctx.newSpan();
-                        ev.tier = obs::SyncTier::Device;
-                        ev.stage = obs::SyncStage::Sabotage;
-                        ev.ok = false;
-                        ev.fromVersion = dev_->communityVersion();
-                        ev.toVersion = dev_->communityVersion();
-                        ev.detail = u64(victim.pair.query);
-                        ev.start = dev_->now();
-                        recorder_->record(ev);
+                        const u64 v = dev_->communityVersion();
+                        recorder_->openTrace();
+                        recorder_->onEvent(
+                            {.stage = obs::SyncStage::Sabotage, .ok = false,
+                             .fromVersion = v, .toVersion = v,
+                             .detail = u64(victim.pair.query),
+                             .start = dev_->now()});
+                        recorder_->closeTrace();
                     }
                 }
             }

@@ -91,6 +91,24 @@ FlightRecorder::beginTrace()
 }
 
 void
+FlightRecorder::onEvent(SyncEvent ev)
+{
+    if (ev.stage == SyncStage::SyncRequest)
+        openTrace();
+    if (!open_.valid())
+        return;
+    ev.traceId = open_.traceId;
+    ev.span = open_.newSpan();
+    ev.parent = open_.rootSpan;
+    if (open_.rootSpan == 0)
+        open_.rootSpan = ev.span;
+    record(ev);
+    if (ev.stage == SyncStage::NoVersion || ev.stage == SyncStage::Commit ||
+        ev.stage == SyncStage::Reject || ev.stage == SyncStage::Abort)
+        closeTrace();
+}
+
+void
 FlightRecorder::record(const SyncEvent &ev)
 {
     ++recorded_;

@@ -13,10 +13,19 @@
  * SyncEvents from both tiers into a bounded per-device FlightRecorder
  * ring.
  *
+ * Both tiers emit their stages into the device's event stream
+ * (obs/events.h); the recorder is that stream's sync-chain view. It
+ * owns the open TraceContext: a SyncRequest opens the next trace, every
+ * stage is stamped with its trace, span and parent ids on the way into
+ * the ring, and a terminal stage (NoVersion, Commit, Reject, Abort)
+ * closes it. Markers outside a sync (chaos sabotage, SLO breaches)
+ * open and close their own trace around the same stamping path, so
+ * ids are filled in exactly one place.
+ *
  * Cost contract (bench_trace_overhead gates it):
  *  - recorder detached: the sync hot path performs no recording work
- *    beyond a null-pointer test — zero allocations, zero RNG draws,
- *    zero behaviour change;
+ *    beyond the event stream's one any-consumer test — zero
+ *    allocations, zero RNG draws, zero behaviour change;
  *  - recorder attached: SyncEvent is a POD and the ring is
  *    preallocated at construction, so recording itself still performs
  *    zero allocations and zero RNG draws on the hot path — attaching a
@@ -153,10 +162,28 @@ class FlightRecorder
     /** Device identity trace ids derive from. */
     u64 deviceId() const { return deviceId_; }
 
-    /** Open the next sync's trace context (deterministic ids). */
+    /** Derive the next trace context (deterministic ids). */
     TraceContext beginTrace();
 
-    /** Record one event (overwrites the oldest when full; no alloc). */
+    /** Open the next trace: later onEvent() stages are stamped into it. */
+    void openTrace() { open_ = beginTrace(); }
+
+    /** Close the open trace; stages arriving after it are dropped. */
+    void closeTrace() { open_ = TraceContext{}; }
+
+    /** True while a trace is open. */
+    bool traceOpen() const { return open_.valid(); }
+
+    /**
+     * Stream view: stamp one stage into the open trace and record it.
+     * A SyncRequest opens a new trace first; NoVersion, Commit, Reject
+     * and Abort close it after recording. The first stamped stage is
+     * the trace's root span and the parent of every later one. Dropped
+     * when no trace is open.
+     */
+    void onEvent(SyncEvent ev);
+
+    /** Record one event as-is (overwrites the oldest when full; no alloc). */
     void record(const SyncEvent &ev);
 
     /** Events ever recorded (including overwritten). */
@@ -191,6 +218,7 @@ class FlightRecorder
     u64 deviceId_;
     u64 seq_ = 0;
     u64 lastTraceId_ = 0;
+    TraceContext open_;           ///< The trace being stamped.
     std::vector<SyncEvent> ring_; ///< Preallocated; ring via head_.
     std::size_t head_ = 0;        ///< Oldest element once saturated.
     u64 recorded_ = 0;

@@ -48,44 +48,65 @@ HealthAccountant::HealthAccountant(MetricRegistry &reg) : reg_(&reg)
 }
 
 void
-HealthAccountant::onQuery(const QueryHealthSample &s)
+HealthAccountant::onEvent(const SpanRecord &r)
 {
-    queryBusy_->bump(u64(std::max<SimTime>(0, s.total)));
-    queryOps_->bump();
     // CPU = every span the device's own silicon serves; radio busy is
     // charged by RadioLink::commit, backoff is idle air time.
-    cpuBusy_->bump(u64(std::max<SimTime>(0, s.probe) +
-                       std::max<SimTime>(0, s.render) +
-                       std::max<SimTime>(0, s.misc)));
-    cpuOps_->bump();
-    if (s.fetch > 0) {
-        flashBusy_->bump(u64(s.fetch));
+    const std::string_view name = r.name;
+    if (name == "probe" || name == "render" || name == "misc") {
+        cpuBusy_->bump(u64(r.duration));
+    } else if (name == "fetch" || name == "stale-fetch") {
+        flashBusy_->bump(u64(r.duration));
         flashOps_->bump();
+    } else if (name == "backoff") {
+        backoffIdle_->bump(u64(r.duration));
     }
-    if (s.backoff > 0)
-        backoffIdle_->bump(u64(s.backoff));
 }
 
 void
-HealthAccountant::onSync(const SyncHealthSample &s)
+HealthAccountant::onEvent(const QueryRecord &q)
 {
-    syncBusy_->bump(u64(std::max<SimTime>(0, s.radio) +
-                        std::max<SimTime>(0, s.apply)));
-    syncOps_->bump();
-    syncBytes_->bump(s.bytes);
-    if (s.apply > 0) {
-        cpuBusy_->bump(u64(s.apply));
-        cpuOps_->bump();
-    }
-    if (s.backoff > 0)
-        backoffIdle_->bump(u64(s.backoff));
+    queryBusy_->bump(u64(std::max<SimTime>(0, q.latency)));
+    queryOps_->bump();
+    cpuOps_->bump();
 }
 
 void
-HealthAccountant::onMissSync(u64 synced, SimTime radioTime)
+HealthAccountant::onEvent(const SyncEvent &ev)
 {
-    syncBusy_->bump(u64(std::max<SimTime>(0, radioTime)));
-    syncOps_->bump(synced);
+    const u64 dur = u64(std::max<SimTime>(0, ev.duration));
+    switch (ev.stage) {
+      case SyncStage::FrameDelivery:
+        syncBusy_->bump(dur);
+        frameBytes_ = ev.bytes;
+        break;
+      case SyncStage::Backoff:
+        backoffIdle_->bump(dur);
+        break;
+      case SyncStage::Commit:
+        // The apply is CPU work; a reject's rollback left the cache
+        // untouched and is charged nowhere.
+        syncBusy_->bump(dur);
+        syncBytes_->bump(frameBytes_);
+        if (dur > 0) {
+            cpuBusy_->bump(dur);
+            cpuOps_->bump();
+        }
+        [[fallthrough]];
+      case SyncStage::Reject:
+      case SyncStage::Abort:
+        syncOps_->bump();
+        break;
+      default:
+        break;
+    }
+}
+
+void
+HealthAccountant::onEvent(const DrainRecord &r)
+{
+    syncBusy_->bump(u64(std::max<SimTime>(0, r.radio)));
+    syncOps_->bump(r.synced);
 }
 
 std::pair<Counter *, Counter *>

@@ -6,13 +6,18 @@
  * Capacity questions ("what saturates first, and at how many times
  * today's load?") need two numbers per component that plain metrics
  * don't give directly: **busy time** (simulated time the component
- * spent serving) and **ops** (how many times it served). This module
- * derives both from spans the pipeline already measures — no new
- * timing model on the device side, only re-aggregation:
+ * spent serving) and **ops** (how many times it served). The
+ * accountant is the ledger view of the device's event stream
+ * (obs/events.h): it folds the same span, query-end, sync-stage and
+ * drain records the Tracer and FlightRecorder read — no new timing
+ * model on the device side, only re-aggregation:
  *
- *  - `health.device.cpu.*`        — hash probe + render + misc spans,
- *                                   plus community-delta apply time;
- *  - `health.device.flash.*`      — result-page fetch spans;
+ *  - `health.device.cpu.*`        — probe + render + misc spans (one
+ *                                   op per query), plus each Commit
+ *                                   stage's apply duration;
+ *  - `health.device.flash.*`      — fetch and stale-fetch spans;
+ *  - `health.device.radio.backoff_ns` — idle time: query backoff
+ *                                   spans plus sync Backoff stages;
  *  - `health.device.radio.<l>.*`  — per-link committed exchange
  *                                   latency and count (the link's own
  *                                   totals from commit(), mirrored by
@@ -22,9 +27,12 @@
  *                                   count, and no-coverage probes —
  *                                   which never commit — don't);
  *  - `health.device.query.*` / `health.device.sync.*` — end-to-end
- *    pipeline ledgers (latency-tiled spans; kept out of the
+ *    pipeline ledgers: query-end latencies; sync FrameDelivery
+ *    durations plus the Commit duration, one op per Abort, Reject or
+ *    Commit (NoVersion never reached the device), bytes on Commit,
+ *    and each drain's radio time and synced count. Kept out of the
  *    bottleneck ranking because their mass double-counts the
- *    per-component ledgers above);
+ *    per-component ledgers above;
  *  - `health.server.*`            — modeled service demand on the
  *    cloud tier (constants below), because the simulator charges the
  *    server's real work to wall clocks that are deliberately excluded
@@ -37,9 +45,10 @@
  * byte-identical at any thread count.
  *
  * Cost contract (mirrors the flight recorder): detached accounting is
- * a null-pointer test; attached accounting is cached-handle integer
- * adds — zero allocations, zero RNG draws, zero behaviour change on
- * the hot path (gated by health_test's neutrality suite).
+ * the stream's one any-consumer test; attached accounting is
+ * cached-handle integer adds — zero allocations, zero RNG draws, zero
+ * behaviour change on the hot path (gated by health_test's neutrality
+ * suite).
  *
  * The analyzer turns one fleet snapshot into a ranked component
  * table: utilization = busy / capacity (device components get
@@ -58,8 +67,10 @@
 #include <utility>
 #include <vector>
 
+#include "obs/causal.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
+#include "obs/trace.h"
 #include "util/types.h"
 
 namespace pc::obs::health {
@@ -79,34 +90,17 @@ constexpr SimTime kServerPerBatchNs = 20'000;
 constexpr SimTime kServerSyncBaseNs = 5'000'000;
 constexpr SimTime kServerPerDeltaOpNs = 10'000;
 
-/** One served query, already latency-tiled by the device pipeline. */
-struct QueryHealthSample
+/** Device stream record: one miss-queue drain. */
+struct DrainRecord
 {
-    bool cacheHit = false;
-    bool degraded = false;
-    SimTime probe = 0;   ///< Hash-table lookup span.
-    SimTime fetch = 0;   ///< Flash result-page fetch span.
-    SimTime radio = 0;   ///< Radio exchange span (all attempts).
-    SimTime backoff = 0; ///< Retry backoff (idle, not busy).
-    SimTime render = 0;  ///< Render span.
-    SimTime misc = 0;    ///< Browser misc span.
-    SimTime total = 0;   ///< End-to-end latency (the tiling sum).
-};
-
-/** One community-model sync attempt (any of the three exits). */
-struct SyncHealthSample
-{
-    bool ok = false;
-    SimTime radio = 0;   ///< Exchange time across attempts (no backoff).
-    SimTime backoff = 0; ///< Retry backoff (idle).
-    SimTime apply = 0;   ///< Transactional validate+commit span (CPU).
-    u64 bytes = 0;       ///< Committed wire bytes (0 unless ok).
+    u64 synced;    ///< Queued misses fetched.
+    SimTime radio; ///< Radio time spent.
 };
 
 /**
  * Per-device busy-time/demand ledger. Constructed against the
  * device's registry (cold path: registers every handle up front);
- * the device then feeds it one POD sample per query/sync. Radio
+ * the device's event stream then hands it every record. Radio
  * ledgers are registered here but fed by the device, which mirrors
  * each link's busy time and committed exchanges into the
  * radioLedger() handles, so every committed exchange counts exactly
@@ -117,14 +111,17 @@ class HealthAccountant
   public:
     explicit HealthAccountant(MetricRegistry &reg);
 
-    /** Fold one served query into the ledgers. */
-    void onQuery(const QueryHealthSample &s);
+    /** Fold one component span (radio spans ride the link ledgers). */
+    void onEvent(const SpanRecord &r);
 
-    /** Fold one community sync into the ledgers. */
-    void onSync(const SyncHealthSample &s);
+    /** Fold one query end: pipeline busy time, one cpu op. */
+    void onEvent(const QueryRecord &q);
 
-    /** Fold one miss-queue drain (radio time rides the link ledger). */
-    void onMissSync(u64 synced, SimTime radioTime);
+    /** Fold one sync stage (server-tier stages carry no device time). */
+    void onEvent(const SyncEvent &ev);
+
+    /** Fold one miss-queue drain. */
+    void onEvent(const DrainRecord &r);
 
     /**
      * Busy/ops counter pair for radio link `link` (e.g. "3g"),
@@ -146,6 +143,7 @@ class HealthAccountant
     Counter *syncBusy_;
     Counter *syncOps_;
     Counter *syncBytes_;
+    u64 frameBytes_ = 0; ///< Wire size of the sync's delivered frame.
 };
 
 /** One component row of the health analysis. */

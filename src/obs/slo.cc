@@ -157,21 +157,13 @@ evaluateSlos(const std::vector<SloSpec> &specs, const TimeSeries &series,
         }
 
         if (recorder && !breachIdx.empty()) {
-            TraceContext ctx = recorder->beginTrace();
-            for (const std::size_t i : breachIdx) {
-                SyncEvent bev;
-                bev.traceId = ctx.traceId;
-                bev.span = ctx.newSpan();
-                bev.parent = ctx.rootSpan;
-                bev.tier = SyncTier::Server;
-                bev.stage = SyncStage::SloBreach;
-                bev.ok = false;
-                bev.attempt = u32(i);
-                bev.detail = si;
-                bev.start = wins[i].start;
-                bev.duration = wins[i].width;
-                recorder->record(bev);
-            }
+            recorder->openTrace();
+            for (const std::size_t i : breachIdx)
+                recorder->onEvent(
+                    {.tier = SyncTier::Server, .stage = SyncStage::SloBreach,
+                     .ok = false, .attempt = u32(i), .detail = si,
+                     .start = wins[i].start, .duration = wins[i].width});
+            recorder->closeTrace();
         }
 
         out.push_back(std::move(st));

@@ -121,7 +121,8 @@ struct SloStatus
  * snapshot. When `recorder` is non-null, each breach window records
  * one SloBreach event (tier Server, ok=false, detail = spec index,
  * attempt = window index, start/duration = the window) under a fresh
- * deterministic trace per breaching SLO.
+ * deterministic trace per breaching SLO: the first breach is the
+ * trace's root span, later ones are its children.
  */
 std::vector<SloStatus> evaluateSlos(const std::vector<SloSpec> &specs,
                                     const TimeSeries &series,

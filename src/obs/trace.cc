@@ -4,8 +4,8 @@
 #include <fstream>
 
 #include "obs/json.h"
-#include "obs/metrics.h"
 #include "util/logging.h"
+#include "util/strings.h"
 
 namespace pc::obs {
 
@@ -31,31 +31,11 @@ void
 Tracer::record(TraceSpan span)
 {
     ++recorded_;
-    if (recordedCounter_ != nullptr)
-        recordedCounter_->bump();
     if (spans_.size() >= capacity_) {
         spans_.pop_front();
         ++dropped_;
-        if (droppedCounter_ != nullptr)
-            droppedCounter_->bump();
     }
     spans_.push_back(std::move(span));
-}
-
-void
-Tracer::attachMetrics(MetricRegistry *reg)
-{
-    if (reg == nullptr) {
-        recordedCounter_ = nullptr;
-        droppedCounter_ = nullptr;
-        return;
-    }
-    recordedCounter_ = &reg->counter("obs.trace.recorded");
-    droppedCounter_ = &reg->counter("obs.trace.dropped");
-    // An attachment mid-run must not lose history: fold in the spans
-    // recorded before the registry arrived.
-    recordedCounter_->bump(recorded_);
-    droppedCounter_->bump(dropped_);
 }
 
 void
@@ -68,6 +48,32 @@ Tracer::span(u32 track, std::string name, std::string category,
     s.track = track;
     s.start = start;
     s.duration = duration;
+    record(std::move(s));
+}
+
+void
+Tracer::onEvent(u32 track, const SpanRecord &r)
+{
+    span(track, r.name, "device", r.start, r.duration);
+}
+
+void
+Tracer::onEvent(u32 track, const QueryRecord &q)
+{
+    if (q.latency <= 0)
+        return;
+    TraceSpan s;
+    s.name = *q.query;
+    s.category = "query";
+    s.track = track;
+    s.start = q.start;
+    s.duration = q.latency;
+    s.args = {{"path", q.path},
+              {"cache_hit", q.cacheHit ? "true" : "false"},
+              {"degraded", q.degraded ? "true" : "false"},
+              {"attempts", strformat("%u", q.attempts)},
+              {"latency_ms", strformat("%.3f", toMillis(q.latency))},
+              {"energy_mj", strformat("%.3f", q.energy / 1000.0)}};
     record(std::move(s));
 }
 

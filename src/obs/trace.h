@@ -16,6 +16,11 @@
  * their durations sum to the reported end-to-end latency, with no gaps
  * and no double counting. Radio tail segments cost energy but not user
  * latency, so they are deliberately not spans.
+ *
+ * The device does not call the tracer directly: the tracer is the
+ * Chrome view of the device's event stream (obs/events.h). It turns
+ * each SpanRecord into a "device" span and each QueryRecord into the
+ * query's "query" umbrella span, and ignores sync stages and drains.
  */
 
 #ifndef PC_OBS_TRACE_H
@@ -31,8 +36,26 @@
 
 namespace pc::obs {
 
-class MetricRegistry;
-class Counter;
+/** Device stream record: one component span of a query (duration > 0). */
+struct SpanRecord
+{
+    const char *name; ///< Static component name ("probe", "backoff", ...).
+    SimTime start;
+    SimTime duration;
+};
+
+/** Device stream record: the end of one served query. */
+struct QueryRecord
+{
+    const std::string *query; ///< Query text (owned by the universe).
+    const char *path;         ///< Serve path display name.
+    bool cacheHit;
+    bool degraded;
+    u32 attempts;
+    SimTime start;
+    SimTime latency;
+    MicroJoules energy;
+};
 
 /** One completed span on a simulated-time track. */
 struct TraceSpan
@@ -89,14 +112,14 @@ class Tracer
     /** Drop all retained spans (tracks and counts are kept). */
     void clear() { spans_.clear(); }
 
+    /** Stream view: a component span on `track` (category "device"). */
+    void onEvent(u32 track, const SpanRecord &r);
+
     /**
-     * Publish ring pressure live: every record() bumps the
-     * "obs.trace.recorded" counter in `reg`, and every ring eviction
-     * bumps "obs.trace.dropped" — so fleet snapshots expose trace
-     * loss without polling the tracer. Counter handles are cached;
-     * nullptr detaches. The registry must outlive the attachment.
+     * Stream view: the query's umbrella span on `track` (category
+     * "query", named by the query text, with the outcome as args).
      */
-    void attachMetrics(MetricRegistry *reg);
+    void onEvent(u32 track, const QueryRecord &q);
 
     /**
      * Export as Chrome `trace_event` JSON ("X" complete events, one
@@ -114,8 +137,6 @@ class Tracer
     std::vector<std::string> trackLabels_;
     u64 recorded_ = 0;
     u64 dropped_ = 0;
-    Counter *recordedCounter_ = nullptr;
-    Counter *droppedCounter_ = nullptr;
 };
 
 } // namespace pc::obs

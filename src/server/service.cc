@@ -1,6 +1,6 @@
 #include "server/service.h"
 
-#include "obs/causal.h"
+#include "obs/events.h"
 #include "obs/health.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -93,10 +93,15 @@ CloudUpdateService::syncDetached(device::MobileDevice &dev,
 {
     if (target_version == 0)
         target_version = latest_;
+    // Server-tier stages land in the device's event stream, after the
+    // request that opens the sync's chain.
+    const obs::DeviceEvents &events = dev.events();
+    const SimTime now = dev.now();
     u64 from_version = dev.communityVersion();
-    const bool tracing = dev.flightRecorder() != nullptr;
-    if (tracing)
-        dev.beginSyncTrace();
+    events.emit(obs::SyncEvent{.stage = obs::SyncStage::SyncRequest,
+                               .fromVersion = from_version,
+                               .toVersion = from_version,
+                               .start = now});
     bool escalated = false;
     if (from_version != 0 && dev.needsFullInstall()) {
         // The device's incremental syncs keep dying corrupt/rejected;
@@ -106,27 +111,15 @@ CloudUpdateService::syncDetached(device::MobileDevice &dev,
         escalated = true;
     }
     const auto delta = tryMakeDelta(from_version, target_version);
-    if (tracing) {
-        obs::SyncEvent ev;
-        ev.tier = obs::SyncTier::Server;
-        ev.stage = obs::SyncStage::VersionLookup;
-        ev.ok = delta.has_value();
-        ev.fromVersion = from_version;
-        ev.toVersion = target_version;
-        ev.detail = history_.size();
-        ev.start = dev.now();
-        dev.recordSyncStage(ev);
-        if (escalated) {
-            obs::SyncEvent esc;
-            esc.tier = obs::SyncTier::Server;
-            esc.stage = obs::SyncStage::Escalate;
-            esc.fromVersion = dev.communityVersion();
-            esc.toVersion = target_version;
-            esc.detail = dev.badDeltaStreak();
-            esc.start = dev.now();
-            dev.recordSyncStage(esc);
-        }
-    }
+    events.emit(obs::SyncEvent{
+        .tier = obs::SyncTier::Server, .stage = obs::SyncStage::VersionLookup,
+        .ok = delta.has_value(), .fromVersion = from_version,
+        .toVersion = target_version, .detail = history_.size(), .start = now});
+    if (escalated)
+        events.emit(obs::SyncEvent{
+            .tier = obs::SyncTier::Server, .stage = obs::SyncStage::Escalate,
+            .fromVersion = dev.communityVersion(), .toVersion = target_version,
+            .detail = dev.badDeltaStreak(), .start = now});
     if (!delta.has_value()) {
         // Target version off the window (or nothing published):
         // typed failure, no radio traffic, device untouched.
@@ -135,31 +128,18 @@ CloudUpdateService::syncDetached(device::MobileDevice &dev,
         res.toVersion = dev.communityVersion();
         if (acct)
             acct->noVersion = true;
-        if (tracing) {
-            obs::SyncEvent ev;
-            ev.tier = obs::SyncTier::Server;
-            ev.stage = obs::SyncStage::NoVersion;
-            ev.ok = false;
-            ev.fromVersion = from_version;
-            ev.toVersion = target_version;
-            ev.start = dev.now();
-            dev.recordSyncStage(ev);
-            dev.clearSyncTrace();
-        }
+        events.emit(obs::SyncEvent{
+            .tier = obs::SyncTier::Server, .stage = obs::SyncStage::NoVersion,
+            .ok = false, .fromVersion = from_version,
+            .toVersion = target_version, .start = now});
         return res;
     }
-    if (tracing) {
-        // Op counts only — computing wire bytes here would allocate,
-        // and the delivery events carry them anyway.
-        obs::SyncEvent ev;
-        ev.tier = obs::SyncTier::Server;
-        ev.stage = obs::SyncStage::DeltaBuild;
-        ev.fromVersion = delta->fromVersion;
-        ev.toVersion = delta->toVersion;
-        ev.detail = delta->ops();
-        ev.start = dev.now();
-        dev.recordSyncStage(ev);
-    }
+    // Op counts only — computing wire bytes here would allocate, and
+    // the delivery events carry them anyway.
+    events.emit(obs::SyncEvent{
+        .tier = obs::SyncTier::Server, .stage = obs::SyncStage::DeltaBuild,
+        .fromVersion = delta->fromVersion, .toVersion = delta->toVersion,
+        .detail = delta->ops(), .start = now});
     const auto res = dev.syncCommunityUpdate(*delta, path);
     if (acct) {
         acct->ok = res.ok;

@@ -111,21 +111,47 @@ counter(const MetricRegistry &reg, const std::string &name)
     return reg.snapshot().counterValue(name);
 }
 
-TEST(HealthAccountant, QuerySampleFoldsIntoLedgers)
+const std::string kQueryText = "pocket cloudlets";
+
+/** One served query's stream records: its spans, then its end. */
+void
+feedQuery(HealthAccountant &acct, bool hit, SimTime probe, SimTime fetch,
+          SimTime misc, SimTime render)
+{
+    acct.onEvent(SpanRecord{"probe", 0, probe});
+    acct.onEvent(SpanRecord{"fetch", probe, fetch});
+    acct.onEvent(SpanRecord{"misc", probe + fetch, misc});
+    acct.onEvent(SpanRecord{"render", probe + fetch + misc, render});
+    acct.onEvent(QueryRecord{&kQueryText, "PocketSearch", hit, false, 0,
+                             0, probe + fetch + misc + render, 0.0});
+}
+
+/**
+ * One community sync's device-tier stages: a failed delivery, a
+ * backoff, a delivery that verifies, then Commit (carrying the apply)
+ * or Reject.
+ */
+void
+feedSync(HealthAccountant &acct, bool ok, SimTime radio, SimTime backoff,
+         SimTime apply, u64 bytes)
+{
+    const auto stage = [&](SyncStage st, SimTime dur) {
+        acct.onEvent(SyncEvent{.stage = st, .bytes = bytes, .duration = dur});
+    };
+    stage(SyncStage::SyncRequest, 0);
+    stage(SyncStage::FrameDelivery, radio / 2);
+    stage(SyncStage::Backoff, backoff);
+    stage(SyncStage::FrameDelivery, radio - radio / 2);
+    stage(SyncStage::CrcCheck, 0);
+    stage(SyncStage::Validate, 0);
+    stage(ok ? SyncStage::Commit : SyncStage::Reject, ok ? apply : 0);
+}
+
+TEST(HealthAccountant, QueryRecordsFoldIntoLedgers)
 {
     MetricRegistry reg;
     HealthAccountant acct(reg);
-
-    QueryHealthSample q;
-    q.probe = 100;
-    q.fetch = 2000;
-    q.radio = 0;
-    q.backoff = 0;
-    q.render = 300;
-    q.misc = 50;
-    q.total = 2450;
-    q.cacheHit = true;
-    acct.onQuery(q);
+    feedQuery(acct, true, 100, 2000, 50, 300);
 
     EXPECT_EQ(counter(reg, "health.device.cpu.busy_ns"), 450u);
     EXPECT_EQ(counter(reg, "health.device.cpu.ops"), 1u);
@@ -136,18 +162,11 @@ TEST(HealthAccountant, QuerySampleFoldsIntoLedgers)
     EXPECT_EQ(counter(reg, "health.device.radio.backoff_ns"), 0u);
 }
 
-TEST(HealthAccountant, SyncSampleChargesApplyToCpu)
+TEST(HealthAccountant, SyncStagesChargeApplyToCpu)
 {
     MetricRegistry reg;
     HealthAccountant acct(reg);
-
-    SyncHealthSample s;
-    s.ok = true;
-    s.radio = 5000;
-    s.backoff = 700;
-    s.apply = 1200;
-    s.bytes = 4096;
-    acct.onSync(s);
+    feedSync(acct, true, 5000, 700, 1200, 4096);
 
     EXPECT_EQ(counter(reg, "health.device.sync.busy_ns"), 6200u);
     EXPECT_EQ(counter(reg, "health.device.sync.ops"), 1u);
@@ -157,11 +176,11 @@ TEST(HealthAccountant, SyncSampleChargesApplyToCpu)
     EXPECT_EQ(counter(reg, "health.device.radio.backoff_ns"), 700u);
 }
 
-TEST(HealthAccountant, MissSyncCountsDrainedEntries)
+TEST(HealthAccountant, MissDrainCountsDrainedEntries)
 {
     MetricRegistry reg;
     HealthAccountant acct(reg);
-    acct.onMissSync(3, 9000);
+    acct.onEvent(DrainRecord{3, 9000});
     EXPECT_EQ(counter(reg, "health.device.sync.busy_ns"), 9000u);
     EXPECT_EQ(counter(reg, "health.device.sync.ops"), 3u);
 }
@@ -185,20 +204,10 @@ TEST(HealthLedgers, MergeIsAssociative)
     const auto makeDevice = [](u64 seed) {
         auto reg = std::make_unique<MetricRegistry>();
         HealthAccountant acct(*reg);
-        QueryHealthSample q;
-        q.probe = 10 * seed;
-        q.fetch = 100 * seed;
-        q.render = 30 * seed;
-        q.misc = seed;
-        q.total = 141 * seed;
-        acct.onQuery(q);
-        SyncHealthSample s;
-        s.ok = seed % 2 == 0;
-        s.radio = 1000 * seed;
-        s.apply = s.ok ? 50 * seed : 0;
-        s.bytes = s.ok ? 512 * seed : 0;
-        acct.onSync(s);
-        acct.onMissSync(seed, 200 * seed);
+        const SimTime t = SimTime(seed);
+        feedQuery(acct, true, 10 * t, 100 * t, t, 30 * t);
+        feedSync(acct, seed % 2 == 0, 1000 * t, 0, 50 * t, 512 * seed);
+        acct.onEvent(DrainRecord{seed, 200 * t});
         return reg;
     };
     const auto a = makeDevice(1), b = makeDevice(2), c = makeDevice(3);
@@ -466,12 +475,15 @@ struct NeutralityPhase
  * One phase of the cost-contract check: a fresh device under a seeded
  * fault plan serving a mixed hit/miss workload, then running a faulty
  * community sync and a miss-queue drain, with or without a health
- * accountant attached. Everything inside that window is summed; the
- * accountant (whose construction registers handles — the cold path)
- * and the delta are built outside it.
+ * accountant and a flight recorder attached (the chaos + health fleet
+ * shape has both). Everything inside that window is summed; the
+ * accountant (whose construction registers handles — the cold path),
+ * the recorder (whose ring is preallocated) and the delta are built
+ * outside it.
  */
 NeutralityPhase
-runNeutralityPhase(workload::QueryUniverse &uni, bool attach)
+runNeutralityPhase(workload::QueryUniverse &uni, bool attach,
+                   bool recorder = false)
 {
     device::MobileDevice dev(uni);
     const core::CacheContents warm = warmCache(dev, uni);
@@ -495,6 +507,9 @@ runNeutralityPhase(workload::QueryUniverse &uni, bool attach)
         acct.emplace(reg);
         dev.attachHealth(&*acct);
     }
+    FlightRecorder rec(0);
+    if (recorder)
+        dev.attachFlightRecorder(&rec);
 
     NeutralityPhase out;
     for (u32 i = 0; i < 40; ++i) {
@@ -542,18 +557,15 @@ runNeutralityPhase(workload::QueryUniverse &uni, bool attach)
     }
     out.allocs += g_allocs.load(std::memory_order_relaxed) - a0;
     out.rngDraws = plan.rngDraws();
-    if (attach)
-        dev.attachHealth(nullptr);
+    dev.attachHealth(nullptr);
+    dev.attachFlightRecorder(nullptr);
     dev.attachFaults(nullptr);
     return out;
 }
 
-TEST(HealthNeutrality, AttachIsBehaviourRngAndAllocNeutral)
+void
+expectNeutral(const NeutralityPhase &off, const NeutralityPhase &on)
 {
-    workload::QueryUniverse uni(tinyUniverse());
-    const NeutralityPhase off = runNeutralityPhase(uni, false);
-    const NeutralityPhase on = runNeutralityPhase(uni, true);
-
     EXPECT_EQ(off.latency, on.latency);
     EXPECT_EQ(off.radio, on.radio);
     EXPECT_EQ(off.backoff, on.backoff);
@@ -570,9 +582,23 @@ TEST(HealthNeutrality, AttachIsBehaviourRngAndAllocNeutral)
     EXPECT_GT(on.syncAttempts + on.corruptRejected, 1u)
         << "the sync must meet a fault";
     EXPECT_EQ(off.rngDraws, on.rngDraws)
-        << "health accounting must not consume fault-plan RNG";
+        << "attached views must not consume fault-plan RNG";
     EXPECT_EQ(off.allocs, on.allocs)
-        << "health accounting must not allocate on the hot path";
+        << "attached views must not allocate on the hot path";
+}
+
+TEST(HealthNeutrality, AttachIsBehaviourRngAndAllocNeutral)
+{
+    workload::QueryUniverse uni(tinyUniverse());
+    const NeutralityPhase off = runNeutralityPhase(uni, false);
+    {
+        SCOPED_TRACE("health accountant attached");
+        expectNeutral(off, runNeutralityPhase(uni, true));
+    }
+    {
+        SCOPED_TRACE("health accountant and flight recorder attached");
+        expectNeutral(off, runNeutralityPhase(uni, true, true));
+    }
 }
 
 TEST(HealthNeutrality, SpanTilingHoldsWithAccountingAttached)

@@ -11,7 +11,6 @@
 #include <sstream>
 
 #include "obs/jsonparse.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace pc::obs {
@@ -120,21 +119,6 @@ TEST(TraceExport, TimesAndDropCountSurvive)
         }
     }
     EXPECT_EQ(xEvents, 2u) << "ring keeps the newest spans";
-}
-
-TEST(TraceExport, MetricsAttachmentCountsRecordingLive)
-{
-    MetricRegistry reg;
-    Tracer tracer(/*capacity=*/2);
-    tracer.span(0, "pre", "c", 0, 1); // before attach: folded in
-    tracer.attachMetrics(&reg);
-    tracer.span(0, "live1", "c", 1, 1);
-    tracer.span(0, "live2", "c", 2, 1); // evicts "pre"
-    EXPECT_EQ(reg.counter("obs.trace.recorded").value(), 3u);
-    EXPECT_EQ(reg.counter("obs.trace.dropped").value(), 1u);
-    tracer.attachMetrics(nullptr); // detach: no further counting
-    tracer.span(0, "after", "c", 3, 1);
-    EXPECT_EQ(reg.counter("obs.trace.recorded").value(), 3u);
 }
 
 } // namespace

@@ -591,7 +591,6 @@ main()
     obs::Tracer tracer;
     dev.attachMetrics(&registry);
     dev.attachTracer(&tracer, "shell");
-    tracer.attachMetrics(&registry);
     dev.installCommunityCache(wb.communityCache());
     core::CacheManager manager(wb.universe());
     auto &ps = dev.pocketSearch();
