@@ -3,7 +3,9 @@
  * Microbenchmarks (google-benchmark) of the hot operations on the
  * PocketSearch fast path and in the workload generator: hash-table
  * lookup (the paper's 10 us budget), database fetch, click-ranking
- * update, Zipf sampling and universe pair sampling.
+ * update, the whole served hit with its click (the device serve path)
+ * and the click's PocketSearch bookkeeping, Zipf sampling and universe
+ * pair sampling.
  *
  * These measure *host* performance of the implementation (the simulated
  * latencies above are modelled, not measured).
@@ -13,6 +15,7 @@
 
 #include "core/cache_content.h"
 #include "core/pocket_search.h"
+#include "device/mobile_device.h"
 #include "harness/workbench.h"
 #include "util/hash.h"
 #include "util/zipf.h"
@@ -110,6 +113,51 @@ BM_ApplyClick(benchmark::State &state)
         f.ps->table().applyClick(q.text, key, 0.1);
 }
 BENCHMARK(BM_ApplyClick);
+
+/** The community pairs, which an installed device serves as hits. */
+std::vector<workload::PairRef>
+cachedPairs(const Fixture &f)
+{
+    std::vector<workload::PairRef> pairs;
+    for (const auto &sp : f.wb.communityCache().pairs)
+        pairs.push_back(sp.pair);
+    return pairs;
+}
+
+void
+BM_ServeQueryHitWithClick(benchmark::State &state)
+{
+    // A served hit end to end: probe, two-record fetch, render
+    // accounting and the click fed back into personalization.
+    auto &f = fixture();
+    device::MobileDevice dev(f.wb.universe());
+    dev.installCommunityCache(f.wb.communityCache());
+    const auto pairs = cachedPairs(f);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(dev.serveQuery(
+            pairs[i % pairs.size()], device::ServePath::PocketSearch, true));
+        ++i;
+    }
+}
+BENCHMARK(BM_ServeQueryHitWithClick);
+
+void
+BM_RecordClick(benchmark::State &state)
+{
+    // The click alone: re-rank the query's chain and resync its
+    // auto-suggest entry.
+    auto &f = fixture();
+    const auto pairs = cachedPairs(f);
+    std::size_t i = 0;
+    SimTime t = 0;
+    for (auto _ : state) {
+        f.ps->recordClick(pairs[i % pairs.size()], t);
+        benchmark::DoNotOptimize(t);
+        ++i;
+    }
+}
+BENCHMARK(BM_RecordClick);
 
 void
 BM_QueryHash(benchmark::State &state)

@@ -153,13 +153,21 @@ QueryHashTable::insert(u64 qh, u64 url_hash, double score,
 
 bool
 QueryHashTable::applyClick(std::string_view query, u64 url_hash,
-                           double lambda)
+                           double lambda, double *top_score)
 {
     // Decay every unclicked sibling of the query: S = S * e^-lambda
     // (Equation 2); raise the clicked pair by 1 (Equation 1).
     const double decay = std::exp(-lambda);
     const u64 qh = fnv1a(query);
     bool existed = false;
+    // The result lookup() would rank first: best score, ties to the
+    // lower url hash (its sort order).
+    ResultRef best{0, 0.0, false};
+    const auto rank = [&best](const ResultRef &r) {
+        if (best.urlHash == 0 || r.score > best.score ||
+            (r.score == best.score && r.urlHash < best.urlHash))
+            best = r;
+    };
     for (u32 slot = 0; slot < kMaxChain; ++slot) {
         Entry *e = findEntry(qh, slot);
         if (!e)
@@ -175,13 +183,17 @@ QueryHashTable::applyClick(std::string_view query, u64 url_hash,
             } else {
                 r.score *= decay;
             }
+            rank(r);
         }
     }
     if (!existed) {
         // First click on a previously uncached pair: new entry with the
         // maximum initial score (Section 5.3).
         insert(qh, url_hash, 1.0, true);
+        rank(ResultRef{url_hash, 1.0, true});
     }
+    if (top_score)
+        *top_score = best.score;
     return existed;
 }
 

@@ -86,9 +86,13 @@ class QueryHashTable
      * sibling of the same query decays by e^-lambda. The clicked pair's
      * accessed flag is set.
      *
+     * @param[out] top_score If non-null, receives the query's best
+     *        score after the click — lookup(query).front().score, taken
+     *        from the same chain walk.
      * @return True if the pair already existed before the click.
      */
-    bool applyClick(std::string_view query, u64 url_hash, double lambda);
+    bool applyClick(std::string_view query, u64 url_hash, double lambda,
+                    double *top_score = nullptr);
 
     /** Overwrite a pair's score (server-side conflict resolution). */
     bool setScore(std::string_view query, u64 url_hash, double score);

@@ -154,10 +154,11 @@ PocketSearch::resyncSuggest(const std::string &query_text)
 {
     if (!cfg_.enableSuggest)
         return;
-    suggest_.erase(query_text);
     const auto refs = table_.lookup(query_text);
-    if (!refs.empty())
-        suggest_.insert(query_text, refs.front().score);
+    if (refs.empty())
+        suggest_.erase(query_text);
+    else
+        suggest_.assign(query_text, refs.front().score);
 }
 
 bool
@@ -209,6 +210,13 @@ PocketSearch::suggestWithResults(std::string_view prefix,
 LookupOutcome
 PocketSearch::lookup(const std::string &query_text, u32 max_results)
 {
+    return lookupQuery(query_text, max_results, 0);
+}
+
+LookupOutcome
+PocketSearch::lookupQuery(const std::string &query_text, u32 max_results,
+                          u64 url_hash)
+{
     LookupOutcome out;
     ++stats_.lookups;
     out.hashLookupTime += tierProbePenalty();
@@ -217,6 +225,8 @@ PocketSearch::lookup(const std::string &query_text, u32 max_results)
         return out;
     out.hit = true;
     ++stats_.queryHits;
+    for (const ResultRef &r : refs)
+        out.pairCached |= r.urlHash == url_hash;
     const u32 n = std::min<u32>(max_results, u32(refs.size()));
     for (u32 i = 0; i < n; ++i) {
         ResultRecord rec;
@@ -232,8 +242,9 @@ LookupOutcome
 PocketSearch::lookupPair(const workload::PairRef &p, u32 max_results)
 {
     const auto &q = universe_.query(p.query);
-    LookupOutcome out = lookup(q.text, max_results);
-    if (out.hit && containsPair(p))
+    const auto &r = universe_.result(p.result);
+    LookupOutcome out = lookupQuery(q.text, max_results, urlHash(r.url));
+    if (out.pairCached)
         ++stats_.pairHits;
     return out;
 }
@@ -265,15 +276,12 @@ PocketSearch::recordClick(const workload::PairRef &p, SimTime &time)
         return;
     }
 
-    const bool existed = table_.applyClick(q.text, uh, cfg_.lambda);
-    if (!existed)
+    double top = 0.0;
+    if (!table_.applyClick(q.text, uh, cfg_.lambda, &top))
         ++stats_.pairsLearned;
-    if (cfg_.enableSuggest) {
-        // Keep the box in sync: the clicked query's best score rose.
-        const auto refs = table_.lookup(q.text);
-        if (!refs.empty())
-            suggest_.insert(q.text, refs.front().score);
-    }
+    // Keep the box in sync: the clicked query's best score rose.
+    if (cfg_.enableSuggest)
+        suggest_.insert(q.text, top);
     if (db_.addRecord(r, uh, time))
         ++stats_.recordsLearned;
 }

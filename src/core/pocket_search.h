@@ -71,6 +71,11 @@ struct PocketSearchConfig
 struct LookupOutcome
 {
     bool hit = false;          ///< Query found in the hash table.
+    /**
+     * lookupPair only: the looked-up pair itself is cached, read off
+     * the same chain walk (containsPair without a second walk).
+     */
+    bool pairCached = false;
     SimTime hashLookupTime = 0; ///< Table probe latency (~10us).
     SimTime fetchTime = 0;      ///< Flash retrieval latency.
     /** Fetched records, ranked by descending score. */
@@ -183,7 +188,10 @@ class PocketSearch
     LookupOutcome lookup(const std::string &query_text,
                          u32 max_results = 2);
 
-    /** Lookup by universe pair (replay convenience). */
+    /**
+     * Lookup by universe pair (replay convenience); also reports
+     * whether the pair itself is cached (LookupOutcome::pairCached).
+     */
     LookupOutcome lookupPair(const workload::PairRef &p,
                              u32 max_results = 2);
 
@@ -294,10 +302,18 @@ class PocketSearch
 
   private:
     /**
+     * lookup(), additionally flagging whether the result keyed
+     * `url_hash` is among the query's cached results (0 never is).
+     */
+    LookupOutcome lookupQuery(const std::string &query_text,
+                              u32 max_results, u64 url_hash);
+
+    /**
      * Re-derive a query's auto-suggest score after an evict/rerank.
      * SuggestIndex::insert only ratchets scores upward, so the entry is
-     * erased and reinserted at the query's current best table score —
-     * exactly the state a fresh install of the same contents produces.
+     * assigned the query's current best table score, or erased when no
+     * result is left — exactly the state a fresh install of the same
+     * contents produces.
      */
     void resyncSuggest(const std::string &query_text);
 

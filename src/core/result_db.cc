@@ -220,18 +220,21 @@ ResultDatabase::fetch(u64 url_hash, ResultRecord &out, SimTime &time) const
         return false;
     const Location &loc = it->second;
 
-    // 1. Open the data file (directory/metadata overhead).
-    pc::simfs::FileId data = store_.open(dataFileName(loc.file), time);
-    pc_assert(data != pc::simfs::kNoFile, "database file vanished");
+    // 1. Open the data file (directory/metadata overhead). Its id is
+    //    cached; the open is charged as if by name.
+    const pc::simfs::FileId data = dataFiles_[loc.file];
+    const bool live = store_.reopen(data, time);
+    pc_assert(live, "database file vanished");
 
     // 2. Read and parse the header: every (hash, offset) line of this
     //    file. This is the term that penalizes small file counts — one
-    //    big file means one big header per lookup (Figure 12).
-    std::string header;
-    const Bytes idx_size = store_.size(indexFiles_[loc.file]);
+    //    big file means one big header per lookup (Figure 12). The
+    //    location map already holds what the parse yields, so the read
+    //    is charged, not copied.
+    const pc::simfs::FileId idx = indexFiles_[loc.file];
     time += cfg_.perReadOverhead;
-    store_.read(indexFiles_[loc.file], 0, idx_size, header, time);
-    time += SimTime(header.size()) * cfg_.parsePerByte;
+    const Bytes header = store_.chargeRead(idx, 0, store_.size(idx), time);
+    time += SimTime(header) * cfg_.parsePerByte;
 
     // 3. Read the record at its offset.
     std::string text;

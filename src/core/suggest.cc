@@ -1,7 +1,7 @@
 #include "core/suggest.h"
 
 #include <algorithm>
-#include <iterator>
+#include <limits>
 
 #include "util/logging.h"
 
@@ -12,21 +12,62 @@ SuggestIndex::lowerBound(std::string_view query) const
 {
     const auto it = std::lower_bound(
         entries_.begin(), entries_.end(), query,
-        [](const Entry &e, std::string_view q) { return e.query < q; });
+        [this](const Entry &e, std::string_view q) { return key(e) < q; });
     return std::size_t(it - entries_.begin());
 }
 
-bool
-SuggestIndex::insert(const std::string &query, double score)
+SuggestIndex::Entry
+SuggestIndex::intern(std::string_view query, double score)
+{
+    pc_assert(arena_.size() + query.size() <=
+                  std::numeric_limits<u32>::max(),
+              "suggest arena exceeds 4 GiB");
+    const Entry e{u32(arena_.size()), u32(query.size()), score};
+    arena_.append(query);
+    liveBytes_ += query.size();
+    return e;
+}
+
+void
+SuggestIndex::maybeCompact()
+{
+    if (arena_.size() - liveBytes_ <= liveBytes_)
+        return;
+    std::string packed;
+    packed.reserve(liveBytes_);
+    for (Entry &e : entries_) {
+        const u32 offset = u32(packed.size());
+        packed.append(key(e));
+        e.offset = offset;
+    }
+    arena_ = std::move(packed);
+}
+
+std::pair<SuggestIndex::Entry &, bool>
+SuggestIndex::emplace(std::string_view query, double score)
 {
     const std::size_t i = lowerBound(query);
-    if (i < entries_.size() && entries_[i].query == query) {
-        entries_[i].score = std::max(entries_[i].score, score);
-        return false;
-    }
-    entries_.insert(entries_.begin() + std::ptrdiff_t(i),
-                    Entry{query, score});
-    return true;
+    if (i < entries_.size() && key(entries_[i]) == query)
+        return {entries_[i], false};
+    const auto at = entries_.insert(entries_.begin() + std::ptrdiff_t(i),
+                                    intern(query, score));
+    return {*at, true};
+}
+
+bool
+SuggestIndex::insert(std::string_view query, double score)
+{
+    auto [e, fresh] = emplace(query, score);
+    e.score = std::max(e.score, score);
+    return fresh;
+}
+
+bool
+SuggestIndex::assign(std::string_view query, double score)
+{
+    auto [e, fresh] = emplace(query, score);
+    e.score = score;
+    return fresh;
 }
 
 void
@@ -46,28 +87,29 @@ SuggestIndex::insertBulk(
     auto old = entries_.begin();
     for (std::size_t j = 0; j < batch.size();) {
         const std::string_view q = batch[j].first;
-        while (old != entries_.end() && old->query < q)
-            merged.push_back(std::move(*old++));
-        if (old != entries_.end() && old->query == q)
-            merged.push_back(std::move(*old++));
+        while (old != entries_.end() && key(*old) < q)
+            merged.push_back(*old++);
+        if (old != entries_.end() && key(*old) == q)
+            merged.push_back(*old++);
         else
-            merged.push_back(Entry{std::string(q), batch[j++].second});
+            merged.push_back(intern(q, batch[j++].second));
         double &score = merged.back().score;
         for (; j < batch.size() && batch[j].first == q; ++j)
             score = std::max(score, batch[j].second);
     }
-    merged.insert(merged.end(), std::make_move_iterator(old),
-                  std::make_move_iterator(entries_.end()));
+    merged.insert(merged.end(), old, entries_.end());
     entries_ = std::move(merged);
 }
 
 bool
-SuggestIndex::erase(const std::string &query)
+SuggestIndex::erase(std::string_view query)
 {
     const std::size_t i = lowerBound(query);
-    if (i >= entries_.size() || entries_[i].query != query)
+    if (i >= entries_.size() || key(entries_[i]) != query)
         return false;
+    liveBytes_ -= entries_[i].len;
     entries_.erase(entries_.begin() + std::ptrdiff_t(i));
+    maybeCompact();
     return true;
 }
 
@@ -75,6 +117,8 @@ void
 SuggestIndex::clear()
 {
     entries_.clear();
+    arena_.clear();
+    liveBytes_ = 0;
 }
 
 std::vector<Suggestion>
@@ -91,35 +135,23 @@ SuggestIndex::suggest(std::string_view prefix, u32 k,
     // string no longer starts with prefix).
     std::size_t i = lowerBound(prefix);
     std::vector<const Entry *> matches;
-    for (; i < entries_.size(); ++i) {
-        const std::string &q = entries_[i].query;
-        if (q.size() < prefix.size() ||
-            std::string_view(q).substr(0, prefix.size()) != prefix)
-            break;
+    for (; i < entries_.size() && key(entries_[i]).starts_with(prefix); ++i)
         matches.push_back(&entries_[i]);
-    }
 
     // Top-k by score (stable for equal scores: lexicographic).
-    std::sort(matches.begin(), matches.end(),
-              [](const Entry *a, const Entry *b) {
-                  if (a->score != b->score)
-                      return a->score > b->score;
-                  return a->query < b->query;
-              });
     const std::size_t n = std::min<std::size_t>(k, matches.size());
+    std::partial_sort(matches.begin(),
+                      matches.begin() + std::ptrdiff_t(n), matches.end(),
+                      [this](const Entry *a, const Entry *b) {
+                          if (a->score != b->score)
+                              return a->score > b->score;
+                          return key(*a) < key(*b);
+                      });
     out.reserve(n);
     for (std::size_t j = 0; j < n; ++j)
-        out.push_back(Suggestion{matches[j]->query, matches[j]->score});
+        out.push_back(
+            Suggestion{std::string(key(*matches[j])), matches[j]->score});
     return out;
-}
-
-Bytes
-SuggestIndex::memoryBytes() const
-{
-    Bytes total = 0;
-    for (const auto &e : entries_)
-        total += e.query.size() + sizeof(double) + 16; // string + score
-    return total;
 }
 
 } // namespace pc::core

@@ -10,8 +10,8 @@
  * range scan.
  *
  * The index lives next to the hash table in fast memory and is kept in
- * sync by PocketSearch: community pushes rebuild it, personalization
- * clicks insert into it.
+ * sync by PocketSearch: installs merge into it in bulk, personalization
+ * clicks ratchet a query's score up, evictions and reranks assign it.
  */
 
 #ifndef PC_CORE_SUGGEST_H
@@ -19,6 +19,7 @@
 
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -35,6 +36,13 @@ struct Suggestion
 
 /**
  * Prefix index over cached query strings.
+ *
+ * Entries are trivially copyable (offset, length, score) records,
+ * sorted by query string, that point into one owned character arena.
+ * Inserting a query appends its bytes to the arena and memmoves the
+ * later records; a copy of the index is two flat buffers. Erased
+ * queries leave dead arena bytes behind until they outnumber the live
+ * ones, when the arena is repacked in entry order.
  */
 class SuggestIndex
 {
@@ -44,7 +52,14 @@ class SuggestIndex
      * box stays stable while the user types and clicks).
      * @return True if the query was new to the index.
      */
-    bool insert(const std::string &query, double score);
+    bool insert(std::string_view query, double score);
+
+    /**
+     * Set a query's score outright, inserting the query when absent
+     * (the resync after an eviction or rerank lowered its best score).
+     * @return True if the query was new to the index.
+     */
+    bool assign(std::string_view query, double score);
 
     /**
      * Insert a batch of (query, score) items. The resulting index is
@@ -57,7 +72,7 @@ class SuggestIndex
     void insertBulk(std::vector<std::pair<std::string_view, double>> batch);
 
     /** Remove a query. @return True if it was present. */
-    bool erase(const std::string &query);
+    bool erase(std::string_view query);
 
     /** Drop everything. */
     void clear();
@@ -73,8 +88,17 @@ class SuggestIndex
     /** Number of indexed queries. */
     std::size_t size() const { return entries_.size(); }
 
-    /** Modelled fast-memory footprint (strings + scores). */
-    Bytes memoryBytes() const;
+    /**
+     * Modelled fast-memory footprint: per query its string, its score
+     * and 16 bytes of bookkeeping — the model's, not the host's layout.
+     */
+    Bytes memoryBytes() const
+    {
+        return liveBytes_ + Bytes(entries_.size()) * (sizeof(double) + 16);
+    }
+
+    /** Host arena bytes held, live and dead (at most twice the live). */
+    Bytes arenaBytes() const { return arena_.size(); }
 
     /** Modelled per-keystroke lookup latency (well under a frame). */
     static constexpr SimTime kKeystrokeLatency = 30 * kMicrosecond;
@@ -82,15 +106,39 @@ class SuggestIndex
   private:
     struct Entry
     {
-        std::string query;
+        u32 offset; ///< First byte of the query in arena_.
+        u32 len;    ///< Query length in bytes.
         double score;
     };
+    static_assert(std::is_trivially_copyable_v<Entry>);
 
-    /** Sorted by query string; binary-searchable by prefix. */
-    std::vector<Entry> entries_;
+    /** The query an entry points at. */
+    std::string_view key(const Entry &e) const
+    {
+        return {arena_.data() + e.offset, e.len};
+    }
 
     /** Index of the first entry >= query, for insert/lookup. */
     std::size_t lowerBound(std::string_view query) const;
+
+    /**
+     * The entry of `query`, inserted with `score` when absent; the flag
+     * is true if it was inserted.
+     */
+    std::pair<Entry &, bool> emplace(std::string_view query, double score);
+
+    /** Append a query's bytes to the arena; the entry pointing there. */
+    Entry intern(std::string_view query, double score);
+
+    /** Repack the arena once its dead bytes exceed its live bytes. */
+    void maybeCompact();
+
+    /** Sorted by query string; binary-searchable by prefix. */
+    std::vector<Entry> entries_;
+    /** Query bytes, back to back; erased queries leave dead bytes. */
+    std::string arena_;
+    /** Arena bytes some entry points at. */
+    Bytes liveBytes_ = 0;
 };
 
 } // namespace pc::core

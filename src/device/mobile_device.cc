@@ -308,7 +308,7 @@ MobileDevice::serveQuery(const workload::PairRef &pair, ServePath path,
         out.hashLookupTime = lookup.hashLookupTime;
         // Operationally the user is served locally only when the result
         // they are after is among the cached results for the query.
-        out.cacheHit = lookup.hit && ps_->containsPair(pair);
+        out.cacheHit = lookup.pairCached;
     }
 
     if (out.cacheHit) {

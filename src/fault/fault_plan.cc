@@ -154,18 +154,27 @@ bool
 FaultPlan::maybeFlipBit(std::string &buf, Bytes from, Bytes len,
                         u64 blockErases)
 {
+    const std::optional<u64> bit = drawBitFlip(len, blockErases);
+    if (!bit)
+        return false;
+    pc_assert(from + len <= buf.size(), "flip range beyond buffer");
+    buf[from + *bit / 8] =
+        char(u8(buf[from + *bit / 8]) ^ (1u << (*bit % 8)));
+    return true;
+}
+
+std::optional<u64>
+FaultPlan::drawBitFlip(Bytes len, u64 blockErases)
+{
     const double per_kilo = cfg_.storage.bitFlipPerReadPerKiloErase;
     if (per_kilo <= 0.0 || len == 0 || blockErases == 0)
-        return false;
+        return std::nullopt;
     const double p =
         std::min(1.0, per_kilo * double(blockErases) / 1000.0);
     if (!rng_.chance(p))
-        return false;
-    pc_assert(from + len <= buf.size(), "flip range beyond buffer");
-    const u64 bit = rng_.below(len * 8);
-    buf[from + bit / 8] = char(u8(buf[from + bit / 8]) ^ (1u << (bit % 8)));
+        return std::nullopt;
     ++stats_.bitFlips;
-    return true;
+    return rng_.below(len * 8);
 }
 
 void

@@ -30,6 +30,7 @@
 #ifndef PC_FAULT_FAULT_PLAN_H
 #define PC_FAULT_FAULT_PLAN_H
 
+#include <optional>
 #include <string>
 
 #include "obs/metrics.h"
@@ -179,6 +180,13 @@ class FaultPlan
      */
     bool maybeFlipBit(std::string &buf, Bytes from, Bytes len,
                       u64 blockErases);
+
+    /**
+     * maybeFlipBit's draws without a buffer: the same chance, the same
+     * bit pick and the same count, for a read whose bytes nobody looks
+     * at. @return The flipped bit's index in [0, len*8), or nullopt.
+     */
+    std::optional<u64> drawBitFlip(Bytes len, u64 blockErases);
 
     // -- Observability ----------------------------------------------------
 

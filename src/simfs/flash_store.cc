@@ -87,6 +87,15 @@ FlashStore::open(const std::string &name, SimTime &time)
     return it == byName_.end() ? kNoFile : it->second;
 }
 
+bool
+FlashStore::reopen(FileId id, SimTime &time)
+{
+    time += cfg_.openOverhead;
+    if (metrics_.opens)
+        metrics_.opens->bump();
+    return valid(id);
+}
+
 FileId
 FlashStore::lookup(const std::string &name) const
 {
@@ -241,8 +250,23 @@ Bytes
 FlashStore::read(FileId id, Bytes offset, Bytes len, std::string &out,
                  SimTime &time) const
 {
+    return readSpan(id, offset, len, &out, time);
+}
+
+Bytes
+FlashStore::chargeRead(FileId id, Bytes offset, Bytes len,
+                       SimTime &time) const
+{
+    return readSpan(id, offset, len, nullptr, time);
+}
+
+Bytes
+FlashStore::readSpan(FileId id, Bytes offset, Bytes len, std::string *out,
+                     SimTime &time) const
+{
     const File &f = fileAt(id);
-    out.clear();
+    if (out)
+        out->clear();
     const SimTime t0 = time;
     if (metrics_.reads)
         metrics_.reads->bump();
@@ -251,7 +275,8 @@ FlashStore::read(FileId id, Bytes offset, Bytes len, std::string &out,
     const Bytes n = std::min<Bytes>(len, f.data.size() - offset);
     if (metrics_.bytesRead)
         metrics_.bytesRead->bump(n);
-    out.assign(f.data, offset, n);
+    if (out)
+        out->assign(f.data, offset, n);
     // Charge reads block-run by block-run.
     const Bytes dev_block =
         device_.config().pageSize * device_.config().pagesPerBlock;
@@ -269,9 +294,13 @@ FlashStore::read(FileId id, Bytes offset, Bytes len, std::string &out,
             // Wear-correlated retention loss: worn blocks may return a
             // flipped bit. The flip hits the returned buffer only — the
             // stored data stays intact, as with a real transient read
-            // error.
-            faults_->maybeFlipBit(out, off - offset, chunk,
-                                  device_.blockEraseCount(addr / dev_block));
+            // error. A charge-only read draws the same flip and drops
+            // it.
+            const u64 erases = device_.blockEraseCount(addr / dev_block);
+            if (out)
+                faults_->maybeFlipBit(*out, off - offset, chunk, erases);
+            else
+                faults_->drawBitFlip(chunk, erases);
         }
         off += chunk;
         remaining -= chunk;

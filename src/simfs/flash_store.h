@@ -109,6 +109,15 @@ class FlashStore
      */
     FileId open(const std::string &name, SimTime &time);
 
+    /**
+     * Reopen a file by an id cached from an earlier open or create:
+     * the same overhead and "simfs.opens" count as open(), without the
+     * directory lookup.
+     * @param[out] time Accumulates the open latency.
+     * @return True if the id refers to a live file.
+     */
+    bool reopen(FileId id, SimTime &time);
+
     /** Lookup without timing (for assertions/tests). */
     FileId lookup(const std::string &name) const;
 
@@ -142,6 +151,17 @@ class FlashStore
      */
     Bytes read(FileId id, Bytes offset, Bytes len, std::string &out,
                SimTime &time) const;
+
+    /**
+     * Charge a read without copying its bytes: the same time, device
+     * page reads, "simfs.*" counts and fault-plan bit-flip draws as
+     * read() over the same span (a flip lands in no buffer), for a
+     * caller that only needs the read's cost and length.
+     * @param[out] time Accumulates the flash read latency.
+     * @return Bytes the read would return.
+     */
+    Bytes chargeRead(FileId id, Bytes offset, Bytes len,
+                     SimTime &time) const;
 
     /**
      * Replace a file's entire contents (used when applying update
@@ -241,6 +261,13 @@ class FlashStore
 
     /** Flash byte address of a file offset. */
     Bytes flashAddr(const File &f, Bytes offset) const;
+
+    /**
+     * read() and chargeRead(): charge the span and, when `out` is
+     * non-null, copy it there (where bit flips land).
+     */
+    Bytes readSpan(FileId id, Bytes offset, Bytes len, std::string *out,
+                   SimTime &time) const;
 
     /** Cached metric handles (null when no registry is attached). */
     struct Metrics

@@ -7,6 +7,7 @@
 
 #include <string>
 
+#include "fault/fault_plan.h"
 #include "simfs/flash_store.h"
 
 namespace pc::simfs {
@@ -208,6 +209,113 @@ TEST_P(AllocUnitSweep, WasteMatchesBlockArithmetic)
 
 INSTANTIATE_TEST_SUITE_P(PaperBlockSizes, AllocUnitSweep,
                          ::testing::Values(4 * kKiB, 8 * kKiB, 16 * kKiB));
+
+/**
+ * A store whose blocks carry about a thousand erases each, with a
+ * seeded bit-flip plan attached: reads of it flip a bit in some chunks
+ * and not in others, so a chunk consumes one or two fault-plan draws.
+ */
+struct WornStore
+{
+    explicit WornStore(u64 seed)
+        : device(deviceConfig()), store(device), plan(faultConfig(seed))
+    {
+        SimTime t = 0;
+        file = store.create("worn");
+        // Rewrites free and reallocate the same blocks (LIFO reuse),
+        // erasing them twice per pass.
+        for (int pass = 0; pass < 150; ++pass) {
+            store.truncateAndWrite(
+                file, std::string(3 * store.config().allocUnit + 123,
+                                  char('a' + pass % 26)),
+                t);
+        }
+        store.attachMetrics(&reg);
+        store.attachFaults(&plan);
+    }
+
+    static pc::fault::FaultConfig
+    faultConfig(u64 seed)
+    {
+        pc::fault::FaultConfig cfg;
+        cfg.seed = seed;
+        cfg.storage.bitFlipPerReadPerKiloErase = 0.5;
+        return cfg;
+    }
+
+    pc::nvm::FlashDevice device;
+    FlashStore store;
+    pc::fault::FaultPlan plan;
+    obs::MetricRegistry reg;
+    FileId file = kNoFile;
+};
+
+// The charge-only read stands in for read() where the bytes are not
+// needed (the result database's header). It must charge exactly what
+// read() charges — time, counters and wear-correlated flip draws —
+// or a worn fleet's fault stream would shift after the first fetch.
+TEST(FlashStoreChargeRead, MatchesReadTimeCountersAndFaultDraws)
+{
+    WornStore copied(31);
+    WornStore charged(31);
+    const Bytes size = copied.store.size(copied.file);
+    ASSERT_EQ(size, charged.store.size(charged.file));
+
+    SimTime t_copied = 0;
+    SimTime t_charged = 0;
+    u64 flips_seen = 0;
+    for (int round = 0; round < 40; ++round) {
+        // Spans that start mid-block, straddle blocks, clamp at the end
+        // and start past it.
+        const Bytes offset = Bytes(round) * 997 % (size + 200);
+        const Bytes len = 1 + Bytes(round) * 1571 % (2 * size);
+        std::string out;
+        const Bytes got =
+            copied.store.read(copied.file, offset, len, out, t_copied);
+        const Bytes charged_got = charged.store.chargeRead(
+            charged.file, offset, len, t_charged);
+        ASSERT_EQ(got, charged_got) << "round " << round;
+        ASSERT_EQ(out.size(), got);
+        ASSERT_EQ(t_copied, t_charged) << "round " << round;
+        ASSERT_EQ(copied.plan.rngDraws(), charged.plan.rngDraws())
+            << "round " << round;
+        ASSERT_EQ(copied.plan.stats(), charged.plan.stats())
+            << "round " << round;
+        flips_seen = copied.plan.stats().bitFlips;
+    }
+    for (const char *name :
+         {"simfs.reads", "simfs.bytes_read", "simfs.read_ns"}) {
+        EXPECT_EQ(copied.reg.counter(name).value(),
+                  charged.reg.counter(name).value())
+            << name;
+    }
+    EXPECT_EQ(copied.device.pagesRead(), charged.device.pagesRead());
+    // The draws only matter if flips both happen and fail to happen:
+    // each chunk draws a chance, each flip one more for its bit.
+    const u64 chunks = copied.plan.rngDraws() - flips_seen;
+    EXPECT_GT(flips_seen, 0u);
+    EXPECT_LT(flips_seen, chunks);
+}
+
+// reopen charges what open-by-name charges, and tells live ids from
+// removed ones.
+TEST(FlashStoreReopen, ChargesLikeOpenByName)
+{
+    pc::nvm::FlashDevice device(deviceConfig());
+    FlashStore store(device);
+    obs::MetricRegistry reg;
+    store.attachMetrics(&reg);
+    const FileId id = store.create("a.dat");
+    SimTime by_name = 0;
+    SimTime by_id = 0;
+    ASSERT_EQ(store.open("a.dat", by_name), id);
+    ASSERT_TRUE(store.reopen(id, by_id));
+    EXPECT_EQ(by_name, by_id);
+    EXPECT_EQ(reg.counter("simfs.opens").value(), 2u);
+    store.remove(id);
+    EXPECT_FALSE(store.reopen(id, by_id));
+    EXPECT_FALSE(store.reopen(kNoFile, by_id));
+}
 
 } // namespace
 } // namespace pc::simfs

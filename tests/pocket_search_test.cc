@@ -6,11 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "core/cache_manager.h"
 #include "core/pocket_search.h"
 #include "core/table_codec.h"
 #include "harness/workbench.h"
 #include "logs/triplets.h"
+#include "util/hash.h"
+#include "util/rng.h"
 
 namespace pc::core {
 namespace {
@@ -213,6 +217,81 @@ TEST_F(PocketSearchTest, CacheModeNames)
     EXPECT_EQ(cacheModeName(CacheMode::CommunityOnly), "community-only");
     EXPECT_EQ(cacheModeName(CacheMode::PersonalizationOnly),
               "personalization-only");
+}
+
+// The serve path walks a query's chain once for the lookup and once
+// for the click. Over seeded mixes of installs, clicks on new and
+// cached pairs, reranks and evictions, what each single walk reports
+// must equal what the separate walks it replaced read: the top score
+// applyClick reports against lookup().front(), bit for bit, and
+// lookupPair's pair flag against containsPair.
+TEST_F(PocketSearchTest, SingleWalksMatchSeparateWalks)
+{
+    // -0.0 ties 0.0 in the ranking; the tie-break decides which bits
+    // come out on top.
+    const double scores[] = {0.0, -0.0, 0.25, 0.5, 1.0, 1.5, 3.0};
+    u64 clicks = 0, cached_lookups = 0;
+    for (u64 seed = 1; seed <= 25; ++seed) {
+        SCOPED_TRACE(seed);
+        Rng rng(seed);
+        pc::nvm::FlashConfig fc;
+        fc.capacity = 64 * kMiB;
+        pc::nvm::FlashDevice device(fc);
+        pc::simfs::FlashStore store(device);
+        PocketSearch ps(uni_, store);
+        // A few queries with many candidate results: long chains.
+        std::vector<u32> pool;
+        for (int i = 0; i < 6; ++i)
+            pool.push_back(u32(rng.below(uni_.numQueries())));
+        std::vector<workload::PairRef> seen;
+        SimTime t = 0;
+        for (int step = 0; step < 300; ++step) {
+            workload::PairRef p{pool[rng.below(pool.size())],
+                                u32(rng.below(60))};
+            if (!seen.empty() && rng.below(2) == 0)
+                p = seen[rng.below(seen.size())];
+            seen.push_back(p);
+            const std::string &q = uni_.query(p.query).text;
+            const u64 uh = urlHash(uni_.result(p.result).url);
+            const double score = scores[rng.below(std::size(scores))];
+            switch (rng.below(6)) {
+              case 0:
+                ps.installPair(p, score, false, t);
+                break;
+              case 1: {
+                double top = 42.0;
+                const bool cached = ps.table().containsPair(q, uh);
+                ASSERT_EQ(ps.table().applyClick(q, uh,
+                                                0.05 * double(1 + rng.below(8)),
+                                                &top),
+                          cached);
+                ASSERT_EQ(std::bit_cast<u64>(top),
+                          std::bit_cast<u64>(
+                              ps.table().lookup(q).front().score));
+                ++clicks;
+                break;
+              }
+              case 2:
+                ps.recordClick(p, t);
+                break;
+              case 3:
+                ps.setPairScore(p, score);
+                break;
+              case 4:
+                ps.evictPair(p);
+                break;
+              default: {
+                const LookupOutcome out = ps.lookupPair(p, 2);
+                ASSERT_EQ(out.pairCached, ps.containsPair(p));
+                ASSERT_EQ(out.hit, ps.containsQuery(q));
+                cached_lookups += out.pairCached;
+                break;
+              }
+            }
+        }
+    }
+    EXPECT_GT(clicks, 500u);
+    EXPECT_GT(cached_lookups, 100u);
 }
 
 /** A fresh phone: flash, file store and search cache. */

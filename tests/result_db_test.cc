@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/result_db.h"
+#include "obs/metrics.h"
 #include "util/hash.h"
 #include "util/strings.h"
 
@@ -167,6 +168,37 @@ TEST_P(FileCountSweep, FetchWorksAtAnyFileCount)
 
 INSTANTIATE_TEST_SUITE_P(FileCounts, FileCountSweep,
                          ::testing::Values(1u, 2u, 8u, 32u, 128u));
+
+// Pins the flat layout's fetch cost model (Figures 12 and 13): the
+// open, the whole-header parse and the record read, in simulated time
+// and in the "simfs.*" counters, plus the decoded records. A host-side
+// shortcut inside fetch must leave every number here unchanged.
+TEST_F(ResultDbTest, FetchCostGolden)
+{
+    DbConfig cfg;
+    cfg.numFiles = 4;
+    ResultDatabase db(store_, cfg);
+    SimTime t = 0;
+    for (int i = 0; i < 40; ++i)
+        ASSERT_TRUE(db.addRecord(makeResult(i, i % 2 == 0), t));
+    obs::MetricRegistry reg;
+    store_.attachMetrics(&reg);
+
+    SimTime fetch = 0;
+    for (int i = 0; i < 40; i += 3) {
+        const auto r = makeResult(i, i % 2 == 0);
+        ResultRecord rec;
+        ASSERT_TRUE(db.fetch(urlHash(r.url), rec, fetch));
+        EXPECT_EQ(rec.title, r.title);
+        EXPECT_EQ(rec.description, r.description);
+        EXPECT_EQ(rec.url, r.url);
+    }
+    EXPECT_EQ(fetch, SimTime(67640600));
+    EXPECT_EQ(reg.counter("simfs.opens").value(), 14u);
+    EXPECT_EQ(reg.counter("simfs.reads").value(), 28u);
+    EXPECT_EQ(reg.counter("simfs.bytes_read").value(), 10550u);
+    EXPECT_EQ(reg.counter("simfs.read_ns").value(), 4257600u);
+}
 
 TEST(ResultDbFigure12, SingleFileSlowerThan32Files)
 {

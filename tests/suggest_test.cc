@@ -6,8 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+
+#include "core/persistence.h"
 #include "core/pocket_search.h"
 #include "core/suggest.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace pc::core {
@@ -179,6 +185,159 @@ TEST(SuggestIndex, BulkInsertMatchesOneInsertPerItem)
     }
 }
 
+/** The index's contract as a plain ordered map: query -> score. */
+using SuggestModel = std::map<std::string, double, std::less<>>;
+
+/** The model's suggest(): best score first, ties lexicographic. */
+std::vector<Suggestion>
+modelSuggest(const SuggestModel &model, std::string_view prefix, u32 k)
+{
+    std::vector<Suggestion> all;
+    for (auto it = model.lower_bound(prefix);
+         it != model.end() && std::string_view(it->first).starts_with(prefix);
+         ++it)
+        all.push_back(Suggestion{it->first, it->second});
+    std::sort(all.begin(), all.end(),
+              [](const Suggestion &a, const Suggestion &b) {
+                  if (a.score != b.score)
+                      return a.score > b.score;
+                  return a.query < b.query;
+              });
+    all.resize(std::min<std::size_t>(k, all.size()));
+    return all;
+}
+
+/** Query bytes the model holds. */
+Bytes
+modelLiveBytes(const SuggestModel &model)
+{
+    Bytes live = 0;
+    for (const auto &[q, score] : model)
+        live += q.size();
+    return live;
+}
+
+/** Same size, footprint and suggest output as the model for every
+ *  prefix of every query in `queries`, at k = 1, 3 and all. */
+void
+expectMatchesModel(const SuggestIndex &idx, const SuggestModel &model,
+                   const std::vector<std::string> &queries)
+{
+    ASSERT_EQ(idx.size(), model.size());
+    ASSERT_EQ(idx.memoryBytes(),
+              modelLiveBytes(model) + model.size() * (sizeof(double) + 16));
+    ASSERT_LE(idx.arenaBytes(), 2 * modelLiveBytes(model));
+    const std::set<std::string> distinct(queries.begin(), queries.end());
+    for (const auto &q : distinct) {
+        for (std::size_t len = 0; len <= q.size(); ++len) {
+            const std::string_view prefix(q.data(), len);
+            for (const u32 k : {1u, 3u, ~0u}) {
+                const auto want = modelSuggest(model, prefix, k);
+                const auto got = idx.suggest(prefix, k);
+                ASSERT_EQ(got.size(), want.size())
+                    << "prefix '" << prefix << "' k " << k;
+                for (std::size_t i = 0; i < want.size(); ++i) {
+                    ASSERT_EQ(got[i].query, want[i].query);
+                    ASSERT_EQ(got[i].score, want[i].score);
+                }
+            }
+        }
+    }
+}
+
+TEST(SuggestIndex, MatchesMapModelUnderMixedOps)
+{
+    for (u64 seed = 1; seed <= 60; ++seed) {
+        SCOPED_TRACE(seed);
+        Rng rng(seed);
+        SuggestIndex idx;
+        SuggestModel model;
+        std::vector<std::string> queries;
+        for (int step = 0; step < 150; ++step) {
+            const double score = 0.25 * double(rng.below(8));
+            const u64 op = rng.below(20);
+            std::string q = randomQuery(rng);
+            // Mostly revisit known queries so erases and assigns hit.
+            if (!queries.empty() && rng.below(3) != 0)
+                q = queries[rng.below(queries.size())];
+            queries.push_back(q);
+            if (op < 7) {
+                const bool fresh = !model.count(q);
+                ASSERT_EQ(idx.insert(q, score), fresh);
+                double &m = model[q];
+                m = fresh ? score : std::max(m, score);
+            } else if (op < 11) {
+                ASSERT_EQ(idx.assign(q, score), !model.count(q));
+                model[q] = score;
+            } else if (op < 17) {
+                ASSERT_EQ(idx.erase(q), model.erase(q) == 1);
+            } else if (op < 19) {
+                std::vector<std::string> owned;
+                for (u64 n = rng.below(12); n > 0; --n)
+                    owned.push_back(rng.below(2) ? randomQuery(rng)
+                                                 : queries[rng.below(
+                                                       queries.size())]);
+                std::vector<std::pair<std::string_view, double>> batch;
+                for (const auto &b : owned) {
+                    const double s = 0.25 * double(rng.below(8));
+                    batch.emplace_back(b, s);
+                    auto [it, fresh] = model.emplace(b, s);
+                    if (!fresh)
+                        it->second = std::max(it->second, s);
+                    queries.push_back(b);
+                }
+                idx.insertBulk(std::move(batch));
+            } else if (rng.below(4) == 0) {
+                idx.clear();
+                model.clear();
+            }
+            if (step % 10 == 9)
+                expectMatchesModel(idx, model, queries);
+            else
+                ASSERT_EQ(idx.size(), model.size());
+        }
+        expectMatchesModel(idx, model, queries);
+        // A copy (how a cloned device gets its index) is the same index.
+        const SuggestIndex copy(idx);
+        expectMatchesModel(copy, model, queries);
+    }
+}
+
+TEST(SuggestIndex, ArenaStaysWithinTwiceItsLiveBytes)
+{
+    // Erase/re-insert churn leaves dead arena bytes behind; compaction
+    // must keep them from outgrowing the live ones.
+    Rng rng(7);
+    SuggestIndex idx;
+    SuggestModel model;
+    std::vector<std::string> queries;
+    for (int i = 0; i < 200; ++i)
+        queries.push_back("query number " + std::to_string(i) +
+                          std::string(rng.below(40), 'x'));
+    for (const auto &q : queries) {
+        idx.insert(q, 1.0);
+        model[q] = 1.0;
+    }
+    for (int step = 0; step < 20000; ++step) {
+        const std::string &q = queries[rng.below(queries.size())];
+        if (model.count(q)) {
+            ASSERT_TRUE(idx.erase(q));
+            model.erase(q);
+        } else {
+            ASSERT_TRUE(idx.insert(q, double(step)));
+            model[q] = double(step);
+        }
+        ASSERT_LE(idx.arenaBytes(), 2 * modelLiveBytes(model))
+            << "step " << step;
+    }
+    expectMatchesModel(idx, model, queries);
+    // Erasing everything leaves no arena behind.
+    for (const auto &q : queries)
+        idx.erase(q);
+    EXPECT_EQ(idx.size(), 0u);
+    EXPECT_EQ(idx.arenaBytes(), 0u);
+}
+
 class PocketSuggestTest : public ::testing::Test
 {
   protected:
@@ -263,6 +422,74 @@ TEST_F(PocketSuggestTest, ClearTableClearsSuggestions)
     EXPECT_GT(ps_->suggestIndex().size(), 0u);
     ps_->clearTable();
     EXPECT_EQ(ps_->suggestIndex().size(), 0u);
+}
+
+// PocketSearch keeps the box at its contract through installs, clicks,
+// reranks and evictions; a cloned device carries the same box, and a
+// snapshot round trip rebuilds it at each query's best table score.
+TEST_F(PocketSuggestTest, BoxMatchesModelAcrossCloneAndSnapshot)
+{
+    Rng rng(3);
+    // A few queries with many candidate results: chains grow, and
+    // evictions leave siblings behind.
+    std::vector<u32> pool;
+    for (int i = 0; i < 10; ++i)
+        pool.push_back(u32(rng.below(uni_->numQueries())));
+    SuggestModel model;
+    std::vector<std::string> queries;
+    const auto top = [&](const std::string &q) {
+        return ps_->table().lookup(q).front().score;
+    };
+    SimTime t = 0;
+    for (int step = 0; step < 400; ++step) {
+        const workload::PairRef p{pool[rng.below(pool.size())],
+                                  u32(rng.below(40))};
+        const std::string &q = uni_->query(p.query).text;
+        queries.push_back(q);
+        const double score = 0.25 * double(rng.below(8));
+        const auto ratchet = [&](double s) {
+            auto [it, fresh] = model.emplace(q, s);
+            if (!fresh)
+                it->second = std::max(it->second, s);
+        };
+        switch (rng.below(4)) {
+          case 0:
+            ps_->installPair(p, score, false, t);
+            ratchet(score);
+            break;
+          case 1:
+            ps_->recordClick(p, t);
+            ratchet(top(q));
+            break;
+          case 2:
+            if (ps_->setPairScore(p, score))
+                model[q] = top(q);
+            break;
+          default:
+            if (ps_->evictPair(p)) {
+                if (ps_->table().lookup(q).empty())
+                    model.erase(q);
+                else
+                    model[q] = top(q);
+            }
+            break;
+        }
+    }
+    ASSERT_GT(model.size(), 3u);
+    expectMatchesModel(ps_->suggestIndex(), model, queries);
+
+    pc::nvm::FlashDevice clone_flash(*flash_);
+    pc::simfs::FlashStore clone_store(*store_, clone_flash);
+    const PocketSearch clone(*ps_, clone_store);
+    expectMatchesModel(clone.suggestIndex(), model, queries);
+
+    SuggestModel tops;
+    for (const auto &[q, score] : model)
+        tops[q] = top(q);
+    ASSERT_TRUE(persistIndex(*ps_, *store_, "suggest.snap", t).ok);
+    PocketSearch restored(*uni_, *store_);
+    ASSERT_TRUE(restoreIndex(restored, *store_, "suggest.snap").ok);
+    expectMatchesModel(restored.suggestIndex(), tops, queries);
 }
 
 } // namespace
