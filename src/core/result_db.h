@@ -116,7 +116,9 @@ class ResultDatabase
      * record read sequence.
      * @param[out] out The record, when found.
      * @param[out] time Accumulates the retrieval latency.
-     * @return True if found.
+     * @return True if found and parsable. A flat-mode record a storage
+     *         bit flip left unparsable returns false (engine mode
+     *         verifies a CRC instead).
      */
     bool fetch(u64 url_hash, ResultRecord &out, SimTime &time) const;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -12,7 +11,7 @@
 #include <cmath>
 
 #include "core/table_codec.h"
-#include "server/work_queue.h"
+#include "harness/in_order.h"
 #include "util/crc32.h"
 #include "util/hash.h"
 #include "util/logging.h"
@@ -121,10 +120,18 @@ validateFleetRunConfig(const FleetRunConfig &cfg)
 namespace {
 
 /**
+ * Parallel-fold window per worker thread: how many devices the workers
+ * may claim ahead of the fold. A much smaller window leaves workers
+ * parked behind one slow device; this one keeps them busy at the cost
+ * of 16 device telemetry records per thread.
+ */
+constexpr std::size_t kFoldWindowPerThread = 16;
+
+/**
  * Everything one simulated device hands to the in-order fold: the
  * window-boundary samples the collector diffs, the final registry
  * it merges, and the deferred accounting of any cloud syncs. Move-only
- * (the registry), which the WorkQueue supports.
+ * (the registry), which forEachInOrder supports.
  */
 struct DeviceTelemetry
 {
@@ -752,48 +759,16 @@ runFleet(const Workbench &wb, const FleetRunConfig &cfg,
             foldDevice(simulateDevice(wb, cfg, image, i, profiles[i]), cfg,
                        ctx, collector, result);
     } else {
-        // Device indices out through one bounded queue, telemetry back
-        // through another. The fold drains the results queue
-        // continuously and stashes out-of-order arrivals in `pending`,
-        // so workers never block on it for long — and `pending` itself
-        // is unbounded: a slow device i lets up to devices-1 finished
-        // devices pile up behind it. ROADMAP "Bound the parallel fold"
-        // tracks replacing it with a fixed reorder window.
-        server::WorkQueue<std::size_t> tasks(cfg.devices);
-        for (std::size_t i = 0; i < cfg.devices; ++i)
-            tasks.push(i);
-        tasks.close();
-
-        server::WorkQueue<DeviceTelemetry> results(2 * threads);
-        std::vector<std::thread> pool;
-        pool.reserve(threads);
-        for (unsigned w = 0; w < threads; ++w) {
-            pool.emplace_back([&] {
-                std::size_t i = 0;
-                while (tasks.pop(i))
-                    results.push(
-                        simulateDevice(wb, cfg, image, i, profiles[i]));
+        // At most kFoldWindowPerThread * threads telemetry records are
+        // alive at once, however slow one device is.
+        forEachInOrder(
+            profiles.size(), threads, kFoldWindowPerThread * threads,
+            [&](std::size_t i) {
+                return simulateDevice(wb, cfg, image, i, profiles[i]);
+            },
+            [&](DeviceTelemetry &&t) {
+                foldDevice(std::move(t), cfg, ctx, collector, result);
             });
-        }
-
-        std::map<std::size_t, DeviceTelemetry> pending;
-        std::size_t next = 0;
-        while (next < cfg.devices) {
-            DeviceTelemetry t;
-            const bool got = results.pop(t);
-            pc_assert(got, "runFleet: results queue closed early");
-            pending.emplace(t.index, std::move(t));
-            for (auto it = pending.find(next); it != pending.end();
-                 it = pending.find(next)) {
-                foldDevice(std::move(it->second), cfg, ctx, collector,
-                           result);
-                pending.erase(it);
-                ++next;
-            }
-        }
-        results.close();
-        for (auto &th : pool)
-            th.join();
     }
 
     if (cfg.cloud)

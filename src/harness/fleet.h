@@ -9,14 +9,14 @@
  * windowed time series (one window per simulated month) and an
  * anomaly scan.
  *
- * Parallelism: device indices are sharded across a pool of
- * `FleetRunConfig::threads` workers over a bounded server::WorkQueue.
- * Each worker simulates whole devices in a private world (device,
- * stream, fault plan, registry) and hands back per-device telemetry:
- * the per-window registry samples, the final registry, and — when a
- * cloud service is attached — the deferred accounting of its monthly
- * syncs (the sync itself runs against the service read-only, see
- * CloudUpdateService::syncDetached). The reducing thread folds those
+ * Parallelism: `FleetRunConfig::threads` workers claim device indices
+ * in order (harness/in_order.h). Each worker simulates whole devices
+ * in a private world (device, stream, fault plan, registry) and hands
+ * back per-device telemetry: the per-window registry samples, the
+ * final registry, and — when a cloud service is attached — the
+ * deferred accounting of its monthly syncs (the sync itself runs
+ * against the service read-only, see
+ * CloudUpdateService::syncDetached). The calling thread folds those
  * results in strict device-index order through the one FleetCollector
  * and replays the sync accounting in the same order, so every
  * collector/registry operation happens in exactly the sequence the
@@ -25,11 +25,10 @@
  * thread count (tested over a threads x devices x faults x cloud
  * grid). threads == 1 runs devices in place, so only one device's
  * world is alive at a time; a thousand-device run costs one device of
- * memory plus the collector's bounded series. Parallel runs are not
- * bounded that way: the fold stashes every result that arrives ahead
- * of the next device index, so behind one slow device up to
- * devices-1 telemetry records can be held at once (ROADMAP "Bound the
- * parallel fold").
+ * memory plus the collector's bounded series. A parallel run is
+ * bounded too: workers never claim a device 16 x threads or more
+ * ahead of the fold, so behind one slow device at most 16 x threads
+ * telemetry records are held at once.
  *
  * Determinism: every device's stream/fault seeds derive from the run
  * seed and the device index, so a fixed FleetRunConfig reproduces the

@@ -95,30 +95,6 @@ MetricsSample::fromSnapshot(const MetricsSnapshot &snap)
     return s;
 }
 
-MetricsSnapshot
-MetricsSnapshot::deltaSince(const MetricsSnapshot &earlier) const
-{
-    MetricsSnapshot d;
-    d.counters.reserve(counters.size());
-    for (const auto &[n, v] : counters) {
-        const u64 before = earlier.counterValue(n);
-        d.counters.emplace_back(n, v >= before ? v - before : 0);
-    }
-    d.gauges.reserve(gauges.size());
-    for (const auto &[n, v] : gauges) {
-        double before = 0.0;
-        for (const auto &[en, ev] : earlier.gauges) {
-            if (en == n) {
-                before = ev;
-                break;
-            }
-        }
-        d.gauges.emplace_back(n, v - before);
-    }
-    d.histograms = histograms;
-    return d;
-}
-
 void
 MetricsSnapshot::writeJson(std::ostream &os, bool pretty) const
 {

@@ -194,14 +194,6 @@ struct MetricsSnapshot
     /** Counter value by name; 0 if absent. */
     u64 counterValue(const std::string &name) const;
 
-    /**
-     * Counters/gauges progression since `earlier` (counters subtract,
-     * clamped at zero; gauges report current - earlier). Histogram
-     * summaries carry over from this snapshot unchanged — distribution
-     * deltas need the samples, which live in the registry, not here.
-     */
-    MetricsSnapshot deltaSince(const MetricsSnapshot &earlier) const;
-
     /** Serialize as a JSON object. */
     void writeJson(std::ostream &os, bool pretty = false) const;
 };

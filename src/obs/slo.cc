@@ -171,37 +171,6 @@ evaluateSlos(const std::vector<SloSpec> &specs, const TimeSeries &series,
     return out;
 }
 
-SloTracker::SloTracker(SimTime windowWidth, std::vector<SloSpec> specs,
-                       std::size_t maxWindows)
-    : specs_(std::move(specs)), series_(windowWidth, maxWindows)
-{
-}
-
-void
-SloTracker::ingest(SimTime windowStart, const MetricsSnapshot &snap)
-{
-    // deltaSince clamps counter regressions to zero, so a metric
-    // reset between ingests contributes nothing instead of a huge
-    // unsigned wraparound.
-    const MetricsSnapshot d = snap.deltaSince(prev_);
-    for (const auto &[n, v] : d.counters)
-        series_.recordCounter(windowStart, n, v);
-    for (const auto &h : snap.histograms) {
-        const HistogramSummary *p = findHistogram(prev_, h.name);
-        const double ds = h.sum - (p ? p->sum : 0.0);
-        series_.recordAccum(windowStart, h.name + ".sum",
-                            std::max(0.0, ds));
-    }
-    prev_ = snap;
-    last_ = snap;
-}
-
-std::vector<SloStatus>
-SloTracker::evaluate(FlightRecorder *recorder) const
-{
-    return evaluateSlos(specs_, series_, last_, recorder);
-}
-
 std::vector<SloSpec>
 defaultFleetSlos()
 {

@@ -130,34 +130,6 @@ std::vector<SloStatus> evaluateSlos(const std::vector<SloSpec> &specs,
                                     FlightRecorder *recorder = nullptr);
 
 /**
- * Incremental evaluation over periodic snapshots of one registry.
- * ingest() records clamped counter/histogram-mass deltas into an
- * internal TimeSeries (a counter reset between ingests contributes a
- * zero delta, never an underflow), so evaluate() sees the same shape
- * FleetCollector produces.
- */
-class SloTracker
-{
-  public:
-    SloTracker(SimTime windowWidth, std::vector<SloSpec> specs,
-               std::size_t maxWindows = 256);
-
-    /** Fold one snapshot in; deltas land in `windowStart`'s window. */
-    void ingest(SimTime windowStart, const MetricsSnapshot &snap);
-
-    std::vector<SloStatus>
-    evaluate(FlightRecorder *recorder = nullptr) const;
-
-    const TimeSeries &series() const { return series_; }
-
-  private:
-    std::vector<SloSpec> specs_;
-    TimeSeries series_;
-    MetricsSnapshot prev_;
-    MetricsSnapshot last_;
-};
-
-/**
  * The fleet's standing objectives, phrased over metrics every fleet
  * run publishes: query availability and staleness, delivery
  * integrity, and end-to-end serve p90 latency. Targets are set with

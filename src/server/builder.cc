@@ -1,13 +1,13 @@
 #include "server/builder.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <numeric>
 #include <thread>
 #include <vector>
 
-#include "server/work_queue.h"
 #include "util/hash.h"
 #include "util/logging.h"
 
@@ -21,13 +21,6 @@ pairKey(const workload::PairRef &p)
 {
     return (u64(p.query) << 32) | p.result;
 }
-
-/** One work item: a contiguous slice of the log's record array. */
-struct Batch
-{
-    std::size_t begin = 0;
-    std::size_t end = 0;
-};
 
 /** Per-worker private aggregation state (no locks on the hot path). */
 struct WorkerState
@@ -73,7 +66,6 @@ CommunityModelBuilder::CommunityModelBuilder(
     pc_assert(cfg_.shards >= 1, "builder needs at least one shard");
     pc_assert(cfg_.threads >= 1, "builder needs at least one worker");
     pc_assert(cfg_.batchRecords >= 1, "batch size must be positive");
-    pc_assert(cfg_.queueCapacity >= 1, "queue capacity must be positive");
 
     // Query-*hash* partitioning: the same fnv1a the device hash table
     // keys on, so a real server could shard raw log lines without the
@@ -118,57 +110,48 @@ CommunityModelBuilder::build(const workload::SearchLog &log, u64 version,
     model.stats.records = records.size();
     model.stats.shardStats.resize(cfg_.shards);
 
-    // ---- Stage 1: batched ingest through the bounded queue. -------------
+    // ---- Stage 1: workers claim batches of the in-memory log. ----------
+    // Batch b is records [b * batchRecords, (b+1) * batchRecords); one
+    // atomic counter hands each batch to exactly one worker.
+    const std::size_t batchRecords = cfg_.batchRecords;
+    const std::size_t nBatches =
+        (records.size() + batchRecords - 1) / batchRecords;
+    model.stats.batches = nBatches;
     std::vector<WorkerState> workers(
         nThreads, WorkerState{std::vector<u32>(slotResult_.size()), {}, 0});
-
-    WorkQueue<Batch> queue(cfg_.queueCapacity);
-    {
-        std::vector<std::thread> pool;
-        pool.reserve(nThreads);
-        for (u32 t = 0; t < nThreads; ++t) {
-            pool.emplace_back([&, t] {
-                WorkerState &w = workers[t];
-                Batch b;
-                while (queue.pop(b)) {
-                    for (std::size_t i = b.begin; i < b.end; ++i) {
-                        const auto &pair = records[i].pair;
-                        // Poisoned record (ids the universe cannot
-                        // interpret): skip and count.
-                        if (pair.query >= nQueries ||
-                            pair.result >= universe_.numResults()) {
-                            ++w.skipped;
-                            continue;
-                        }
-                        u32 s = slotBase_[pair.query];
-                        const u32 end = slotBase_[pair.query + 1];
-                        while (s < end && slotResult_[s] != pair.result)
-                            ++s;
-                        if (s < end)
-                            ++w.counts[s];
-                        else
-                            ++w.spill[pairKey(pair)];
+    std::atomic<std::size_t> nextBatch{0};
+    std::vector<std::thread> pool;
+    pool.reserve(nThreads);
+    for (u32 t = 0; t < nThreads; ++t) {
+        pool.emplace_back([&, t] {
+            WorkerState &w = workers[t];
+            for (std::size_t b = nextBatch++; b < nBatches;
+                 b = nextBatch++) {
+                const std::size_t last = std::min(
+                    records.size(), (b + 1) * batchRecords);
+                for (std::size_t i = b * batchRecords; i < last; ++i) {
+                    const auto &pair = records[i].pair;
+                    // Poisoned record (ids the universe cannot
+                    // interpret): skip and count.
+                    if (pair.query >= nQueries ||
+                        pair.result >= universe_.numResults()) {
+                        ++w.skipped;
+                        continue;
                     }
+                    u32 s = slotBase_[pair.query];
+                    const u32 end = slotBase_[pair.query + 1];
+                    while (s < end && slotResult_[s] != pair.result)
+                        ++s;
+                    if (s < end)
+                        ++w.counts[s];
+                    else
+                        ++w.spill[pairKey(pair)];
                 }
-            });
-        }
-
-        // Producer: slice the log; push() blocks when workers lag
-        // (backpressure), so at most queueCapacity batches are in
-        // flight no matter how large the month is.
-        for (std::size_t at = 0; at < records.size();
-             at += cfg_.batchRecords) {
-            Batch b{at, std::min(records.size(),
-                                 at + std::size_t(cfg_.batchRecords))};
-            queue.push(b);
-            ++model.stats.batches;
-        }
-        queue.close();
-        for (auto &th : pool)
-            th.join();
+            }
+        });
     }
-    model.stats.maxQueueDepth = queue.maxDepth();
-    model.stats.meanQueueDepth = queue.meanDepth();
+    for (auto &th : pool)
+        th.join();
 
     // ---- Stage 2: sum the worker counts (exact and order-independent)
     // and emit rows in packed-pair-key order: slots already are, and

@@ -5,12 +5,17 @@
  *
  * Pipeline:
  *
- *   log records ──batches──▶ bounded WorkQueue ──▶ T counting workers
- *   (each with a private u32 array over the slot dictionary, plus a
- *   spill map for pairs outside it) ──join──▶ one key-ordered pass
- *   (sum the arrays, merge the sorted spill, emit rows, account
- *   shards) ──▶ stable sort by volume ──▶ TripletTable ──▶
- *   CacheContents
+ *   in-memory log ──batch b claimed off one atomic counter──▶ T
+ *   counting workers (each with a private u32 array over the slot
+ *   dictionary, plus a spill map for pairs outside it) ──join──▶ one
+ *   key-ordered pass (sum the arrays, merge the sorted spill, emit
+ *   rows, account shards) ──▶ stable sort by volume ──▶ TripletTable
+ *   ──▶ CacheContents
+ *
+ * SearchLog::records() already holds the month whole, so there is no
+ * producer and no queue: batch b is records [b * batchRecords,
+ * (b+1) * batchRecords), and each worker takes the next unclaimed b
+ * until none is left. Ingest memory is the log plus T count arrays.
  *
  * The slot dictionary is built once per builder: query q owns slots
  * slotBase_[q]..slotBase_[q+1], one per result in its
@@ -37,8 +42,8 @@
  *    in key order: exactly TripletTable::rowOrder, the strict total
  *    order the sequential build sorts with.
  *
- * Only the *timing* statistics (wall ms, queue watermarks) vary run
- * to run; everything in CommunityModel::encode() is invariant.
+ * Only the wall-clock time varies run to run; everything in
+ * CommunityModel::encode() is invariant.
  */
 
 #ifndef PC_SERVER_BUILDER_H
@@ -60,8 +65,7 @@ struct BuildConfig
      */
     u32 shards = 8;
     u32 threads = 4;         ///< Aggregation workers (>= 1).
-    u32 batchRecords = 8192; ///< Log records per work item.
-    u32 queueCapacity = 64;  ///< Batches in flight (backpressure bound).
+    u32 batchRecords = 8192; ///< Log records per claimed batch.
 };
 
 /**

@@ -38,7 +38,7 @@ struct ShardStats
 struct BuildStats
 {
     u64 records = 0;       ///< Log records ingested.
-    u64 batches = 0;       ///< Work items pushed through the queue.
+    u64 batches = 0;       ///< Batches the workers claimed.
     u32 shards = 0;        ///< Shard count used.
     u32 threads = 0;       ///< Worker threads used.
     u64 distinctPairs = 0; ///< Rows in the merged triplet table.
@@ -51,11 +51,9 @@ struct BuildStats
     u64 skippedRecords = 0;
     std::vector<ShardStats> shardStats; ///< Per-shard, by shard index.
 
-    // Timing-dependent diagnostics: exact but not deterministic.
-    // Never fold these into byte-gated reports.
-    std::size_t maxQueueDepth = 0; ///< Queue high-water mark.
-    double meanQueueDepth = 0.0;   ///< Mean depth at push.
-    double wallMs = 0.0;           ///< Wall-clock build time.
+    /// Wall-clock build time: timing-dependent, so never fold it into
+    /// a byte-gated report.
+    double wallMs = 0.0;
 };
 
 /** One versioned community model. */

@@ -216,11 +216,8 @@ CloudUpdateService::publishBuildMetrics(const CommunityModel &m)
         .set(double(m.contents.pairs.size()));
     registry_.gauge("server.build.shards").set(double(st.shards));
     registry_.gauge("server.build.threads").set(double(st.threads));
-    // Queue depths and wall time depend on thread scheduling — useful
-    // operator signals, but never part of a byte-gated artifact.
-    registry_.gauge("server.queue.max_depth")
-        .set(double(st.maxQueueDepth));
-    registry_.gauge("server.queue.mean_depth").set(st.meanQueueDepth);
+    // Wall time depends on thread scheduling — a useful operator
+    // signal, but never part of a byte-gated artifact.
     registry_.gauge("server.build.wall_ms").set(st.wallMs);
     if (st.wallMs > 0.0)
         registry_.gauge("server.ingest.records_per_s")

@@ -2,18 +2,13 @@
  * @file
  * Bounded multi-producer/multi-consumer work queue with backpressure.
  *
- * Shared concurrency primitive of the worker-pool pipelines: the
- * cloud-side ingest moves batches of log records from a producer (the
- * log reader) to a pool of aggregation workers, and the parallel
- * fleet harness moves device indices out to simulation workers and
- * per-device telemetry back to the reducing thread. The queue is
- * deliberately *bounded*: a producer that outruns its consumers
- * blocks in push() until a slot frees up, so a month of logs never
- * balloons into a month of queued batches — the same backpressure
- * discipline a real ingestion service needs to survive its own
- * traffic spikes. Items only need to be movable, so move-only
- * payloads (telemetry carrying a MetricRegistry) flow through without
- * copies.
+ * A producer that outruns its consumers blocks in push() until a slot
+ * frees up, so the items in flight never exceed the capacity. Items
+ * only need to be movable, so move-only payloads flow through without
+ * copies. Neither worker pool in src/ uses it: the model builder and
+ * the parallel fleet both claim work by index off an array already in
+ * memory (server/builder.cc, harness/in_order.h). Its users are the
+ * host-time benchmark's fleet driver (perfbench/) and its own tests.
  *
  * Concurrency contract (ThreadSanitizer-checked in CI):
  *  - any number of producers and consumers may call push()/pop()

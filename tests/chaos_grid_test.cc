@@ -73,8 +73,6 @@ scrubTimingLines(const std::string &json)
     static const char *const kTiming[] = {
         "server.build.wall_ms",
         "server.ingest.records_per_s",
-        "server.queue.max_depth",
-        "server.queue.mean_depth",
     };
     std::string out;
     out.reserve(json.size());

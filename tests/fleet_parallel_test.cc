@@ -52,7 +52,7 @@ struct RunBytes
 
 /**
  * Drop the gauges the service records about its *own build timing*
- * (wall ms, queue watermarks, derived throughput). They are
+ * (wall ms, derived throughput). They are
  * scheduling-dependent by design — the registry docs mark them
  * console-only, and bench gates exclude them the same way. Each cell
  * builds a fresh service per run, so these are the only lines two
@@ -65,8 +65,6 @@ scrubTimingLines(const std::string &json)
     static const char *const kTiming[] = {
         "server.build.wall_ms",
         "server.ingest.records_per_s",
-        "server.queue.max_depth",
-        "server.queue.mean_depth",
     };
     std::string out;
     out.reserve(json.size());

@@ -157,24 +157,6 @@ TEST(MetricRegistry, SnapshotIsNameSorted)
     EXPECT_EQ(snap.counterValue("absent"), 0u);
 }
 
-TEST(MetricRegistry, DeltaSinceIsolatesAPhase)
-{
-    MetricRegistry reg;
-    reg.counter("c").bump(10);
-    reg.gauge("g").set(3.0);
-    const auto before = reg.snapshot();
-    reg.counter("c").bump(5);
-    reg.counter("fresh").bump(2);
-    reg.gauge("g").set(4.5);
-    const auto after = reg.snapshot();
-
-    const auto delta = after.deltaSince(before);
-    EXPECT_EQ(delta.counterValue("c"), 5u);
-    EXPECT_EQ(delta.counterValue("fresh"), 2u);
-    ASSERT_EQ(delta.gauges.size(), 1u);
-    EXPECT_DOUBLE_EQ(delta.gauges[0].second, 1.5);
-}
-
 TEST(MetricRegistry, MergePreservesExactQuantiles)
 {
     MetricRegistry a, b;

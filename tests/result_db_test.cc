@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/result_db.h"
+#include "fault/fault_plan.h"
 #include "obs/metrics.h"
 #include "util/hash.h"
 #include "util/strings.h"
@@ -225,6 +226,63 @@ TEST(ResultDbFigure12, SingleFileSlowerThan32Files)
     measure(32, t32, p32);
     EXPECT_GT(t1, t32) << "single-file header parse dominates";
     EXPECT_GE(p32, p1) << "more files, more block-rounding waste";
+}
+
+// Flat records carry no checksum: a wear-correlated bit flip that lands
+// on a record's `|` or `\n` leaves it unparsable. fetch() must report
+// such a record missing (callers drop it) instead of aborting.
+TEST(ResultDbBitFlips, UnparsableFlatRecordIsAMissNotAnAbort)
+{
+    pc::nvm::FlashDevice device(deviceConfig());
+    pc::simfs::FlashStore store(device);
+    SimTime t = 0;
+    // Wear 16 blocks down with 400 rewrites of a 64 KiB file, then free
+    // them: the database's files reuse them (LIFO).
+    const auto wear = store.create("wear");
+    for (int pass = 0; pass < 400; ++pass)
+        store.truncateAndWrite(
+            wear, std::string(64 * kKiB, char('a' + pass % 26)), t);
+    store.remove(wear, t);
+
+    ResultDatabase db(store);
+    for (int i = 0; i < 200; ++i)
+        ASSERT_TRUE(db.addRecord(makeResult(i), t));
+
+    pc::fault::FaultConfig fcfg;
+    fcfg.seed = 7;
+    fcfg.storage.bitFlipPerReadPerKiloErase = 0.5;
+    pc::fault::FaultPlan plan(fcfg);
+    store.attachFaults(&plan);
+
+    u64 found = 0;
+    u64 dropped = 0;
+    for (int round = 0; round < 50; ++round) {
+        for (int i = 0; i < 200; ++i) {
+            ResultRecord rec;
+            SimTime fetch = 0;
+            if (db.fetch(urlHash(makeResult(i).url), rec, fetch))
+                ++found;
+            else
+                ++dropped;
+            EXPECT_GT(fetch, 0) << "a dropped record's reads are charged";
+        }
+    }
+    store.attachFaults(nullptr);
+    EXPECT_GT(plan.stats().bitFlips, 0u);
+    EXPECT_GT(dropped, 0u) << "no flip hit a separator: scenario too mild";
+    EXPECT_GT(found, dropped);
+
+    // Flips land in the read buffer, never in flash: with the plan
+    // detached every record parses again, intact.
+    for (int i = 0; i < 200; ++i) {
+        const auto r = makeResult(i);
+        ResultRecord rec;
+        SimTime fetch = 0;
+        ASSERT_TRUE(db.fetch(urlHash(r.url), rec, fetch));
+        EXPECT_EQ(rec.title, r.title);
+        EXPECT_EQ(rec.description, r.description);
+        EXPECT_EQ(rec.url, r.url);
+    }
 }
 
 } // namespace

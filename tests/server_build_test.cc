@@ -110,7 +110,6 @@ TEST(CommunityModelBuilder, ShardThreadGridMatchesSequentialBuild)
             cfg.shards = shards;
             cfg.threads = threads;
             cfg.batchRecords = 1024;
-            cfg.queueCapacity = 4;
             CommunityModelBuilder b(wb.universe(), cfg);
             const CommunityModel m = b.build(log, 1, policy);
             EXPECT_EQ(m.encode(), want)
@@ -118,6 +117,8 @@ TEST(CommunityModelBuilder, ShardThreadGridMatchesSequentialBuild)
             EXPECT_EQ(m.stats.shards, shards);
             EXPECT_EQ(m.stats.threads, threads);
             EXPECT_EQ(m.stats.records, log.size());
+            EXPECT_EQ(m.stats.batches, (log.size() + 1023) / 1024)
+                << "one claimed batch per 1024 records";
 
             // Shard accounting must cover the whole log exactly.
             u64 records = 0, rows = 0;
@@ -140,7 +141,6 @@ TEST(CommunityModelBuilder, RepeatBuildsAreByteIdentical)
     cfg.shards = 4;
     cfg.threads = 4;
     cfg.batchRecords = 512;
-    cfg.queueCapacity = 2;
     CommunityModelBuilder b(wb.universe(), cfg);
     const core::ContentPolicy policy{};
     EXPECT_EQ(b.build(log, 3, policy).encode(),
@@ -180,7 +180,6 @@ TEST(CommunityModelBuilder, ManyMoreShardsThanQueriesStillMatches)
     cfg.shards = 64;
     cfg.threads = 3;
     cfg.batchRecords = 7;
-    cfg.queueCapacity = 2;
     CommunityModelBuilder b(wb.universe(), cfg);
     EXPECT_EQ(b.build(log, 1, policy).encode(), want);
 }

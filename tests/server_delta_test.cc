@@ -579,13 +579,14 @@ TEST(DeltaSync, FleetRunThroughCloudServiceCarriesServerMetrics)
               u64(cfg.devices));
     EXPECT_EQ(snap.counterValue("server.ingest.records"),
               wb.buildLog().size());
-    bool sawQueueGauge = false;
+    bool sawVersionGauge = false;
     for (const auto &[name, value] : snap.gauges) {
-        (void)value;
-        if (name == "server.queue.max_depth")
-            sawQueueGauge = true;
+        if (name == "server.model.version") {
+            sawVersionGauge = true;
+            EXPECT_EQ(value, double(svc.latestVersion()));
+        }
     }
-    EXPECT_TRUE(sawQueueGauge);
+    EXPECT_TRUE(sawVersionGauge);
 }
 
 } // namespace
