@@ -33,9 +33,6 @@
  *   per pair: u16 query length | query bytes | u64 url hash |
  *             double score | u8 accessed flag
  *   | u32 crc32 of all preceding bytes.
- *
- * Snapshots written by the legacy single-file "PCIX" format are still
- * readable (best effort — that format has no checksum).
  */
 
 #ifndef PC_CORE_PERSISTENCE_H
@@ -58,8 +55,6 @@ struct RestoreResult
     u32 corruptSlots = 0;
     /** Loaded an older slot because a newer one was corrupt. */
     bool usedFallback = false;
-    /** Loaded through the legacy un-checksummed PCIX path. */
-    bool legacyFormat = false;
 };
 
 /** Outcome of a snapshot commit. */

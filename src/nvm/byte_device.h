@@ -12,6 +12,8 @@
 #ifndef PC_NVM_BYTE_DEVICE_H
 #define PC_NVM_BYTE_DEVICE_H
 
+#include <string>
+
 #include "nvm/storage_device.h"
 
 namespace pc::nvm {
@@ -45,11 +47,15 @@ class ByteDevice : public StorageDevice
   public:
     explicit ByteDevice(const ByteDeviceConfig &cfg);
 
-    std::string name() const override { return cfg_.name; }
-    Bytes capacity() const override { return cfg_.capacity; }
+    /** Device display name. */
+    std::string name() const { return cfg_.name; }
+    /** Usable capacity. */
+    Bytes capacity() const { return cfg_.capacity; }
 
-    SimTime read(Bytes addr, Bytes len) override;
-    SimTime write(Bytes addr, Bytes len) override;
+    /** Model a read of `len` bytes at `addr`; returns its latency. */
+    SimTime read(Bytes addr, Bytes len);
+    /** Model a write of `len` bytes at `addr`; returns its latency. */
+    SimTime write(Bytes addr, Bytes len);
 
     /** Whether contents survive a power cycle. */
     bool nonVolatile() const { return cfg_.nonVolatile; }

@@ -13,6 +13,7 @@
 #ifndef PC_NVM_FLASH_DEVICE_H
 #define PC_NVM_FLASH_DEVICE_H
 
+#include <string>
 #include <vector>
 
 #include "nvm/storage_device.h"
@@ -41,11 +42,15 @@ class FlashDevice : public StorageDevice
   public:
     explicit FlashDevice(const FlashConfig &cfg = FlashConfig{});
 
-    std::string name() const override { return "nand-flash"; }
-    Bytes capacity() const override { return cfg_.capacity; }
+    /** Device display name. */
+    std::string name() const { return "nand-flash"; }
+    /** Usable capacity. */
+    Bytes capacity() const { return cfg_.capacity; }
 
-    SimTime read(Bytes addr, Bytes len) override;
-    SimTime write(Bytes addr, Bytes len) override;
+    /** Model a read of `len` bytes at `addr`; returns its latency. */
+    SimTime read(Bytes addr, Bytes len);
+    /** Model a write of `len` bytes at `addr`; returns its latency. */
+    SimTime write(Bytes addr, Bytes len);
 
     /** Model erasing the block containing byte offset `addr`. */
     SimTime eraseBlockAt(Bytes addr);

@@ -1,6 +1,6 @@
 /**
  * @file
- * Common interface for timed storage/memory device models.
+ * Shared statistics of the timed storage/memory device models.
  *
  * Devices do not hold payload bytes — file contents live in the simfs
  * layer — they model *timing, energy and geometry* of accesses, which is
@@ -10,8 +10,6 @@
 
 #ifndef PC_NVM_STORAGE_DEVICE_H
 #define PC_NVM_STORAGE_DEVICE_H
-
-#include <string>
 
 #include "util/types.h"
 
@@ -29,32 +27,15 @@ struct DeviceStats
 };
 
 /**
- * Abstract timed storage device. read()/write() return the simulated
- * latency of the access and account energy internally.
+ * Access accounting shared by the timed device models. Each model
+ * (FlashDevice, ByteDevice) provides `name()`, `capacity()` and
+ * `read(addr, len)` / `write(addr, len)`, which return the simulated
+ * latency of the access and fold it in through account(). Callers hold
+ * the concrete type; nothing dispatches through this base.
  */
 class StorageDevice
 {
   public:
-    virtual ~StorageDevice() = default;
-
-    /** Device display name. */
-    virtual std::string name() const = 0;
-
-    /** Usable capacity. */
-    virtual Bytes capacity() const = 0;
-
-    /**
-     * Model a read of `len` bytes starting at byte offset `addr`.
-     * @return Simulated latency of the access.
-     */
-    virtual SimTime read(Bytes addr, Bytes len) = 0;
-
-    /**
-     * Model a write of `len` bytes starting at byte offset `addr`.
-     * @return Simulated latency of the access.
-     */
-    virtual SimTime write(Bytes addr, Bytes len) = 0;
-
     /** Cumulative statistics. */
     const DeviceStats &stats() const { return stats_; }
 

@@ -70,8 +70,6 @@ enum class SyncStage : u8
     SyncRequest = 0, ///< Device opens the sync (the trace root).
     VersionLookup,   ///< Server resolves device/target versions.
     DeltaBuild,      ///< Server diffs from->to (from 0 = full install).
-    Shed,            ///< Sync dropped before delivery (unused; kept
-                     ///< so older postmortems parse by name).
     Escalate,        ///< Server forced a full install (bad streak).
     NoVersion,       ///< Target version off the history window.
     FrameDelivery,   ///< One radio attempt carrying the frame.
@@ -82,7 +80,8 @@ enum class SyncStage : u8
     Reject,          ///< Verified delta rejected (version skew).
     Abort,           ///< Sync gave up (retries/budget exhausted).
     Sabotage,        ///< Chaos injected a silent table corruption.
-    SloBreach,       ///< SLO burn-rate breach window (obs/slo.h).
+    SloBreach,       ///< SLO burn-rate breach window (obs/slo.h);
+                     ///< stays last (name tests loop up to it).
 };
 
 /** Metric-safe display name of a stage ("sync_request", ...). */

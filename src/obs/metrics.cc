@@ -7,63 +7,6 @@
 
 namespace pc::obs {
 
-double
-Histogram::quantile(double q) const
-{
-    if (exact_)
-        return cdf_.size() == 0 ? 0.0 : cdf_.quantile(q);
-    return sketch_.quantile(q);
-}
-
-void
-Histogram::quantiles(std::span<const double> qs, std::span<double> out) const
-{
-    if (!exact_) {
-        sketch_.quantiles(qs, out);
-        return;
-    }
-    pc_assert(out.size() == qs.size(),
-              "Histogram::quantiles: output size mismatch");
-    for (std::size_t i = 0; i < qs.size(); ++i)
-        out[i] = quantile(qs[i]);
-}
-
-const QuantileSketch &
-Histogram::sketch() const
-{
-    pc_assert(!exact_, "histogram '", name_,
-              "' is exact-mode; it has no sketch");
-    return sketch_;
-}
-
-const EmpiricalCdf &
-Histogram::cdf() const
-{
-    pc_assert(exact_, "histogram '", name_,
-              "' is sketch-mode; the full sample is not stored");
-    return cdf_;
-}
-
-void
-Histogram::mergeFrom(const Histogram &other)
-{
-    stat_.merge(other.stat_);
-    if (exact_) {
-        if (!other.exact_)
-            pc_fatal("cannot merge sketch-mode histogram '",
-                     other.name_, "' into exact-mode '", name_,
-                     "': the source samples no longer exist");
-        cdf_.add(other.cdf_.sorted());
-        return;
-    }
-    if (other.exact_) {
-        for (double x : other.cdf_.sorted())
-            sketch_.add(x);
-    } else {
-        sketch_.mergeFrom(other.sketch_);
-    }
-}
-
 u64
 MetricsSnapshot::counterValue(const std::string &name) const
 {
@@ -176,26 +119,6 @@ MetricRegistry::histogram(const std::string &name)
         slot.reset(new Histogram(name));
         layout_.reset();
     }
-    if (slot->exact())
-        pc_fatal("histogram '", name,
-                 "' already registered in exact mode, requested as "
-                 "sketch mode");
-    return *slot;
-}
-
-Histogram &
-MetricRegistry::exactHistogram(const std::string &name)
-{
-    checkType(name, "histogram");
-    auto &slot = histograms_[name];
-    if (!slot) {
-        slot.reset(new Histogram(name, /*exact=*/true));
-        layout_.reset();
-    }
-    if (!slot->exact())
-        pc_fatal("histogram '", name,
-                 "' already registered in sketch mode, requested as "
-                 "exact mode");
     return *slot;
 }
 
@@ -287,12 +210,8 @@ MetricRegistry::mergeFrom(const MetricRegistry &other)
         gauge(n).set(g->value());
     for (const auto &[n, h] : other.histograms_) {
         auto it = histograms_.find(n);
-        if (it != histograms_.end()) {
-            it->second->mergeFrom(*h);
-            continue;
-        }
-        // Absent here: create in the source's mode, then fold.
-        Histogram &dst = h->exact() ? exactHistogram(n) : histogram(n);
+        Histogram &dst =
+            it != histograms_.end() ? *it->second : histogram(n);
         dst.mergeFrom(*h);
     }
 }

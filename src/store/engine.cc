@@ -62,8 +62,7 @@ slotCrc(u32 len, u64 key, u64 seq, std::string_view payload)
 StoreEngine::StoreEngine(pc::simfs::FlashStore &store,
                          const StoreEngineConfig &cfg, std::string prefix)
     : store_(store), cfg_(cfg), prefix_(std::move(prefix)),
-      index_(makeIndex(cfg_.backend)), cache_(cfg_.cache),
-      batch_(store, cfg_.batchWindow)
+      cache_(cfg_.cache), batch_(store, cfg_.batchWindow)
 {
     pc_assert(!cfg_.sizeClasses.empty(), "need at least one size class");
     for (std::size_t i = 0; i < cfg_.sizeClasses.size(); ++i) {
@@ -241,8 +240,8 @@ StoreEngine::put(u64 key, std::string_view value, SimTime &time)
         return false;
     ItemLoc oldLoc;
     bool hadOld = false;
-    if (const ItemLoc *old = index_->find(key)) {
-        oldLoc = *old;
+    if (auto old = index_.find(key); old != index_.end()) {
+        oldLoc = old->second;
         hadOld = true;
     }
     const u64 seq = ++lastSeq_;
@@ -251,7 +250,7 @@ StoreEngine::put(u64 key, std::string_view value, SimTime &time)
     const u32 slot = takeSlot(s);
     batch_.enqueue(s.file, slotOffset(s, slot),
                    encodeSlot(key, seq, value), time);
-    index_->upsert(key, ItemLoc{slabId, slot, u32(value.size())});
+    index_[key] = ItemLoc{slabId, slot, u32(value.size())};
     liveBytes_ += value.size();
     if (hadOld) {
         liveBytes_ -= oldLoc.len;
@@ -269,11 +268,11 @@ StoreEngine::remove(u64 key, SimTime &time)
 {
     if (powerLost())
         return false;
-    const ItemLoc *loc = index_->find(key);
-    if (!loc)
+    auto it = index_.find(key);
+    if (it == index_.end())
         return false;
-    const ItemLoc dead = *loc;
-    index_->erase(key);
+    const ItemLoc dead = it->second;
+    index_.erase(it);
     liveBytes_ -= dead.len;
     killSlot(dead, time);
     ++stats_.removes;
@@ -306,7 +305,7 @@ StoreEngine::readCached(const Slab &s, Bytes offset, Bytes len,
 {
     const Bytes ps = cache_.config().pageSize;
     if (cache_.config().capacityPages == 0) {
-        time += cfg_.missOverhead;
+        time += kMissOverhead;
         store_.read(s.file, offset, len, out, time);
         return;
     }
@@ -321,7 +320,7 @@ StoreEngine::readCached(const Slab &s, Bytes offset, Bytes len,
     }
     // A fully cached read is a DRAM copy; any missing page pays the
     // block-layer submission once plus the device reads below.
-    time += allHit ? cfg_.hitOverhead : cfg_.missOverhead;
+    time += allHit ? kHitOverhead : kMissOverhead;
     out.clear();
     out.reserve(len);
     for (u64 p = p0; p <= p1; ++p) {
@@ -362,7 +361,7 @@ StoreEngine::readSlotVerified(const Slab &s, u32 slot, Bytes len,
             // pages and go to the device.
             if (useCache)
                 invalidateRange(s.file, off, need);
-            time += cfg_.missOverhead;
+            time += kMissOverhead;
             store_.read(s.file, off, need, bytes, time);
         }
         const SlotHeader h = parseSlot(bytes);
@@ -380,11 +379,11 @@ StoreEngine::get(u64 key, std::string &out, SimTime &time)
 {
     flush(time); // read-your-writes
     ++stats_.gets;
-    time += index_->probeCost(index_->size());
-    const ItemLoc *loc = index_->find(key);
-    if (!loc)
+    time += kProbeCost;
+    auto it = index_.find(key);
+    if (it == index_.end())
         return false;
-    const ItemLoc l = *loc;
+    const ItemLoc l = it->second;
     std::string slotBytes;
     if (!readSlotVerified(slabs_[l.slab], l.slot, l.len, true, slotBytes,
                           time)) {
@@ -399,7 +398,18 @@ StoreEngine::get(u64 key, std::string &out, SimTime &time)
 bool
 StoreEngine::contains(u64 key) const
 {
-    return index_->find(key) != nullptr;
+    return index_.count(key) != 0;
+}
+
+std::vector<u64>
+StoreEngine::keys() const
+{
+    std::vector<u64> out;
+    out.reserve(index_.size());
+    for (const auto &entry : index_)
+        out.push_back(entry.first);
+    std::sort(out.begin(), out.end());
+    return out;
 }
 
 bool
@@ -462,7 +472,7 @@ StoreEngine::collectSlab(u32 slabId, SimTime &time)
         return false;
     }
     for (const Move &m : moves) {
-        index_->upsert(m.key, ItemLoc{m.destSlab, m.destSlot, m.len});
+        index_[m.key] = ItemLoc{m.destSlab, m.destSlot, m.len};
         gcStats_.bytesMoved += m.len;
     }
     Slab &src = slabs_[slabId];
@@ -651,7 +661,7 @@ StoreEngine::recover()
         s.slots[c.slot] = SlotState::Live;
         --s.dead;
         ++s.live;
-        index_->upsert(key, ItemLoc{c.slabId, c.slot, c.len});
+        index_[key] = ItemLoc{c.slabId, c.slot, c.len};
         liveBytes_ += c.len;
     }
 }

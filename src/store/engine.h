@@ -6,7 +6,7 @@
  * with a parse-the-whole-header lookup path (Section 5.2.2); this is
  * the next storage tier the ROADMAP names: fixed-size-class **slab
  * files** on simfs::FlashStore (inheriting all flash timing / energy /
- * wear accounting), a pluggable **in-memory index** (store/index.h)
+ * wear accounting), an **in-memory hash index** (key → slot)
  * rebuilt by scanning slabs at attach, an LRU **page cache**
  * (store/page_cache.h) so hot reads never touch the device, a
  * **batched write queue** (store/io_queue.h) coalescing slot programs,
@@ -36,20 +36,27 @@
 #ifndef PC_STORE_ENGINE_H
 #define PC_STORE_ENGINE_H
 
-#include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "simfs/flash_store.h"
-#include "store/index.h"
 #include "store/io_queue.h"
 #include "store/page_cache.h"
 #include "util/types.h"
 
 namespace pc::store {
 
-/** Engine shape and modelled host costs. */
+/** Where an item lives: slab id, slot within it, payload length. */
+struct ItemLoc
+{
+    u32 slab = 0;  ///< Engine-wide slab id.
+    u32 slot = 0;  ///< Slot index within the slab.
+    u32 len = 0;   ///< Payload length in bytes (header excluded).
+};
+
+/** Engine shape. */
 struct StoreEngineConfig
 {
     /**
@@ -60,8 +67,6 @@ struct StoreEngineConfig
     std::vector<Bytes> sizeClasses = {128, 256, 512, 1024, 2048, 4096};
     /** Slots per slab file. */
     u32 slotsPerSlab = 256;
-    /** Index backend. */
-    IndexBackend backend = IndexBackend::Hash;
     /** Page-cache geometry (capacityPages = 0 disables caching). */
     PageCacheConfig cache{};
     /** Write-queue auto-flush threshold (0 = unbatched). */
@@ -73,10 +78,6 @@ struct StoreEngineConfig
     double gcDeadFraction = 0.5;
     /** Run GC opportunistically after kills. */
     bool gcAuto = true;
-    /** Modelled cost of serving a read entirely from cached pages. */
-    SimTime hitOverhead = 2 * kMicrosecond;
-    /** Modelled block-layer submission cost of a read that misses. */
-    SimTime missOverhead = 150 * kMicrosecond;
 };
 
 /** Garbage-collection counters. */
@@ -159,7 +160,7 @@ class StoreEngine
     u32 gcSweep(SimTime &time);
 
     /** Live item count. */
-    u64 items() const { return index_->size(); }
+    u64 items() const { return index_.size(); }
 
     /** Sum of live payload bytes. */
     Bytes logicalBytes() const { return liveBytes_; }
@@ -185,8 +186,8 @@ class StoreEngine
     /** Write-batching statistics. */
     const BatchStats &batchStats() const { return batch_.stats(); }
 
-    /** The index (inspection / iteration). */
-    const Index &index() const { return *index_; }
+    /** Every live key, ascending. */
+    std::vector<u64> keys() const;
 
     /** Configuration. */
     const StoreEngineConfig &config() const { return cfg_; }
@@ -203,6 +204,16 @@ class StoreEngine
 
     /** On-flash slot header size. */
     static constexpr Bytes kHeaderSize = 32;
+    /**
+     * Modelled cost of one index probe: a hash plus one cache-missy
+     * bucket walk, inside the paper's 10 us DRAM hash-table budget
+     * (Section 5.2.1).
+     */
+    static constexpr SimTime kProbeCost = 1200; // 1.2 us
+    /** Modelled cost of serving a read entirely from cached pages. */
+    static constexpr SimTime kHitOverhead = 2 * kMicrosecond;
+    /** Modelled block-layer submission cost of a read that misses. */
+    static constexpr SimTime kMissOverhead = 150 * kMicrosecond;
 
   private:
     /** Slot lifecycle within a slab. */
@@ -317,7 +328,8 @@ class StoreEngine
     pc::simfs::FlashStore &store_;
     StoreEngineConfig cfg_;
     std::string prefix_;
-    std::unique_ptr<Index> index_;
+    /** Key → location; rebuilt from slab scans at attach. */
+    std::unordered_map<u64, ItemLoc> index_;
     PageCache cache_;
     WriteBatch batch_;
     std::vector<Slab> slabs_;

@@ -178,7 +178,8 @@ TEST(MetricRegistry, MergePreservesExactQuantiles)
     const Histogram &h = a.histogram("lat");
     EXPECT_EQ(h.count(), 5u);
     EXPECT_DOUBLE_EQ(h.mean(), 3.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 3.0) << "exact sample-union median";
+    EXPECT_DOUBLE_EQ(h.quantile(0.5), 3.0)
+        << "sketch is exact before its first compaction";
     EXPECT_DOUBLE_EQ(h.min(), 1.0);
     EXPECT_DOUBLE_EQ(h.max(), 5.0);
 }
@@ -197,7 +198,6 @@ TEST(Histogram, MemoryStaysBoundedOnLongStreams)
         h.observe(x);
         sample.push_back(x);
     }
-    EXPECT_FALSE(h.exact());
     EXPECT_LE(h.retained(), h.sketch().maxRetained());
     EXPECT_EQ(h.count(), 200'000u);
 
@@ -212,49 +212,13 @@ TEST(Histogram, MemoryStaysBoundedOnLongStreams)
     }
 }
 
-TEST(Histogram, ExactModeStoresFullSample)
-{
-    MetricRegistry reg;
-    Histogram &h = reg.exactHistogram("lat");
-    for (int i = 0; i < 1000; ++i)
-        h.observe(double(i));
-    EXPECT_TRUE(h.exact());
-    EXPECT_EQ(h.retained(), 1000u) << "exact mode keeps every sample";
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), h.cdf().quantile(0.5));
-    EXPECT_EQ(&reg.exactHistogram("lat"), &h)
-        << "same name, same mode returns the same handle";
-}
-
-TEST(Histogram, MergeExactSourceIntoSketchTarget)
-{
-    // A sketch-mode target accepts an exact-mode source by re-adding
-    // its stored samples — the registry merge relies on this when
-    // shards were created with different modes.
-    MetricRegistry sk, ex;
-    for (double x : {1.0, 2.0, 3.0})
-        sk.histogram("h").observe(x);
-    for (double x : {4.0, 5.0})
-        ex.exactHistogram("h").observe(x);
-
-    sk.mergeFrom(ex);
-    const Histogram &h = sk.histogram("h");
-    EXPECT_EQ(h.count(), 5u);
-    EXPECT_DOUBLE_EQ(h.mean(), 3.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 3.0)
-        << "still exact: 5 < k items means no compaction yet";
-    EXPECT_FALSE(h.exact()) << "target keeps its own mode";
-}
-
-TEST(Histogram, RegistryMergeCreatesAbsentInSourceMode)
+TEST(Histogram, RegistryMergeCreatesAbsentHistograms)
 {
     MetricRegistry src, dst;
     src.histogram("sketchy").observe(1.0);
-    src.exactHistogram("precise").observe(2.0);
     dst.mergeFrom(src);
-    EXPECT_FALSE(dst.histogram("sketchy").exact());
-    EXPECT_TRUE(dst.exactHistogram("precise").exact());
+    ASSERT_NE(dst.findHistogram("sketchy"), nullptr);
     EXPECT_EQ(dst.histogram("sketchy").count(), 1u);
-    EXPECT_EQ(dst.exactHistogram("precise").count(), 1u);
 }
 
 TEST(MetricsSnapshot, CountersInNameOrderAndJson)

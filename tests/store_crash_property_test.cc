@@ -142,10 +142,10 @@ runCrashRound(u64 seed, const StoreEngineConfig &cfg, Bytes crashAfter)
             << "key " << key << " recovered a torn value; seed " << seed;
     }
     // No resurrections or inventions: every recovered key was written.
-    eng2.index().forEach([&](u64 key, const ItemLoc &) {
+    for (const u64 key : eng2.keys()) {
         ASSERT_TRUE(acked.count(key) || pendingValues.count(key))
             << "key " << key << " resurrected; seed " << seed;
-    });
+    }
 }
 
 TEST(StoreCrashProperty, AcknowledgedWritesSurviveTornCrashes)

@@ -10,6 +10,7 @@
 #include <map>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/result_db.h"
 #include "nvm/flash_device.h"
@@ -31,19 +32,19 @@ valueFor(u64 key, u64 version, Bytes size)
 }
 
 // ---------------------------------------------------------------------
-// Backend-equivalence grid: every (index backend × cache size × batch
-// window) cell must agree with an in-memory reference model under the
-// same randomized op sequence.
+// Reference-equivalence grid: every (cache size × batch window) cell
+// must agree with an in-memory reference model under a randomized op
+// sequence.
 // ---------------------------------------------------------------------
 
 class EngineVsReference
-    : public ::testing::TestWithParam<std::tuple<IndexBackend, u32, u32>>
+    : public ::testing::TestWithParam<std::tuple<u32, u32>>
 {
 };
 
 TEST_P(EngineVsReference, RandomOpsMatchReferenceModel)
 {
-    const auto [backend, cachePages, batchWindow] = GetParam();
+    const auto [cachePages, batchWindow] = GetParam();
 
     pc::nvm::FlashConfig fc;
     fc.capacity = 64 * kMiB;
@@ -51,14 +52,13 @@ TEST_P(EngineVsReference, RandomOpsMatchReferenceModel)
     pc::simfs::FlashStore store(device);
 
     StoreEngineConfig cfg;
-    cfg.backend = backend;
     cfg.cache.capacityPages = cachePages;
     cfg.batchWindow = batchWindow;
     cfg.slotsPerSlab = 32;
     StoreEngine eng(store, cfg);
 
     std::map<u64, std::string> ref;
-    Rng rng(u64(backend) * 1000 + cachePages * 10 + batchWindow + 5);
+    Rng rng(cachePages * 10 + batchWindow + 5);
     SimTime t = 0;
     SimTime prev = 0;
     u64 version = 0;
@@ -94,16 +94,18 @@ TEST_P(EngineVsReference, RandomOpsMatchReferenceModel)
         ASSERT_TRUE(eng.contains(key));
     }
     Bytes logical = 0;
-    for (const auto &[key, val] : ref)
+    std::vector<u64> keys;
+    for (const auto &[key, val] : ref) {
         logical += val.size();
+        keys.push_back(key);
+    }
     ASSERT_EQ(eng.logicalBytes(), logical);
+    ASSERT_EQ(eng.keys(), keys);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, EngineVsReference,
-    ::testing::Combine(::testing::Values(IndexBackend::Hash,
-                                         IndexBackend::Ordered),
-                       ::testing::Values(0u, 8u, 256u),
+    ::testing::Combine(::testing::Values(0u, 8u, 256u),
                        ::testing::Values(0u, 8u)));
 
 // ---------------------------------------------------------------------
@@ -368,13 +370,31 @@ TEST(StoreEngineTest, RejectsOversizedValues)
     ASSERT_TRUE(eng.put(1, std::string(cap, 'x'), t));
 }
 
-TEST(StoreEngineTest, IndexProbeCostsMatchBackendShape)
+TEST(StoreEngineTest, CachedGetCostsOneProbePlusHitAtAnySize)
 {
-    auto hash = makeIndex(IndexBackend::Hash);
-    auto ordered = makeIndex(IndexBackend::Ordered);
-    // Hash probes are size-independent; tree probes grow with log n.
-    ASSERT_EQ(hash->probeCost(10), hash->probeCost(1'000'000));
-    ASSERT_LT(ordered->probeCost(16), ordered->probeCost(1'000'000));
+    pc::nvm::FlashConfig fc;
+    fc.capacity = 64 * kMiB;
+    pc::nvm::FlashDevice device(fc);
+    pc::simfs::FlashStore store(device);
+    StoreEngine eng(store);
+
+    SimTime t = 0;
+    std::string out;
+    const auto cachedGet = [&](u64 key) {
+        SimTime warm = 0;
+        EXPECT_TRUE(eng.get(key, out, warm)); // pulls the pages in
+        SimTime one = 0;
+        EXPECT_TRUE(eng.get(key, out, one));
+        return one;
+    };
+    ASSERT_TRUE(eng.put(0, "only", t));
+    ASSERT_EQ(cachedGet(0),
+              StoreEngine::kProbeCost + StoreEngine::kHitOverhead);
+    // Hash probes are size-independent.
+    for (u64 k = 1; k < 2000; ++k)
+        ASSERT_TRUE(eng.put(k, "more", t));
+    ASSERT_EQ(cachedGet(1999),
+              StoreEngine::kProbeCost + StoreEngine::kHitOverhead);
 }
 
 // ---------------------------------------------------------------------

@@ -92,9 +92,9 @@ help()
         "                  recorder: causal chain + critical path\n"
         "  update          nightly community sync (Figure 14)\n"
         "  store [n] [ops] exercise the pc::store slab engine: n\n"
-        "                  records, ops zipf-skewed ops per backend;\n"
-        "                  prints per-backend lookup latency, page-\n"
-        "                  cache hit rate and GC statistics\n"
+        "                  records, ops zipf-skewed ops; prints\n"
+        "                  lookup latency, page-cache hit rate and\n"
+        "                  GC statistics\n"
         "  health [n] [m] [t] [storm]  fleet health observatory: SLO\n"
         "                  scoreboard (error budgets, burn rates) and\n"
         "                  bottleneck ranking of an n-device fleet over\n"
@@ -387,74 +387,68 @@ printSyncChain(const std::vector<obs::SyncEvent> &events)
 
 /**
  * The `store` command: spin up the pc::store slab engine on a scratch
- * flash device, run a zipf-skewed update/lookup churn per index
- * backend, and print lookup latency, cache hit rate and GC stats.
+ * flash device, run a zipf-skewed update/lookup churn, and print
+ * lookup latency, cache hit rate and GC stats.
  */
 void
 runStoreCommand(u64 records, u64 ops)
 {
+    nvm::FlashConfig fc;
+    fc.capacity = 256 * kMiB;
+    nvm::FlashDevice device(fc);
+    simfs::FlashStore fs(device);
+    store::StoreEngineConfig cfg;
+    cfg.slotsPerSlab = 64;
+    store::StoreEngine eng(fs, cfg);
+
+    SimTime t0 = 0;
+    for (u64 k = 0; k < records; ++k)
+        eng.put(k, strformat("record %llu payload",
+                             (unsigned long long)k) +
+                       std::string(400, 'r'),
+                t0);
+    const ZipfSampler zipf(records, 0.99);
+    Rng rng(7);
+    std::vector<SimTime> lat;
+    lat.reserve(ops);
+    u64 version = 0;
+    for (u64 i = 0; i < ops; ++i) {
+        const u64 k = zipf.sample(rng);
+        if (rng.chance(0.5)) {
+            eng.put(k, strformat("record %llu v%llu",
+                                 (unsigned long long)k,
+                                 (unsigned long long)++version) +
+                           std::string(400, 'u'),
+                    t0);
+        } else {
+            std::string out;
+            SimTime one = 0;
+            eng.get(k, out, one);
+            lat.push_back(one);
+        }
+    }
+    std::sort(lat.begin(), lat.end());
+    // Every op may have been an update: then there is no get to rank.
+    const auto q = [&](double f) {
+        return lat.empty() ? std::string("-")
+                           : humanTime(lat[std::size_t(
+                                 f * double(lat.size() - 1) + 0.5)]);
+    };
     AsciiTable t(strformat("pc::store engine, %llu records, %llu "
-                           "zipf ops per backend (50/50 get/update)",
+                           "zipf ops (50/50 get/update)",
                            (unsigned long long)records,
                            (unsigned long long)ops));
-    t.header({"backend", "p50 get", "p99 get", "cache hit", "gc runs",
-              "relocated", "slabs freed", "coalescing"});
-    for (const auto backend :
-         {store::IndexBackend::Hash, store::IndexBackend::Ordered}) {
-        nvm::FlashConfig fc;
-        fc.capacity = 256 * kMiB;
-        nvm::FlashDevice device(fc);
-        simfs::FlashStore fs(device);
-        store::StoreEngineConfig cfg;
-        cfg.backend = backend;
-        cfg.slotsPerSlab = 64;
-        store::StoreEngine eng(fs, cfg);
-
-        SimTime t0 = 0;
-        for (u64 k = 0; k < records; ++k)
-            eng.put(k, strformat("record %llu payload",
-                                 (unsigned long long)k) +
-                           std::string(400, 'r'),
-                    t0);
-        const ZipfSampler zipf(records, 0.99);
-        Rng rng(7);
-        std::vector<SimTime> lat;
-        lat.reserve(ops);
-        u64 version = 0;
-        for (u64 i = 0; i < ops; ++i) {
-            const u64 k = zipf.sample(rng);
-            if (rng.chance(0.5)) {
-                eng.put(k, strformat("record %llu v%llu",
-                                     (unsigned long long)k,
-                                     (unsigned long long)++version) +
-                               std::string(400, 'u'),
-                        t0);
-            } else {
-                std::string out;
-                SimTime one = 0;
-                eng.get(k, out, one);
-                lat.push_back(one);
-            }
-        }
-        std::sort(lat.begin(), lat.end());
-        const auto q = [&](double f) {
-            return lat[std::size_t(f * double(lat.size() - 1) + 0.5)];
-        };
-        t.row({store::indexBackendName(backend),
-               humanTime(q(0.50)), humanTime(q(0.99)),
-               strformat("%.1f%%", 100.0 * eng.cacheStats().hitRate()),
-               strformat("%llu",
-                         (unsigned long long)eng.gcStats().collections),
-               strformat("%llu",
-                         (unsigned long long)eng.gcStats().relocated),
-               strformat("%llu", (unsigned long long)
-                                     eng.gcStats().slabsReclaimed),
-               strformat("%.1fx", eng.batchStats().coalescing())});
-    }
+    t.header({"p50 get", "p99 get", "cache hit", "gc runs", "relocated",
+              "slabs freed", "coalescing"});
+    t.row({q(0.50), q(0.99),
+           strformat("%.1f%%", 100.0 * eng.cacheStats().hitRate()),
+           strformat("%llu", (unsigned long long)eng.gcStats().collections),
+           strformat("%llu", (unsigned long long)eng.gcStats().relocated),
+           strformat("%llu",
+                     (unsigned long long)eng.gcStats().slabsReclaimed),
+           strformat("%.1fx", eng.batchStats().coalescing())});
     t.print();
-    std::printf("(hash probes are flat; the ordered backend pays "
-                "O(log n) per lookup — see bench_micro_store for the "
-                "full sweep)\n");
+    std::printf("(see bench_micro_store for the full sweep)\n");
 }
 
 /**
