@@ -4,8 +4,9 @@
  * PocketSearch fast path and in the workload generator: hash-table
  * lookup (the paper's 10 us budget), database fetch, click-ranking
  * update, the whole served hit with its click (the device serve path)
- * and the click's PocketSearch bookkeeping, Zipf sampling and universe
- * pair sampling.
+ * and the click's PocketSearch bookkeeping, Zipf sampling, universe
+ * pair sampling, one user-stream event at a fixed history size and one
+ * month of community log generation.
  *
  * These measure *host* performance of the implementation (the simulated
  * latencies above are modelled, not measured).
@@ -13,12 +14,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <map>
+
 #include "core/cache_content.h"
 #include "core/pocket_search.h"
 #include "device/mobile_device.h"
 #include "harness/workbench.h"
 #include "util/hash.h"
 #include "util/zipf.h"
+#include "workload/loggen.h"
 
 using namespace pc;
 using namespace pc::core;
@@ -190,19 +194,87 @@ BM_UniverseSamplePair(benchmark::State &state)
 }
 BENCHMARK(BM_UniverseSamplePair);
 
-void
-BM_UserStreamEvent(benchmark::State &state)
+/**
+ * A user stream pre-warmed to `distinct` history entries, built once
+ * per size. Benchmarks copy it, so every run starts from the same
+ * history whatever the iteration count.
+ */
+const workload::UserStream &
+warmStream(std::size_t distinct)
 {
-    auto &f = fixture();
+    static std::map<std::size_t, workload::UserStream> warmed;
     workload::UserProfile profile;
     profile.monthlyVolume = 1000000; // never exhausts during the bench
     profile.newRate = 0.4;
-    workload::UserStream stream(f.wb.universe(), profile, 3);
-    stream.beginMonth(0);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(stream.next());
+    const auto [it, fresh] =
+        warmed.try_emplace(distinct, fixture().wb.universe(), profile, 3);
+    if (fresh) {
+        it->second.beginMonth(0);
+        while (it->second.historySize() < distinct)
+            it->second.next();
+    }
+    return it->second;
 }
-BENCHMARK(BM_UserStreamEvent);
+
+/**
+ * One event of a stream whose history holds range(0) distinct pairs.
+ * Each iteration generates a short batch from a fresh copy of the
+ * warmed stream, so the history (and with it the re-find cost) does
+ * not grow with the iteration count.
+ */
+void
+BM_UserStreamEvent(benchmark::State &state)
+{
+    constexpr int kBatch = 256;
+    const auto &warm = warmStream(std::size_t(state.range(0)));
+    for (auto _ : state) {
+        state.PauseTiming();
+        workload::UserStream stream = warm;
+        state.ResumeTiming();
+        for (int i = 0; i < kBatch; ++i)
+            benchmark::DoNotOptimize(stream.next());
+    }
+    state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_UserStreamEvent)->Arg(100)->Arg(1000)->Arg(10000);
+
+/**
+ * Month 12 of a 300-user community log over a tiny universe: every
+ * stream carries 11 months of history, as in a long LogGenerator run.
+ */
+void
+BM_LogGenMonth(benchmark::State &state)
+{
+    workload::UniverseConfig ucfg;
+    ucfg.navResults = 500;
+    ucfg.nonNavResults = 2000;
+    ucfg.navHead = 60;
+    ucfg.nonNavHead = 60;
+    ucfg.habitNavHead = 40;
+    ucfg.habitNonNavHead = 25;
+    static const workload::QueryUniverse universe(ucfg);
+    static const workload::LogGenerator warm = [] {
+        workload::LogGenConfig lg;
+        lg.seed = 5;
+        lg.numUsers = 300;
+        workload::LogGenerator gen(universe, workload::PopulationConfig{},
+                                   lg);
+        for (int m = 0; m < 11; ++m)
+            gen.generateMonth();
+        return gen;
+    }();
+    std::size_t records = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        workload::LogGenerator gen = warm;
+        state.ResumeTiming();
+        const workload::SearchLog log = gen.generateMonth();
+        benchmark::DoNotOptimize(log.records().data());
+        records += log.size();
+    }
+    state.SetItemsProcessed(i64(records));
+}
+BENCHMARK(BM_LogGenMonth)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

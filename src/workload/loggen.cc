@@ -1,5 +1,7 @@
 #include "workload/loggen.h"
 
+#include "util/logging.h"
+
 namespace pc::workload {
 
 LogGenerator::LogGenerator(const QueryUniverse &universe,
@@ -11,8 +13,11 @@ LogGenerator::LogGenerator(const QueryUniverse &universe,
     profiles_ = sampler.samplePopulation(cfg_.numUsers);
     streams_.reserve(profiles_.size());
     Rng seeder(cfg_.seed);
-    for (const auto &p : profiles_)
+    for (const auto &p : profiles_) {
+        pc_assert(p.id <= ~u32(0), "user id ", p.id,
+                  " does not fit LogRecord::user");
         streams_.emplace_back(universe_, p, seeder.next());
+    }
 }
 
 SearchLog
@@ -29,14 +34,12 @@ LogGenerator::generateMonth()
     log.reserve(total);
 
     for (std::size_t i = 0; i < streams_.size(); ++i) {
-        auto events = streams_[i].month(nextMonthStart_);
-        for (const auto &ev : events) {
-            LogRecord rec;
-            rec.user = profiles_[i].id;
-            rec.time = ev.time;
-            rec.pair = ev.pair;
-            rec.device = profiles_[i].device;
-            log.add(rec);
+        const UserProfile &p = profiles_[i];
+        UserStream &stream = streams_[i];
+        stream.beginMonth(nextMonthStart_);
+        for (u32 k = 0; k < p.monthlyVolume; ++k) {
+            const StreamEvent ev = stream.next();
+            log.add({p.id, ev.time, ev.pair, p.device});
         }
     }
     nextMonthStart_ += kMonth;

@@ -18,14 +18,27 @@
 
 namespace pc::workload {
 
-/** One click-through event in the log. */
+/**
+ * One click-through event in the log, packed to 24 B: a community
+ * month holds millions of them and the time sort moves every one.
+ */
 struct LogRecord
 {
-    u64 user = 0;          ///< Anonymized user id.
     SimTime time = 0;      ///< Timestamp within the log window.
     PairRef pair{0, 0};    ///< (query, clicked result).
+    u32 user = 0;          ///< Anonymized user id.
     DeviceType device = DeviceType::Smartphone;
+
+    LogRecord() = default;
+
+    /** Positional form {user, time, pair, device}; `user_id` must fit
+     *  in u32 (LogGenerator checks its population). */
+    LogRecord(u64 user_id, SimTime t, PairRef p, DeviceType d)
+        : time(t), pair(p), user(u32(user_id)), device(d)
+    {
+    }
 };
+static_assert(sizeof(LogRecord) == 24, "LogRecord must stay 24 bytes");
 
 /**
  * A flat, time-ordered-per-user log plus a reference to the universe

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/hash.h"
 #include "util/logging.h"
 
 namespace pc::workload {
@@ -56,29 +57,56 @@ UserStream::beginMonth(SimTime start)
     indexInMonth_ = 0;
 }
 
+std::size_t
+UserStream::probe(const PairRef &p) const
+{
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = mix64((u64(p.query) << 32) | p.result) & mask;
+    while (slots_[i] != 0 && !(history_[slots_[i] - 1].pair == p))
+        i = (i + 1) & mask;
+    return i;
+}
+
+void
+UserStream::growIndex()
+{
+    slots_.assign(std::max<std::size_t>(8, 2 * slots_.size()), 0);
+    for (std::size_t pos = 0; pos < history_.size(); ++pos)
+        slots_[probe(history_[pos].pair)] = u32(pos + 1);
+}
+
 void
 UserStream::recordIssue(const PairRef &p)
 {
-    for (auto &h : history_) {
-        if (h.pair == p) {
-            ++h.count;
-            return;
-        }
+    if (4 * (history_.size() + 1) > 3 * slots_.size())
+        growIndex();
+    const std::size_t i = probe(p);
+    if (slots_[i] != 0) {
+        ++history_[slots_[i] - 1].count;
+        return;
     }
+    pc_assert(history_.size() < ~u32(0), "history position overflows u32");
     history_.push_back({p, 1});
+    slots_[i] = u32(history_.size());
 }
 
 PairRef
 UserStream::pickFromHistory()
 {
     pc_assert(!history_.empty(), "history pick with empty history");
-    // Rich-get-richer: proportional to count^repeatSkew.
+    // Rich-get-richer: proportional to count^repeatSkew. Most entries
+    // were issued once, and pow(1, y) is exactly 1 in IEEE 754, so the
+    // shortcut leaves every sum and every pick unchanged.
+    const double skew = profile_.repeatSkew;
+    const auto weight = [skew](u32 count) {
+        return count == 1 ? 1.0 : std::pow(double(count), skew);
+    };
     double total = 0.0;
     for (const auto &h : history_)
-        total += std::pow(double(h.count), profile_.repeatSkew);
+        total += weight(h.count);
     double x = rng_.uniform() * total;
     for (const auto &h : history_) {
-        x -= std::pow(double(h.count), profile_.repeatSkew);
+        x -= weight(h.count);
         if (x <= 0.0)
             return h.pair;
     }

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <unordered_map>
 
+#include "util/crc32.h"
 #include "workload/loggen.h"
 
 namespace pc::workload {
@@ -88,6 +90,35 @@ TEST_F(LogGenTest, AllUsersAppear)
     EXPECT_EQ(per_user.size(), gen_->population().size());
     for (const auto &p : gen_->population())
         EXPECT_EQ(per_user.at(p.id), p.monthlyVolume);
+}
+
+// Golden digest of six community months: every field of every record,
+// in log order. Any change to a draw, to the pick order of re-finds or
+// to the time sort moves it; a pure speed-up must leave it unchanged.
+TEST_F(LogGenTest, GoldenSixMonthDigest)
+{
+    std::string buf;
+    u32 crc = 0;
+    std::size_t records = 0;
+    const auto put = [&buf](u64 v, int n) {
+        for (int i = 0; i < n; ++i)
+            buf.push_back(char((v >> (8 * i)) & 0xff));
+    };
+    for (int m = 0; m < 6; ++m) {
+        const auto log = gen_->generateMonth();
+        records += log.size();
+        for (const auto &rec : log.records()) {
+            buf.clear();
+            put(u64(rec.user), 8);
+            put(u64(rec.time), 8);
+            put(rec.pair.query, 4);
+            put(rec.pair.result, 4);
+            put(u64(rec.device), 1);
+            crc = crc32(buf, crc);
+        }
+    }
+    EXPECT_EQ(records, 123756u);
+    EXPECT_EQ(crc, 0x16bfd245u);
 }
 
 TEST(SearchLog, SortByUserTimeGroupsUsers)

@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <type_traits>
 #include <unordered_set>
+#include <vector>
 
+#include "util/crc32.h"
 #include "workload/stream.h"
 
 namespace pc::workload {
@@ -152,6 +156,145 @@ TEST_F(StreamTest, HotSetSizeMatchesProfile)
 {
     UserStream s(uni_, profile(30, 0.4), 37);
     EXPECT_EQ(s.hotSet().size(), 5u);
+}
+
+/** Append `v` to `buf` as `n` little-endian bytes. */
+void
+putLe(std::string &buf, u64 v, int n)
+{
+    for (int i = 0; i < n; ++i)
+        buf.push_back(char((v >> (8 * i)) & 0xff));
+}
+
+/**
+ * CRC-32 over every event of 24 consecutive months, with the trend
+ * epoch advanced each month as LogGenerator does. Each event
+ * contributes (time, query, result, repeatDraw).
+ */
+u32
+streamDigest(const QueryUniverse &uni, const UserProfile &p, u64 seed)
+{
+    UserStream s(uni, p, seed);
+    std::string buf;
+    u32 crc = 0;
+    for (u32 m = 0; m < 24; ++m) {
+        s.setEpoch(m);
+        for (const auto &ev : s.month(SimTime(m) * kMonth)) {
+            buf.clear();
+            putLe(buf, u64(ev.time), 8);
+            putLe(buf, ev.pair.query, 4);
+            putLe(buf, ev.pair.result, 4);
+            putLe(buf, ev.repeatDraw ? 1 : 0, 1);
+            crc = crc32(buf, crc);
+        }
+    }
+    return crc;
+}
+
+UserProfile
+goldenProfile(u32 volume, double new_rate, double skew, u32 hot)
+{
+    UserProfile p = profile(volume, new_rate);
+    p.repeatSkew = skew;
+    p.hotSetSize = hot;
+    return p;
+}
+
+// Golden digests of the stream generator's output. Any change to the
+// draw sequence, the history pick order or the re-find weights moves
+// them; a pure speed-up must leave every one unchanged.
+TEST_F(StreamTest, GoldenExplorerHighVolume)
+{
+    EXPECT_EQ(streamDigest(uni_, goldenProfile(2000, 0.95, 1.3, 6), 101),
+              0x2bf5ebadu);
+}
+
+TEST_F(StreamTest, GoldenMixedLowSkew)
+{
+    EXPECT_EQ(streamDigest(uni_, goldenProfile(1500, 0.4, 0.7, 12), 202),
+              0x8866dc8eu);
+}
+
+TEST_F(StreamTest, GoldenRepeaterHighVolumeLowSkew)
+{
+    EXPECT_EQ(streamDigest(uni_, goldenProfile(2000, 0.02, 0.7, 4), 303),
+              0xeb160e50u);
+}
+
+TEST_F(StreamTest, GoldenRepeaterLowVolume)
+{
+    EXPECT_EQ(streamDigest(uni_, goldenProfile(300, 0.02, 1.3, 6), 404),
+              0xd9acb45eu);
+}
+
+TEST_F(StreamTest, GoldenMixedHighSkewWideHotSet)
+{
+    EXPECT_EQ(streamDigest(uni_, goldenProfile(800, 0.4, 1.3, 20), 505),
+              0xff381decu);
+}
+
+u64
+pairKey(const PairRef &p)
+{
+    return (u64(p.query) << 32) | p.result;
+}
+
+// The history index must count exactly the distinct pairs emitted,
+// through many table growths and past the u16 position range.
+TEST(StreamIndex, HistorySizeTracksDistinctPairsPastSeventyThousand)
+{
+    UniverseConfig cfg;
+    cfg.navResults = 20'000;
+    cfg.nonNavResults = 80'000;
+    const QueryUniverse uni(cfg);
+    UserProfile p = profile(25'000, 0.95);
+    // Few re-finds: each costs a pass over the history, and the index
+    // is what this test is about.
+    p.favoritesBias = 0.9;
+    UserStream s(uni, p, 77);
+    std::unordered_set<u64> distinct;
+    for (u32 m = 0; distinct.size() <= 70'000; ++m) {
+        ASSERT_LT(m, 24u) << "stream stopped finding new pairs";
+        s.setEpoch(m);
+        s.beginMonth(SimTime(m) * kMonth);
+        for (u32 k = 0; k < p.monthlyVolume; ++k)
+            distinct.insert(pairKey(s.next().pair));
+        ASSERT_EQ(s.historySize(), distinct.size()) << "month " << m;
+    }
+}
+
+// A copied stream, and one moved by a vector reallocation, carry the
+// history and its index along: all emit the original's next events.
+TEST_F(StreamTest, CopiedAndMovedStreamsContinueIdentically)
+{
+    const UserProfile p = profile(2'000, 0.6);
+    UserStream s(uni_, p, 41);
+    for (u32 m = 0; m < 3; ++m)
+        s.month(SimTime(m) * kMonth);
+    s.setEpoch(3);
+    s.beginMonth(3 * kMonth);
+    for (int i = 0; i < 700; ++i)
+        s.next();
+    ASSERT_GT(s.historySize(), 1'000u);
+
+    // Otherwise the reallocation below would copy, not move.
+    static_assert(std::is_nothrow_move_constructible_v<UserStream>);
+    UserStream copy = s;
+    std::vector<UserStream> moved;
+    moved.reserve(1);
+    moved.push_back(s);
+    moved.push_back(s); // reallocates: the first element moves
+    for (int i = 0; i < 10'000; ++i) {
+        const auto want = s.next();
+        for (UserStream *other : {&copy, &moved[0], &moved[1]}) {
+            const auto got = other->next();
+            ASSERT_EQ(got.time, want.time) << "event " << i;
+            ASSERT_TRUE(got.pair == want.pair) << "event " << i;
+            ASSERT_EQ(got.repeatDraw, want.repeatDraw) << "event " << i;
+        }
+    }
+    EXPECT_EQ(copy.historySize(), s.historySize());
+    EXPECT_EQ(moved[0].historySize(), s.historySize());
 }
 
 } // namespace
