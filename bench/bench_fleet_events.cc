@@ -74,7 +74,6 @@ scenario()
     cfg.flashCrowd.outageStart = workload::kMonth + workload::kWeek;
     cfg.flashCrowd.outageLen = 2ll * 24 * 3600 * kSecond;
     cfg.flashCrowd.reconnectStagger = 60ll * 60 * kSecond;
-    cfg.flashCrowd.window = workload::kWeek;
     return cfg;
 }
 
@@ -85,8 +84,10 @@ runAt(const Workbench &wb, FleetRunConfig cfg, unsigned threads)
     p.threads = threads;
     cfg.threads = threads;
 
+    // Weekly telemetry windows: the burst and the reconnect storm
+    // show up inside the months.
     obs::FleetConfig fc;
-    fc.windowWidth = cfg.flashCrowd.window;
+    fc.windowWidth = workload::kWeek;
     p.collector = std::make_unique<obs::FleetCollector>(fc);
 
     const auto t0 = std::chrono::steady_clock::now();

@@ -124,31 +124,4 @@ CacheContentBuilder::build(const TripletTable &table,
     return out;
 }
 
-void
-CacheContentBuilder::footprintOfTop(const TripletTable &table,
-                                    std::size_t k, Bytes &dram,
-                                    Bytes &flash) const
-{
-    std::unordered_set<u32> seen_results;
-    std::unordered_map<u32, u32> results_per_query;
-    flash = 0;
-    const auto &rows = table.rows();
-    k = std::min(k, rows.size());
-    for (std::size_t i = 0; i < k; ++i) {
-        const Triplet &row = rows[i];
-        if (seen_results.insert(row.pair.result).second) {
-            flash += QueryUniverse::recordSize(
-                universe_.result(row.pair.result));
-        }
-        ++results_per_query[row.pair.query];
-    }
-    u64 entries = 0;
-    for (const auto &[q, n] : results_per_query) {
-        (void)q;
-        entries += (n + layout_.resultsPerEntry - 1) /
-                   layout_.resultsPerEntry;
-    }
-    dram = entries * layout_.entryBytes();
-}
-
 } // namespace pc::core

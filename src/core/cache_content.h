@@ -104,14 +104,6 @@ class CacheContentBuilder
                         const ContentPolicy &policy) const;
 
     /**
-     * Footprint of a prefix of the triplet table (used by the Figure 8
-     * sweep): DRAM (hash table) and flash (record DB) bytes after caching
-     * the top `k` pairs.
-     */
-    void footprintOfTop(const TripletTable &table, std::size_t k,
-                        Bytes &dram, Bytes &flash) const;
-
-    /**
      * DRAM footprint of a pair multiset under an arbitrary
      * results-per-entry layout (the Figure 11 sweep).
      */

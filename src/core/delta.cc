@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "util/bytes.h"
 #include "util/crc32.h"
 #include "util/hash.h"
 #include "util/logging.h"
@@ -28,24 +29,6 @@ payloadBytes(u64 adds, u64 evicts, u64 reranks)
 {
     return kHeaderBytes + (adds + reranks) * kScoredBytes +
            evicts * kEvictBytes;
-}
-
-template <typename T>
-void
-put(std::string &out, T v)
-{
-    char buf[sizeof(T)];
-    std::memcpy(buf, &v, sizeof(T));
-    out.append(buf, sizeof(T));
-}
-
-template <typename T>
-T
-get(const char *p)
-{
-    T v;
-    std::memcpy(&v, p, sizeof(T));
-    return v;
 }
 
 /** Dense key of a universe pair (query and result ids are u32). */
@@ -261,22 +244,22 @@ encodeDelta(const CommunityDelta &delta)
     out.reserve(payloadBytes(delta.adds.size(), delta.evicts.size(),
                              delta.reranks.size()));
     out.append(kPayloadMagic, 4);
-    put<u64>(out, delta.fromVersion);
-    put<u64>(out, delta.toVersion);
-    put<u32>(out, u32(delta.adds.size()));
-    put<u32>(out, u32(delta.evicts.size()));
-    put<u32>(out, u32(delta.reranks.size()));
+    appendRaw<u64>(out, delta.fromVersion);
+    appendRaw<u64>(out, delta.toVersion);
+    appendRaw<u32>(out, u32(delta.adds.size()));
+    appendRaw<u32>(out, u32(delta.evicts.size()));
+    appendRaw<u32>(out, u32(delta.reranks.size()));
     const auto putScored = [&](const ScoredPair &sp) {
-        put<u32>(out, sp.pair.query);
-        put<u32>(out, sp.pair.result);
-        put<double>(out, sp.score);
-        put<u64>(out, sp.volume);
+        appendRaw<u32>(out, sp.pair.query);
+        appendRaw<u32>(out, sp.pair.result);
+        appendRaw<double>(out, sp.score);
+        appendRaw<u64>(out, sp.volume);
     };
     for (const auto &sp : delta.adds)
         putScored(sp);
     for (const auto &p : delta.evicts) {
-        put<u32>(out, p.query);
-        put<u32>(out, p.result);
+        appendRaw<u32>(out, p.query);
+        appendRaw<u32>(out, p.result);
     }
     for (const auto &sp : delta.reranks)
         putScored(sp);
@@ -291,11 +274,11 @@ decodeDelta(std::string_view payload)
         return std::nullopt;
     const char *p = payload.data() + 4;
     CommunityDelta d;
-    d.fromVersion = get<u64>(p);
-    d.toVersion = get<u64>(p + 8);
-    const u32 adds = get<u32>(p + 16);
-    const u32 evicts = get<u32>(p + 20);
-    const u32 reranks = get<u32>(p + 24);
+    d.fromVersion = loadRaw<u64>(p);
+    d.toVersion = loadRaw<u64>(p + 8);
+    const u32 adds = loadRaw<u32>(p + 16);
+    const u32 evicts = loadRaw<u32>(p + 20);
+    const u32 reranks = loadRaw<u32>(p + 24);
     // Length check before any allocation: a corrupted count cannot
     // trigger a huge reserve. u64 arithmetic avoids overflow.
     if (payload.size() != payloadBytes(adds, evicts, reranks))
@@ -304,10 +287,10 @@ decodeDelta(std::string_view payload)
     p = payload.data() + kHeaderBytes;
     const auto getScored = [&p] {
         ScoredPair sp;
-        sp.pair.query = get<u32>(p);
-        sp.pair.result = get<u32>(p + 4);
-        sp.score = get<double>(p + 8);
-        sp.volume = get<u64>(p + 16);
+        sp.pair.query = loadRaw<u32>(p);
+        sp.pair.result = loadRaw<u32>(p + 4);
+        sp.score = loadRaw<double>(p + 8);
+        sp.volume = loadRaw<u64>(p + 16);
         p += kScoredBytes;
         return sp;
     };
@@ -317,7 +300,7 @@ decodeDelta(std::string_view payload)
     d.evicts.reserve(evicts);
     for (u32 i = 0; i < evicts; ++i) {
         d.evicts.push_back(
-            workload::PairRef{get<u32>(p), get<u32>(p + 4)});
+            workload::PairRef{loadRaw<u32>(p), loadRaw<u32>(p + 4)});
         p += kEvictBytes;
     }
     d.reranks.reserve(reranks);
@@ -333,17 +316,10 @@ frameDelta(const CommunityDelta &delta)
     std::string out;
     out.reserve(payload.size() + kDeltaFrameOverhead);
     out.append(kFrameMagic, 4);
-    put<u32>(out, u32(payload.size()));
+    appendRaw<u32>(out, u32(payload.size()));
     out.append(payload);
-    put<u32>(out, crc32(payload));
+    appendRaw<u32>(out, crc32(payload));
     return out;
-}
-
-std::optional<CommunityDelta>
-unframeDelta(std::string_view frame)
-{
-    FrameError err;
-    return unframeDelta(frame, &err);
 }
 
 const char *
@@ -372,13 +348,13 @@ unframeDelta(std::string_view frame, FrameError *error)
         *error = FrameError::BadMagic;
         return std::nullopt;
     }
-    const u32 len = get<u32>(frame.data() + 4);
+    const u32 len = loadRaw<u32>(frame.data() + 4);
     if (frame.size() != std::size_t(len) + kDeltaFrameOverhead) {
         *error = FrameError::LengthMismatch;
         return std::nullopt;
     }
     const std::string_view payload = frame.substr(8, len);
-    if (get<u32>(frame.data() + 8 + len) != crc32(payload)) {
+    if (loadRaw<u32>(frame.data() + 8 + len) != crc32(payload)) {
         *error = FrameError::BadChecksum;
         return std::nullopt;
     }

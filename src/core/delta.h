@@ -152,14 +152,6 @@ inline constexpr Bytes kDeltaFrameOverhead = 12;
  */
 std::string frameDelta(const CommunityDelta &delta);
 
-/**
- * Verify and decode one received frame. Any corruption — flipped bit,
- * truncation at any byte boundary, trailing garbage, length/checksum
- * mismatch — yields nullopt; a frame only decodes if it is exactly
- * what the sender framed.
- */
-std::optional<CommunityDelta> unframeDelta(std::string_view frame);
-
 /** Which integrity check a received frame failed. */
 enum class FrameError : u8
 {
@@ -175,9 +167,12 @@ enum class FrameError : u8
 const char *frameErrorName(FrameError e);
 
 /**
- * unframeDelta with a typed verdict: `*error` reports which check
- * failed (FrameError::None on success) so trace events can carry the
- * cause instead of a bare reject.
+ * Verify and decode one received frame. Any corruption — flipped bit,
+ * truncation at any byte boundary, trailing garbage, length/checksum
+ * mismatch — yields nullopt; a frame only decodes if it is exactly
+ * what the sender framed. `*error` reports which check failed
+ * (FrameError::None on success) so trace events can carry the cause
+ * instead of a bare reject.
  */
 std::optional<CommunityDelta> unframeDelta(std::string_view frame,
                                            FrameError *error);

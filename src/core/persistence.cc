@@ -3,6 +3,7 @@
 #include <cstring>
 #include <vector>
 
+#include "util/bytes.h"
 #include "util/crc32.h"
 #include "util/logging.h"
 
@@ -16,21 +17,12 @@ constexpr u32 kFormatVersion = 2;
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 4;
 
 template <typename T>
-void
-put(std::string &out, T v)
-{
-    char buf[sizeof(T)];
-    std::memcpy(buf, &v, sizeof(T));
-    out.append(buf, sizeof(T));
-}
-
-template <typename T>
 bool
 get(std::string_view blob, std::size_t &pos, T &v)
 {
     if (pos + sizeof(T) > blob.size())
         return false;
-    std::memcpy(&v, blob.data() + pos, sizeof(T));
+    v = loadRaw<T>(blob.data() + pos);
     pos += sizeof(T);
     return true;
 }
@@ -88,9 +80,7 @@ parseSlot(std::string_view blob)
     if (std::memcmp(blob.data(), kMagic, 4) != 0)
         return slot;
     const std::size_t body = blob.size() - sizeof(u32);
-    u32 stored_crc = 0;
-    std::memcpy(&stored_crc, blob.data() + body, sizeof(u32));
-    if (crc32(blob.substr(0, body)) != stored_crc)
+    if (crc32(blob.substr(0, body)) != loadRaw<u32>(blob.data() + body))
         return slot; // torn write or bit rot
     std::size_t pos = 4;
     u32 version = 0;
@@ -129,26 +119,26 @@ buildSlotBlob(PocketSearch &ps, u64 sequence)
 
     std::string blob;
     blob.append(kMagic, 4);
-    put<u32>(blob, kFormatVersion);
-    put<u64>(blob, sequence);
-    put<u32>(blob, 0); // pair count, patched below
+    appendRaw<u32>(blob, kFormatVersion);
+    appendRaw<u64>(blob, sequence);
+    appendRaw<u32>(blob, 0); // pair count, patched below
 
     u32 pairs = 0;
     for (const auto &sug : suggestions) {
         const auto refs = ps.table().lookup(sug.query);
         for (const auto &r : refs) {
             pc_assert(sug.query.size() < 0x10000, "query too long");
-            put<u16>(blob, u16(sug.query.size()));
+            appendRaw<u16>(blob, u16(sug.query.size()));
             blob.append(sug.query);
-            put<u64>(blob, r.urlHash);
-            put<double>(blob, r.score);
-            put<u8>(blob, r.userAccessed ? 1 : 0);
+            appendRaw<u64>(blob, r.urlHash);
+            appendRaw<double>(blob, r.score);
+            appendRaw<u8>(blob, r.userAccessed ? 1 : 0);
             ++pairs;
         }
     }
     std::memcpy(blob.data() + kHeaderBytes - sizeof(u32), &pairs,
                 sizeof(u32));
-    put<u32>(blob, crc32(blob));
+    appendRaw<u32>(blob, crc32(blob));
     return blob;
 }
 

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "util/bytes.h"
+
 namespace pc::core {
 
 namespace {
@@ -9,24 +11,6 @@ namespace {
 constexpr char kMagic[4] = {'P', 'C', 'H', 'T'};
 constexpr std::size_t kHeaderBytes = 4 + 4; // magic + u32 count
 constexpr std::size_t kRecordBytes = 8 + 8 + 8 + 1;
-
-template <typename T>
-void
-put(std::string &out, T v)
-{
-    char buf[sizeof(T)];
-    std::memcpy(buf, &v, sizeof(T));
-    out.append(buf, sizeof(T));
-}
-
-template <typename T>
-T
-get(const char *p)
-{
-    T v;
-    std::memcpy(&v, p, sizeof(T));
-    return v;
-}
 
 } // namespace
 
@@ -42,12 +26,12 @@ encodeTable(const QueryHashTable &table)
     std::string out;
     out.reserve(wireSize(table.pairs()));
     out.append(kMagic, 4);
-    put<u32>(out, u32(table.pairs()));
+    appendRaw<u32>(out, u32(table.pairs()));
     table.forEachPair([&](u64 query_fnv, const ResultRef &r) {
-        put<u64>(out, query_fnv);
-        put<u64>(out, r.urlHash);
-        put<double>(out, r.score);
-        put<u8>(out, r.userAccessed ? 1 : 0);
+        appendRaw<u64>(out, query_fnv);
+        appendRaw<u64>(out, r.urlHash);
+        appendRaw<double>(out, r.score);
+        appendRaw<u8>(out, r.userAccessed ? 1 : 0);
     });
     return out;
 }
@@ -58,7 +42,7 @@ decodeTable(std::string_view blob)
     if (blob.size() < kHeaderBytes ||
         std::memcmp(blob.data(), kMagic, 4) != 0)
         return std::nullopt;
-    const u32 count = get<u32>(blob.data() + 4);
+    const u32 count = loadRaw<u32>(blob.data() + 4);
     if (blob.size() != kHeaderBytes + std::size_t(count) * kRecordBytes)
         return std::nullopt;
 
@@ -67,10 +51,10 @@ decodeTable(std::string_view blob)
     const char *p = blob.data() + kHeaderBytes;
     for (u32 i = 0; i < count; ++i) {
         WirePair w;
-        w.queryFnv = get<u64>(p);
-        w.urlHash = get<u64>(p + 8);
-        w.score = get<double>(p + 16);
-        w.accessed = get<u8>(p + 24) != 0;
+        w.queryFnv = loadRaw<u64>(p);
+        w.urlHash = loadRaw<u64>(p + 8);
+        w.score = loadRaw<double>(p + 16);
+        w.accessed = loadRaw<u8>(p + 24) != 0;
         out.push_back(w);
         p += kRecordBytes;
     }

@@ -111,7 +111,7 @@ validateFleetRunConfig(const FleetRunConfig &cfg)
         if (!std::isfinite(fc.burstMultiplier) || fc.burstMultiplier < 0)
             return "flash crowd burstMultiplier must be finite and >= 0";
         if (fc.burstStart < 0 || fc.burstLen < 0 || fc.outageStart < 0 ||
-            fc.outageLen < 0 || fc.reconnectStagger < 0 || fc.window < 0)
+            fc.outageLen < 0 || fc.reconnectStagger < 0)
             return "flash crowd times must be non-negative";
     }
     return "";
@@ -464,17 +464,18 @@ class DeviceSim
  * Flash-crowd schedule: Poisson query arrivals (thinning against the
  * burst-boosted peak rate), a mid-month radio outage with per-device
  * staggered reconnect, monthly cloud syncs at month begins, and
- * telemetry samples on the scenario's own (possibly sub-month)
- * window width. Two time-ordered inputs are merged: a control list,
- * stable-sorted by time so equal-time controls keep the order they
- * are listed in here (window sample, month begin, outage start,
- * reconnect), and the arrival chain. An arrival runs only when it is
- * strictly earlier than the next control, so at equal times every
- * control runs first. The artifact bytes are therefore a pure
- * function of the config.
+ * telemetry samples every `window` of sim time (the collector's own,
+ * possibly sub-month, width). Two time-ordered inputs are merged: a
+ * control list, stable-sorted by time so equal-time controls keep the
+ * order they are listed in here (window sample, month begin, outage
+ * start, reconnect), and the arrival chain. An arrival runs only when
+ * it is strictly earlier than the next control, so at equal times
+ * every control runs first. The artifact bytes are therefore a pure
+ * function of the config and the window width.
  */
 void
-driveFlashCrowd(DeviceSim &sim, const FleetRunConfig &cfg, std::size_t i)
+driveFlashCrowd(DeviceSim &sim, const FleetRunConfig &cfg, std::size_t i,
+                SimTime window)
 {
     const FlashCrowdConfig &fc = cfg.flashCrowd;
     const SimTime horizon = SimTime(cfg.months) * workload::kMonth;
@@ -492,10 +493,9 @@ driveFlashCrowd(DeviceSim &sim, const FleetRunConfig &cfg, std::size_t i)
     // Telemetry windows first, so a window ending exactly on a month
     // boundary closes before that month's sync runs. The last window
     // closes at the horizon, after every arrival.
-    const SimTime width = fc.window > 0 ? fc.window : workload::kMonth;
-    for (SimTime ws = 0; ws < horizon; ws += width)
+    for (SimTime ws = 0; ws < horizon; ws += window)
         controls.push_back(
-            {std::min(ws + width, horizon), Control::Window, ws});
+            {std::min(ws + window, horizon), Control::Window, ws});
 
     for (u32 m = 0; m < cfg.months; ++m)
         controls.push_back(
@@ -573,18 +573,19 @@ driveFlashCrowd(DeviceSim &sim, const FleetRunConfig &cfg, std::size_t i)
 
 /**
  * Simulate device `i` in a private world: the month loop for every
- * epoch-granular run, the flash-crowd merge when that scenario is on.
- * Reads the workbench and the cloud service (if any) strictly
- * read-only, so any number of these may run concurrently.
+ * epoch-granular run, the flash-crowd merge (sampling every `window`)
+ * when that scenario is on. Reads the workbench and the cloud service
+ * (if any) strictly read-only, so any number of these may run
+ * concurrently.
  */
 DeviceTelemetry
 simulateDevice(const Workbench &wb, const FleetRunConfig &cfg,
                const device::MobileDevice &image, std::size_t i,
-               const workload::UserProfile &profile)
+               const workload::UserProfile &profile, SimTime window)
 {
     DeviceSim sim(wb, cfg, image, i, profile);
     if (cfg.flashCrowd.enabled) {
-        driveFlashCrowd(sim, cfg, i);
+        driveFlashCrowd(sim, cfg, i, window);
     } else {
         for (u32 m = 0; m < cfg.months; ++m) {
             sim.beginMonth(m);
@@ -752,19 +753,23 @@ runFleet(const Workbench &wb, const FleetRunConfig &cfg,
                                            installTime);
     }
 
+    // Flash-crowd devices sample telemetry at the collector's width.
+    const SimTime window = collector.windowWidth();
     FleetRunResult result;
     if (threads == 1) {
         // In-place: one device world alive at a time.
         for (std::size_t i = 0; i < profiles.size(); ++i)
-            foldDevice(simulateDevice(wb, cfg, image, i, profiles[i]), cfg,
-                       ctx, collector, result);
+            foldDevice(
+                simulateDevice(wb, cfg, image, i, profiles[i], window),
+                cfg, ctx, collector, result);
     } else {
         // At most kFoldWindowPerThread * threads telemetry records are
         // alive at once, however slow one device is.
         forEachInOrder(
             profiles.size(), threads, kFoldWindowPerThread * threads,
             [&](std::size_t i) {
-                return simulateDevice(wb, cfg, image, i, profiles[i]);
+                return simulateDevice(wb, cfg, image, i, profiles[i],
+                                      window);
             },
             [&](DeviceTelemetry &&t) {
                 foldDevice(std::move(t), cfg, ctx, collector, result);

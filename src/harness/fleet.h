@@ -151,8 +151,11 @@ struct ChaosConfig
  * radio outage kills the radio between OutageStart and a per-device
  * staggered Reconnect, which drains the miss queue the moment coverage
  * returns instead of waiting for a month boundary: the staggered sync
- * storm. Everything derives from (run seed, device index), so
- * flash-crowd runs are byte-deterministic at any thread count like
+ * storm. Telemetry windows close at the collector's own width
+ * (FleetConfig::windowWidth): a sub-month width gives the series
+ * intra-month resolution — how the burst and the reconnect storm show
+ * up in it at all. Everything derives from (run seed, device index),
+ * so flash-crowd runs are byte-deterministic at any thread count like
  * every other fleet run.
  */
 struct FlashCrowdConfig
@@ -184,15 +187,6 @@ struct FlashCrowdConfig
      * spreads instead of thundering. 0 reconnects everyone at once.
      */
     SimTime reconnectStagger = 0;
-
-    /**
-     * Telemetry window width for this scenario (0 = one month, the
-     * epoch default). Sub-month widths give the collector intra-month
-     * resolution — how the burst and the reconnect storm show up in
-     * the series at all. The FleetCollector must be constructed with
-     * the same width.
-     */
-    SimTime window = 0;
 };
 
 /** Fleet run shape. */
@@ -321,12 +315,14 @@ struct FleetRunResult
 std::string validateFleetRunConfig(const FleetRunConfig &cfg);
 
 /**
- * Run the fleet against `wb`'s world, reducing into `collector`. The
- * collector must have been constructed with a window width of one
- * month (workload::kMonth) for the outage episode to land in its own
- * windows; other widths roll up correspondingly coarser. Every device
- * starts as a clone of one image device built per call, which holds
- * the installed community push when no cloud service is attached.
+ * Run the fleet against `wb`'s world, reducing into `collector`.
+ * Epoch-granular runs sample each device once a month, so their
+ * collector should have a window width of one month (workload::kMonth)
+ * for the outage episode to land in its own windows; other widths roll
+ * up correspondingly coarser. Flash-crowd runs sample at the
+ * collector's width, whatever it is. Every device starts as a clone
+ * of one image device built per call, which holds the installed
+ * community push when no cloud service is attached.
  */
 FleetRunResult runFleet(const Workbench &wb, const FleetRunConfig &cfg,
                         obs::FleetCollector &collector);

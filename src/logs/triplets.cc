@@ -106,20 +106,4 @@ TripletTable::rowsForShare(double share) const
     return std::size_t(it - cumulative_.begin()) + 1;
 }
 
-std::size_t
-TripletTable::uniqueResultsInTop(std::size_t k) const
-{
-    k = std::min(k, rows_.size());
-    std::unordered_map<u32, bool> seen;
-    seen.reserve(k);
-    std::size_t unique = 0;
-    for (std::size_t i = 0; i < k; ++i) {
-        if (!seen.count(rows_[i].pair.result)) {
-            seen[rows_[i].pair.result] = true;
-            ++unique;
-        }
-    }
-    return unique;
-}
-
 } // namespace pc::logs

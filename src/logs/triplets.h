@@ -67,9 +67,6 @@ class TripletTable
     /** Smallest row count whose cumulative share reaches `share`. */
     std::size_t rowsForShare(double share) const;
 
-    /** Number of distinct results among the first k rows. */
-    std::size_t uniqueResultsInTop(std::size_t k) const;
-
   private:
     std::vector<Triplet> rows_;
     std::vector<u64> cumulative_; ///< Prefix sums of row volumes.

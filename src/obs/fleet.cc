@@ -93,12 +93,6 @@ FleetCollector::beginDevice(const std::string &userClass)
 }
 
 void
-FleetCollector::collect(SimTime windowStart, const MetricRegistry &reg)
-{
-    collect(windowStart, reg.sample());
-}
-
-void
 FleetCollector::collect(SimTime windowStart, const MetricsSnapshot &snap)
 {
     collect(windowStart, MetricsSample::fromSnapshot(snap));

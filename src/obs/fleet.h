@@ -31,7 +31,7 @@
  * time, so the collector never holds more than one open device:
  *
  *     collector.beginDevice("heavy");
- *     for each window: ... simulate ...; collector.collect(t, reg);
+ *     for each window: ... simulate ...; collector.collect(t, reg.sample());
  *     collector.endDevice(reg);
  *
  * The parallel fleet harness keeps this protocol: worker threads
@@ -51,8 +51,8 @@
  * in between, or a new device): then the delta aligns by name, a name
  * the previous sample lacked reading as 0. Series entries are reached
  * through slots the collector resolves once per name and window, so a
- * device-month costs no string lookups. Every collect() overload —
- * registry, snapshot, sample — goes through that one fold.
+ * device-month costs no string lookups. Both collect() overloads —
+ * sample and snapshot — go through that one fold.
  *
  * Everything is deterministic: map-ordered iteration, deterministic
  * sketch merges, %.10g CSV formatting.
@@ -128,9 +128,6 @@ class FleetCollector
      */
     void collect(SimTime windowStart, MetricsSample sample);
 
-    /** collect(windowStart, reg.sample()). */
-    void collect(SimTime windowStart, const MetricRegistry &reg);
-
     /**
      * collect() from a snapshot captured earlier:
      * collect(windowStart, MetricsSample::fromSnapshot(snap)), so it
@@ -149,6 +146,9 @@ class FleetCollector
      * the run. Does not count as a device.
      */
     void mergeCloud(const MetricRegistry &reg);
+
+    /** Configured series window width (before any downsampling). */
+    SimTime windowWidth() const { return cfg_.windowWidth; }
 
     /** Devices folded in so far. */
     std::size_t devices() const { return devices_; }

@@ -70,24 +70,6 @@ TimeSeries::downsample()
     windows_ = std::move(merged);
 }
 
-void
-TimeSeries::recordCounter(SimTime t, const std::string &name, u64 delta)
-{
-    counterSlot(windowIndex(t), name) += delta;
-}
-
-void
-TimeSeries::recordAccum(SimTime t, const std::string &name, double delta)
-{
-    accumSlot(windowIndex(t), name) += delta;
-}
-
-void
-TimeSeries::recordValue(SimTime t, const std::string &name, double x)
-{
-    valueSlot(windowIndex(t), name).add(x);
-}
-
 u64 &
 TimeSeries::counterSlot(std::size_t w, const std::string &name)
 {

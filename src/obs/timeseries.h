@@ -72,26 +72,13 @@ class TimeSeries
     explicit TimeSeries(SimTime windowWidth,
                         std::size_t maxWindows = kDefaultMaxWindows);
 
-    /** Add an integer delta to `name` in the window containing t. */
-    void recordCounter(SimTime t, const std::string &name, u64 delta);
-
-    /** Add a double delta to `name` in the window containing t. */
-    void recordAccum(SimTime t, const std::string &name, double delta);
-
     /**
-     * Fold one observation of `name` into the window containing t
-     * (updates both the window's RunningStat and its sketch).
-     */
-    void recordValue(SimTime t, const std::string &name, double x);
-
-    /**
-     * Slot access for callers that record the same names into the
-     * same window again and again (the fleet fold): resolve once,
-     * then add through the reference. windowIndex() finds or creates
-     * the window containing t (and may downsample); a *Slot call finds
-     * or creates one name's entry in that window, exactly as the
-     * first record*() of the name there would. Indices and slots stay
-     * valid until generation() changes.
+     * Recording is through slots, resolved once and then added to
+     * (the fleet fold records the same names into the same window
+     * again and again): windowIndex() finds or creates the window
+     * containing t (and may downsample); a *Slot call finds or creates
+     * one name's entry in that window. Indices and slots stay valid
+     * until generation() changes.
      */
     std::size_t windowIndex(SimTime t);
 
@@ -110,7 +97,7 @@ class TimeSeries
         RunningStat *stat = nullptr;
         QuantileSketch *sketch = nullptr;
 
-        /** recordValue() without the lookups. */
+        /** Fold one observation into both the stat and the sketch. */
         void
         add(double x) const
         {

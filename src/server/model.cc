@@ -1,21 +1,8 @@
 #include "server/model.h"
 
-#include <cstring>
+#include "util/bytes.h"
 
 namespace pc::server {
-
-namespace {
-
-template <typename T>
-void
-put(std::string &out, T v)
-{
-    char buf[sizeof(T)];
-    std::memcpy(buf, &v, sizeof(T));
-    out.append(buf, sizeof(T));
-}
-
-} // namespace
 
 std::string
 CommunityModel::encode() const
@@ -25,24 +12,24 @@ CommunityModel::encode() const
     std::string out;
     out.reserve(8 + 16 + rows.size() * 16 + pairs.size() * 24 + 64);
     out.append("PCMD", 4);
-    put<u64>(out, version);
-    put<u64>(out, u64(rows.size()));
+    appendRaw<u64>(out, version);
+    appendRaw<u64>(out, u64(rows.size()));
     for (const auto &row : rows) {
-        put<u32>(out, row.pair.query);
-        put<u32>(out, row.pair.result);
-        put<u64>(out, row.volume);
+        appendRaw<u32>(out, row.pair.query);
+        appendRaw<u32>(out, row.pair.result);
+        appendRaw<u64>(out, row.volume);
     }
-    put<u64>(out, u64(pairs.size()));
+    appendRaw<u64>(out, u64(pairs.size()));
     for (const auto &sp : pairs) {
-        put<u32>(out, sp.pair.query);
-        put<u32>(out, sp.pair.result);
-        put<double>(out, sp.score);
-        put<u64>(out, sp.volume);
+        appendRaw<u32>(out, sp.pair.query);
+        appendRaw<u32>(out, sp.pair.result);
+        appendRaw<double>(out, sp.score);
+        appendRaw<u64>(out, sp.volume);
     }
-    put<u64>(out, u64(contents.uniqueResults));
-    put<u64>(out, contents.flashBytes);
-    put<u64>(out, contents.dramBytes);
-    put<double>(out, contents.cumulativeShare);
+    appendRaw<u64>(out, u64(contents.uniqueResults));
+    appendRaw<u64>(out, contents.flashBytes);
+    appendRaw<u64>(out, contents.dramBytes);
+    appendRaw<double>(out, contents.cumulativeShare);
     return out;
 }
 

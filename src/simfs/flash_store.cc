@@ -338,9 +338,8 @@ FlashStore::remove(FileId id, SimTime &time)
     const SimTime t0 = time;
     if (metrics_.removes)
         metrics_.removes->bump();
-    // Freed blocks must be erased before reuse; charge the erases here
-    // (truncateAndWrite charges them; untimed remove historically did
-    // not — the gap pc::store's GC must not inherit).
+    // Freed blocks must be erased before reuse; charge the erases here,
+    // as truncateAndWrite does.
     for (u64 b : f.blocks) {
         time += device_.eraseBlockAt(b * cfg_.allocUnit);
         freeBlocks_.push_back(b);
@@ -351,13 +350,6 @@ FlashStore::remove(FileId id, SimTime &time)
     f.live = false;
     if (metrics_.removeNs)
         metrics_.removeNs->bump(u64(time - t0));
-}
-
-void
-FlashStore::remove(FileId id)
-{
-    SimTime discarded = 0;
-    remove(id, discarded);
 }
 
 double

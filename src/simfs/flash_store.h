@@ -179,13 +179,6 @@ class FlashStore
     void remove(FileId id, SimTime &time);
 
     /**
-     * Untimed delete (legacy signature): same reclamation, the erase
-     * cost is discarded. Prefer the timed overload on any path whose
-     * latency is being modelled — the GC path in pc::store uses it.
-     */
-    void remove(FileId id);
-
-    /**
      * Mean erase count of the device blocks backing a file's
      * allocation units; 0 for an empty file. The pc::store GC uses it
      * to relocate live data into the least-worn destination slab.

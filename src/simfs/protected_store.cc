@@ -126,7 +126,7 @@ ProtectedStore::read(Grant grant, FileId id, Bytes offset, Bytes len,
 }
 
 Access
-ProtectedStore::remove(Grant grant, FileId id)
+ProtectedStore::remove(Grant grant, FileId id, SimTime &time)
 {
     const GrantInfo *g = lookupGrant(grant);
     if (!g) {
@@ -137,7 +137,7 @@ ProtectedStore::remove(Grant grant, FileId id)
         ++violations_;
         return Access::Denied;
     }
-    store_.remove(id);
+    store_.remove(id, time);
     owner_.erase(id);
     return Access::Ok;
 }

@@ -74,8 +74,8 @@ class ProtectedStore
     Access read(Grant grant, FileId id, Bytes offset, Bytes len,
                 std::string &out, Bytes &got, SimTime &time);
 
-    /** Remove an owned file. */
-    Access remove(Grant grant, FileId id);
+    /** Remove an owned file (charges the freed blocks' erases). */
+    Access remove(Grant grant, FileId id, SimTime &time);
 
     /** Bytes (physical) used by a namespace. */
     Bytes namespaceBytes(const std::string &ns) const;

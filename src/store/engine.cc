@@ -5,6 +5,7 @@
 #include <map>
 #include <tuple>
 
+#include "util/bytes.h"
 #include "util/crc32.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -13,47 +14,15 @@ namespace pc::store {
 
 namespace {
 
-void
-putU32(std::string &s, u32 v)
-{
-    for (int i = 0; i < 4; ++i)
-        s.push_back(char((v >> (8 * i)) & 0xff));
-}
-
-void
-putU64(std::string &s, u64 v)
-{
-    for (int i = 0; i < 8; ++i)
-        s.push_back(char((v >> (8 * i)) & 0xff));
-}
-
-u32
-getU32(std::string_view s, std::size_t at)
-{
-    u32 v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= u32(u8(s[at + i])) << (8 * i);
-    return v;
-}
-
-u64
-getU64(std::string_view s, std::size_t at)
-{
-    u64 v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= u64(u8(s[at + i])) << (8 * i);
-    return v;
-}
-
 /** CRC over (len, key, seq, payload) — everything but magic and pad. */
 u32
 slotCrc(u32 len, u64 key, u64 seq, std::string_view payload)
 {
     std::string fields;
     fields.reserve(20);
-    putU32(fields, len);
-    putU64(fields, key);
-    putU64(fields, seq);
+    appendRaw<u32>(fields, len);
+    appendRaw<u64>(fields, key);
+    appendRaw<u64>(fields, seq);
     return crc32(payload, crc32(fields));
 }
 
@@ -104,12 +73,12 @@ StoreEngine::encodeSlot(u64 key, u64 seq, std::string_view payload)
 {
     std::string s;
     s.reserve(kHeaderSize + payload.size());
-    putU32(s, kMagic);
-    putU32(s, u32(payload.size()));
-    putU64(s, key);
-    putU64(s, seq);
-    putU32(s, slotCrc(u32(payload.size()), key, seq, payload));
-    putU32(s, 0); // pad
+    appendRaw<u32>(s, kMagic);
+    appendRaw<u32>(s, u32(payload.size()));
+    appendRaw<u64>(s, key);
+    appendRaw<u64>(s, seq);
+    appendRaw<u32>(s, slotCrc(u32(payload.size()), key, seq, payload));
+    appendRaw<u32>(s, 0); // pad
     s.append(payload);
     return s;
 }
@@ -122,11 +91,11 @@ StoreEngine::parseSlot(std::string_view bytes)
         h.blank = bytes.find_first_not_of('\0') == std::string_view::npos;
         return h;
     }
-    const u32 magic = getU32(bytes, 0);
-    h.len = getU32(bytes, 4);
-    h.key = getU64(bytes, 8);
-    h.seq = getU64(bytes, 16);
-    h.crc = getU32(bytes, 24);
+    const u32 magic = loadRaw<u32>(bytes.data());
+    h.len = loadRaw<u32>(bytes.data() + 4);
+    h.key = loadRaw<u64>(bytes.data() + 8);
+    h.seq = loadRaw<u64>(bytes.data() + 16);
+    h.crc = loadRaw<u32>(bytes.data() + 24);
     h.blank = magic == 0 && h.len == 0 && h.key == 0 && h.seq == 0 &&
               h.crc == 0;
     if (magic != kMagic || bytes.size() < kHeaderSize + h.len)
@@ -625,7 +594,7 @@ StoreEngine::recover()
             if (h.blank)
                 continue; // Free
             const u32 magic =
-                region.size() >= 4 ? getU32(region, 0) : 0;
+                region.size() >= 4 ? loadRaw<u32>(region.data()) : 0;
             if (!h.valid && magic != 0) {
                 // Non-blank and not a deliberate kill (kills zero the
                 // magic): could be a wear flip in the scan buffer — the

@@ -2,18 +2,10 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 namespace pc {
 
 namespace {
-
-/** Default sink: "warn: ..." / "info: ..." / "debug: ..." on stderr. */
-void
-stderrSink(LogLevel level, const std::string &msg)
-{
-    std::fprintf(stderr, "%s: %s\n", logLevelName(level), msg.c_str());
-}
 
 LogSink &
 sinkSlot()
@@ -22,39 +14,7 @@ sinkSlot()
     return sink;
 }
 
-void
-emit(LogLevel level, const std::string &msg)
-{
-    const LogSink &sink = sinkSlot();
-    if (sink)
-        sink(level, msg);
-    else
-        stderrSink(level, msg);
-}
-
-/** -1 = consult PC_LOG lazily, else forced 0/1. */
-int &
-debugOverride()
-{
-    static int v = -1;
-    return v;
-}
-
 } // namespace
-
-const char *
-logLevelName(LogLevel level)
-{
-    switch (level) {
-      case LogLevel::Debug:
-        return "debug";
-      case LogLevel::Info:
-        return "info";
-      case LogLevel::Warn:
-        return "warn";
-    }
-    return "?";
-}
 
 LogSink
 setLogSink(LogSink sink)
@@ -64,31 +24,7 @@ setLogSink(LogSink sink)
     return prev;
 }
 
-bool
-debugLoggingEnabled()
-{
-    if (debugOverride() >= 0)
-        return debugOverride() != 0;
-    static const bool fromEnv = detail::parseLogEnv(std::getenv("PC_LOG"));
-    return fromEnv;
-}
-
-void
-setDebugLogging(bool enabled)
-{
-    debugOverride() = enabled ? 1 : 0;
-}
-
 namespace detail {
-
-bool
-parseLogEnv(const char *value)
-{
-    if (!value)
-        return false;
-    return std::strcmp(value, "debug") == 0 ||
-           std::strcmp(value, "all") == 0 || std::strcmp(value, "1") == 0;
-}
 
 void
 fatalImpl(const char *file, int line, const std::string &msg)
@@ -107,19 +43,11 @@ panicImpl(const char *file, int line, const std::string &msg)
 void
 warnImpl(const std::string &msg)
 {
-    emit(LogLevel::Warn, msg);
-}
-
-void
-informImpl(const std::string &msg)
-{
-    emit(LogLevel::Info, msg);
-}
-
-void
-debugImpl(const std::string &msg)
-{
-    emit(LogLevel::Debug, msg);
+    const LogSink &sink = sinkSlot();
+    if (sink)
+        sink(msg);
+    else
+        std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
 } // namespace detail

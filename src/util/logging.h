@@ -1,15 +1,13 @@
 /**
  * @file
  * gem5-flavoured status/error helpers: fatal() for user-caused errors,
- * panic() for internal invariant violations, warn()/inform() for status
- * and debug() for developer chatter.
+ * panic() for internal invariant violations and warn() for things that
+ * work, but not as well as they should.
  *
- * warn/inform/debug all route through one process-wide sink (default:
- * stderr), so tests can capture or silence them with setLogSink().
- * debug messages are additionally gated: they are dropped unless the
- * PC_LOG environment variable enables them ("debug", "all" or "1") or
- * a test flips setDebugLogging(true). fatal/panic bypass the sink —
- * they are about to end the process and must always reach stderr.
+ * warn routes through one process-wide sink (default: stderr), so
+ * tests can capture or silence it with setLogSink(). fatal/panic
+ * bypass the sink — they are about to end the process and must always
+ * reach stderr.
  */
 
 #ifndef PC_UTIL_LOGGING_H
@@ -21,46 +19,21 @@
 
 namespace pc {
 
-/** Severity of one sink message. */
-enum class LogLevel
-{
-    Debug,
-    Info,
-    Warn,
-};
-
-/** Display name ("debug", "info", "warn"). */
-const char *logLevelName(LogLevel level);
-
-/** Receiver for all warn/inform/debug messages. */
-using LogSink = std::function<void(LogLevel, const std::string &)>;
+/** Receiver for all warn messages. */
+using LogSink = std::function<void(const std::string &)>;
 
 /**
- * Install a sink for warn/inform/debug output (tests capture/silence
- * with this). Passing nullptr restores the default stderr sink.
+ * Install a sink for warn output (tests capture/silence with this).
+ * Passing nullptr restores the default stderr sink.
  * @return The previously installed sink (empty if it was the default).
  */
 LogSink setLogSink(LogSink sink);
-
-/**
- * Is debug logging on? First call reads PC_LOG from the environment
- * ("debug", "all" or "1" enable); setDebugLogging overrides.
- */
-bool debugLoggingEnabled();
-
-/** Force debug logging on/off (overrides PC_LOG; for tests/tools). */
-void setDebugLogging(bool enabled);
 
 namespace detail {
 
 [[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
 [[noreturn]] void panicImpl(const char *file, int line, const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
-void debugImpl(const std::string &msg);
-
-/** PC_LOG value -> debug enabled? (split out for unit testing). */
-bool parseLogEnv(const char *value);
 
 /** Fold a parameter pack into one string via ostringstream. */
 template <typename... Args>
@@ -100,20 +73,6 @@ concat(Args &&...args)
 
 /** Non-fatal: something works but not as well as it should. */
 #define pc_warn(...) ::pc::detail::warnImpl(::pc::detail::concat(__VA_ARGS__))
-
-/** Non-fatal: plain status message. */
-#define pc_inform(...) ::pc::detail::informImpl(::pc::detail::concat(__VA_ARGS__))
-
-/**
- * Developer chatter, dropped unless PC_LOG enables it. The argument
- * pack is only evaluated when debug logging is on.
- */
-#define pc_debug(...)                                                      \
-    do {                                                                   \
-        if (::pc::debugLoggingEnabled()) {                                 \
-            ::pc::detail::debugImpl(::pc::detail::concat(__VA_ARGS__));    \
-        }                                                                  \
-    } while (0)
 
 } // namespace pc
 

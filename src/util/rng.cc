@@ -69,13 +69,6 @@ Rng::below(u64 n)
     }
 }
 
-i64
-Rng::range(i64 lo, i64 hi)
-{
-    pc_assert(lo <= hi, "Rng::range: lo > hi");
-    return lo + i64(below(u64(hi - lo) + 1));
-}
-
 bool
 Rng::chance(double p)
 {
@@ -95,64 +88,6 @@ Rng::exponential(double mean)
         u = uniform();
     } while (u <= 0.0);
     return -mean * std::log(u);
-}
-
-double
-Rng::normal(double mean, double stddev)
-{
-    double u1;
-    do {
-        u1 = uniform();
-    } while (u1 <= 0.0);
-    const double u2 = uniform();
-    const double z = std::sqrt(-2.0 * std::log(u1)) *
-                     std::cos(2.0 * M_PI * u2);
-    return mean + stddev * z;
-}
-
-double
-Rng::logNormal(double mu, double sigma)
-{
-    return std::exp(normal(mu, sigma));
-}
-
-double
-Rng::gamma(double shape, double scale)
-{
-    pc_assert(shape > 0.0 && scale > 0.0, "gamma parameters must be positive");
-    if (shape < 1.0) {
-        // Boost to shape+1 and correct with a uniform power.
-        const double u = std::max(uniform(), 1e-300);
-        return gamma(shape + 1.0, scale) * std::pow(u, 1.0 / shape);
-    }
-    // Marsaglia & Tsang.
-    const double d = shape - 1.0 / 3.0;
-    const double c = 1.0 / std::sqrt(9.0 * d);
-    for (;;) {
-        double x = normal();
-        double v = 1.0 + c * x;
-        if (v <= 0.0)
-            continue;
-        v = v * v * v;
-        const double u = uniform();
-        if (u < 1.0 - 0.0331 * x * x * x * x)
-            return d * v * scale;
-        if (u > 0.0 &&
-            std::log(u) < 0.5 * x * x + d * (1.0 - v + std::log(v))) {
-            return d * v * scale;
-        }
-    }
-}
-
-double
-Rng::beta(double a, double b)
-{
-    const double x = gamma(a);
-    const double y = gamma(b);
-    const double sum = x + y;
-    if (sum <= 0.0)
-        return 0.5;
-    return x / sum;
 }
 
 std::size_t

@@ -48,32 +48,11 @@ class Rng
     /** Uniform integer in [0, n). @pre n > 0. */
     u64 below(u64 n);
 
-    /** Uniform integer in [lo, hi] inclusive. @pre lo <= hi. */
-    i64 range(i64 lo, i64 hi);
-
     /** Bernoulli trial with success probability p. */
     bool chance(double p);
 
     /** Exponentially distributed value with the given mean. */
     double exponential(double mean);
-
-    /** Standard normal via Box-Muller (no cached spare; stateless). */
-    double normal(double mean = 0.0, double stddev = 1.0);
-
-    /** Log-normal with the given underlying normal parameters. */
-    double logNormal(double mu, double sigma);
-
-    /**
-     * Gamma(shape, scale) via Marsaglia-Tsang; used to build Beta draws.
-     * @pre shape > 0, scale > 0.
-     */
-    double gamma(double shape, double scale = 1.0);
-
-    /**
-     * Beta(a, b) distributed value in (0, 1). Used for per-user repeat
-     * probabilities (Figure 5 calibration).
-     */
-    double beta(double a, double b);
 
     /** Pick an index proportionally to non-negative weights. */
     std::size_t weighted(const std::vector<double> &weights);

@@ -231,20 +231,4 @@ QuantileSketch::interpolate(const std::vector<std::pair<double, u64>> &items,
     return v0 * (1.0 - frac) + v1 * frac;
 }
 
-double
-QuantileSketch::rank(double x) const
-{
-    if (n_ == 0)
-        return 0.0;
-    u64 below = 0;
-    for (std::size_t l = 0; l < levels_.size(); ++l) {
-        const u64 w = u64(1) << l;
-        for (double v : levels_[l]) {
-            if (v <= x)
-                below += w;
-        }
-    }
-    return double(below) / double(n_);
-}
-
 } // namespace pc

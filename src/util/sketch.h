@@ -103,9 +103,6 @@ class QuantileSketch
      */
     void quantiles(std::span<const double> qs, std::span<double> out) const;
 
-    /** Estimated P(X <= x); 0 when empty. */
-    double rank(double x) const;
-
     /** Items currently stored across all levels. */
     std::size_t retained() const;
 
@@ -119,7 +116,7 @@ class QuantileSketch
     }
 
     /**
-     * Documented rank-error bound for quantile()/rank() estimates at
+     * Documented rank-error bound for quantile() estimates at
      * this k, enforced empirically on 1M-sample streams by the tests.
      */
     double epsilon() const { return 2.56 / double(k_); }

@@ -118,43 +118,6 @@ EmpiricalCdf::sorted() const
     return xs_;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0)
-{
-    pc_assert(hi > lo, "Histogram needs hi > lo");
-    pc_assert(buckets >= 1, "Histogram needs >= 1 bucket");
-}
-
-void
-Histogram::add(double x)
-{
-    const double width = (hi_ - lo_) / double(counts_.size());
-    double idx = (x - lo_) / width;
-    std::size_t i;
-    if (idx < 0.0)
-        i = 0;
-    else if (std::size_t(idx) >= counts_.size())
-        i = counts_.size() - 1;
-    else
-        i = std::size_t(idx);
-    ++counts_[i];
-    ++total_;
-}
-
-double
-Histogram::bucketLow(std::size_t i) const
-{
-    const double width = (hi_ - lo_) / double(counts_.size());
-    return lo_ + width * double(i);
-}
-
-double
-Histogram::bucketHigh(std::size_t i) const
-{
-    const double width = (hi_ - lo_) / double(counts_.size());
-    return lo_ + width * double(i + 1);
-}
-
 CumulativeShare
 CumulativeShare::fromVolumes(std::vector<u64> volumes)
 {

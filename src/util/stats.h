@@ -1,8 +1,8 @@
 /**
  * @file
  * Lightweight statistics containers used by the log analysis and the
- * evaluation harness: running summary stats, histograms, and empirical
- * CDFs (the paper reports most community results as CDF plots).
+ * evaluation harness: running summary stats and empirical CDFs (the
+ * paper reports most community results as CDF plots).
  */
 
 #ifndef PC_UTIL_STATS_H
@@ -85,37 +85,6 @@ class EmpiricalCdf
 
     mutable std::vector<double> xs_;
     mutable bool sorted_ = true;
-};
-
-/**
- * Fixed-width histogram over [lo, hi); out-of-range values clamp into the
- * edge buckets.
- */
-class Histogram
-{
-  public:
-    /** @pre hi > lo and buckets >= 1. */
-    Histogram(double lo, double hi, std::size_t buckets);
-
-    /** Count one observation. */
-    void add(double x);
-
-    /** Number of buckets. */
-    std::size_t buckets() const { return counts_.size(); }
-    /** Count in a bucket. */
-    u64 bucketCount(std::size_t i) const { return counts_.at(i); }
-    /** Inclusive lower edge of a bucket. */
-    double bucketLow(std::size_t i) const;
-    /** Exclusive upper edge of a bucket. */
-    double bucketHigh(std::size_t i) const;
-    /** Total observations. */
-    u64 total() const { return total_; }
-
-  private:
-    double lo_;
-    double hi_;
-    std::vector<u64> counts_;
-    u64 total_ = 0;
 };
 
 /**

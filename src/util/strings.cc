@@ -1,6 +1,5 @@
 #include "util/strings.h"
 
-#include <cctype>
 #include <cstdarg>
 #include <cstdio>
 
@@ -61,27 +60,6 @@ split(std::string_view s, char delim)
             start = i + 1;
         }
     }
-    return out;
-}
-
-std::string
-join(const std::vector<std::string> &parts, std::string_view sep)
-{
-    std::string out;
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-        if (i)
-            out.append(sep);
-        out.append(parts[i]);
-    }
-    return out;
-}
-
-std::string
-toLower(std::string_view s)
-{
-    std::string out(s);
-    for (char &c : out)
-        c = char(std::tolower(static_cast<unsigned char>(c)));
     return out;
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Small string helpers: formatting of byte sizes / durations for reports,
- * splitting/joining, and printf-style std::string formatting.
+ * splitting, and printf-style std::string formatting.
  */
 
 #ifndef PC_UTIL_STRINGS_H
@@ -27,13 +27,6 @@ std::string humanTime(SimTime t);
 
 /** Split on a single character; keeps empty fields. */
 std::vector<std::string> split(std::string_view s, char delim);
-
-/** Join with a separator. */
-std::string join(const std::vector<std::string> &parts,
-                 std::string_view sep);
-
-/** ASCII lower-casing (queries are normalized to lower case). */
-std::string toLower(std::string_view s);
 
 /** True if `needle` occurs inside `haystack` (ASCII, case-sensitive). */
 bool contains(std::string_view haystack, std::string_view needle);

@@ -69,15 +69,4 @@ AsciiTable::print() const
     print(std::cout);
 }
 
-void
-CsvWriter::row(const std::vector<std::string> &cells)
-{
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (i)
-            os_ << ',';
-        os_ << cells[i];
-    }
-    os_ << '\n';
-}
-
 } // namespace pc

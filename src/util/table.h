@@ -1,8 +1,8 @@
 /**
  * @file
- * ASCII table and CSV emitters: every bench binary prints the rows/series
- * of its paper table or figure through these, so output formatting is
- * uniform across the evaluation harness.
+ * ASCII table emitter: every bench binary prints the rows of its paper
+ * table or figure through it, so output formatting is uniform across
+ * the evaluation harness.
  */
 
 #ifndef PC_UTIL_TABLE_H
@@ -43,22 +43,6 @@ class AsciiTable
     std::string title_;
     std::vector<std::string> header_;
     std::vector<std::vector<std::string>> rows_;
-};
-
-/**
- * Minimal CSV writer (no quoting of embedded commas by design — the
- * harness only emits identifiers and numbers).
- */
-class CsvWriter
-{
-  public:
-    explicit CsvWriter(std::ostream &os) : os_(os) {}
-
-    /** Emit one row. */
-    void row(const std::vector<std::string> &cells);
-
-  private:
-    std::ostream &os_;
 };
 
 } // namespace pc

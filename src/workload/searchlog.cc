@@ -5,17 +5,6 @@
 namespace pc::workload {
 
 void
-SearchLog::sortByUserTime()
-{
-    std::sort(records_.begin(), records_.end(),
-              [](const LogRecord &a, const LogRecord &b) {
-                  if (a.user != b.user)
-                      return a.user < b.user;
-                  return a.time < b.time;
-              });
-}
-
-void
 SearchLog::sortByTime()
 {
     std::stable_sort(records_.begin(), records_.end(),

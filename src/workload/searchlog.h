@@ -67,9 +67,6 @@ class SearchLog
     /** Reserve capacity. */
     void reserve(std::size_t n) { records_.reserve(n); }
 
-    /** Sort records by (user, time) for per-user scans. */
-    void sortByUserTime();
-
     /** Sort records by time (global replay order). */
     void sortByTime();
 

@@ -150,21 +150,30 @@ TEST_F(CacheContentTest, SharedResultStoredOnce)
               workload::QueryUniverse::recordSize(uni_.result(10)));
 }
 
-TEST_F(CacheContentTest, FootprintOfTopMonotone)
+TEST_F(CacheContentTest, FootprintGrowsWithVolumeShare)
 {
+    // The Figure 8 sweep: a rising volume share caches a growing
+    // prefix of the triplet table, so neither footprint may shrink.
     for (u32 i = 0; i < 30; ++i)
         addN(i, i, 100 - int(i));
+    addN(0, 30, 60); // a second result under query 0 shares its entry
     const auto table = logs::TripletTable::fromLog(log_);
+    ContentPolicy policy;
+    policy.kind = ThresholdKind::VolumeShare;
+    std::size_t prev_pairs = 0;
     Bytes prev_dram = 0, prev_flash = 0;
-    for (std::size_t k = 0; k <= 30; k += 5) {
-        Bytes dram = 0, flash = 0;
-        builder_.footprintOfTop(table, k, dram, flash);
-        EXPECT_GE(dram, prev_dram);
-        EXPECT_GE(flash, prev_flash);
-        prev_dram = dram;
-        prev_flash = flash;
+    for (int step = 0; step <= 10; ++step) {
+        policy.volumeShare = 0.1 * step;
+        const auto contents = builder_.build(table, policy);
+        EXPECT_GE(contents.pairs.size(), prev_pairs);
+        EXPECT_GE(contents.dramBytes, prev_dram);
+        EXPECT_GE(contents.flashBytes, prev_flash);
+        prev_pairs = contents.pairs.size();
+        prev_dram = contents.dramBytes;
+        prev_flash = contents.flashBytes;
     }
-    EXPECT_GT(prev_dram, 0u);
+    EXPECT_EQ(prev_pairs, 31u);
+    EXPECT_EQ(prev_dram, 30 * HashEntryLayout{}.entryBytes());
     EXPECT_GT(prev_flash, 0u);
 }
 

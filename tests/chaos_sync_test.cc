@@ -99,8 +99,10 @@ TEST(DeltaFrame, RoundTripsAndRejectsEveryTruncation)
     EXPECT_EQ(frame.size(),
               core::encodeDelta(delta).size() + core::kDeltaFrameOverhead);
 
-    const auto back = core::unframeDelta(frame);
+    core::FrameError err;
+    const auto back = core::unframeDelta(frame, &err);
     ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(err, core::FrameError::None);
     EXPECT_EQ(back->fromVersion, delta.fromVersion);
     EXPECT_EQ(back->toVersion, delta.toVersion);
     EXPECT_EQ(back->adds.size(), delta.adds.size());
@@ -116,11 +118,13 @@ TEST(DeltaFrame, RoundTripsAndRejectsEveryTruncation)
     // rejected — never decoded into a shorter-but-valid delta.
     for (std::size_t cut = 0; cut < frame.size(); ++cut) {
         const auto torn = core::unframeDelta(
-            std::string_view(frame.data(), cut));
+            std::string_view(frame.data(), cut), &err);
         EXPECT_FALSE(torn.has_value()) << "cut at byte " << cut;
+        EXPECT_NE(err, core::FrameError::None) << "cut at byte " << cut;
     }
     // And trailing garbage is not a valid frame either.
-    EXPECT_FALSE(core::unframeDelta(frame + '\0').has_value());
+    EXPECT_FALSE(core::unframeDelta(frame + '\0', &err).has_value());
+    EXPECT_EQ(err, core::FrameError::LengthMismatch);
 }
 
 TEST(DeltaFrame, RejectsEverySingleBitFlip)
@@ -130,13 +134,15 @@ TEST(DeltaFrame, RejectsEverySingleBitFlip)
     const auto delta =
         svc.makeDelta(svc.oldestVersion(), svc.latestVersion());
     const std::string frame = core::frameDelta(delta);
-    ASSERT_TRUE(core::unframeDelta(frame).has_value());
+    core::FrameError err;
+    ASSERT_TRUE(core::unframeDelta(frame, &err).has_value());
 
     for (std::size_t bit = 0; bit < frame.size() * 8; ++bit) {
         std::string flipped = frame;
         flipped[bit / 8] = char(u8(flipped[bit / 8]) ^ (1u << (bit % 8)));
-        EXPECT_FALSE(core::unframeDelta(flipped).has_value())
+        EXPECT_FALSE(core::unframeDelta(flipped, &err).has_value())
             << "flip of bit " << bit << " slipped past the CRC";
+        EXPECT_NE(err, core::FrameError::None) << "flip of bit " << bit;
     }
 }
 

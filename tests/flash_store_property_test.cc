@@ -78,7 +78,7 @@ TEST_P(StoreVsReference, RandomOpsMatchReferenceModel)
             }
         } else { // remove
             if (ref.count(name)) {
-                store.remove(ids[name]);
+                store.remove(ids[name], t);
                 ref.erase(name);
                 ids.erase(name);
             }

@@ -120,7 +120,7 @@ TEST_F(FlashStoreTest, RemoveFreesBlocksForReuse)
     store_.append(id, std::string(10000, 'x'), t);
     const Bytes before = store_.stats().physicalBytes;
     EXPECT_GT(before, 0u);
-    store_.remove(id);
+    store_.remove(id, t);
     EXPECT_FALSE(store_.valid(id));
     EXPECT_EQ(store_.stats().physicalBytes, 0u);
     EXPECT_EQ(store_.lookup("f"), kNoFile);
@@ -166,7 +166,7 @@ TEST_F(FlashStoreTest, DuplicateCreateReturnsError)
     EXPECT_EQ(store_.lookup("dup"), id);
     EXPECT_EQ(store_.size(id), 7u);
     // A removed name can be created again.
-    store_.remove(id);
+    store_.remove(id, t);
     const FileId id2 = store_.create("dup");
     EXPECT_NE(id2, kNoFile);
     EXPECT_NE(id2, id);
@@ -312,7 +312,7 @@ TEST(FlashStoreReopen, ChargesLikeOpenByName)
     ASSERT_TRUE(store.reopen(id, by_id));
     EXPECT_EQ(by_name, by_id);
     EXPECT_EQ(reg.counter("simfs.opens").value(), 2u);
-    store.remove(id);
+    store.remove(id, by_id);
     EXPECT_FALSE(store.reopen(id, by_id));
     EXPECT_FALSE(store.reopen(kNoFile, by_id));
 }
@@ -346,7 +346,7 @@ TEST(WearLeveling, FlattensEraseDistribution)
             pool.push_back(id);
         }
         for (const FileId id : pool)
-            store.remove(id);
+            store.remove(id, t);
         // Now rewrite one small file many times.
         const FileId hot = store.create("hot");
         store.append(hot, "seed", t);
@@ -383,20 +383,6 @@ TEST(FlashStoreTimedRemove, ChargesEraseLatencyAndWearForFreedBlocks)
     ASSERT_GT(removeTime, 0) << "freed blocks must pay their erases";
     ASSERT_EQ(device.blocksErased(), wearBefore + 3);
     ASSERT_FALSE(store.valid(id));
-}
-
-TEST(FlashStoreTimedRemove, UntimedOverloadStillChargesWear)
-{
-    pc::nvm::FlashConfig fc;
-    fc.capacity = 16 * kMiB;
-    pc::nvm::FlashDevice device(fc);
-    FlashStore store(device);
-    SimTime t = 0;
-    const FileId id = store.create("victim");
-    store.append(id, std::string(store.config().allocUnit, 'x'), t);
-    const u64 wearBefore = device.blocksErased();
-    store.remove(id); // legacy signature: time discarded, wear not
-    ASSERT_EQ(device.blocksErased(), wearBefore + 1);
 }
 
 TEST(FlashStoreMetrics, CreateConflictsAndLatencyAccumulatorsCount)

@@ -49,13 +49,10 @@ sharedWorkbench()
  * scalars. Returns the error string for callers asserting a verdict.
  */
 std::string
-mustRunClean(const FleetRunConfig &cfg)
+mustRunClean(const FleetRunConfig &cfg, SimTime window = workload::kMonth)
 {
     obs::FleetConfig fc;
-    fc.windowWidth =
-        cfg.flashCrowd.enabled && cfg.flashCrowd.window > 0
-            ? cfg.flashCrowd.window
-            : workload::kMonth;
+    fc.windowWidth = window;
     obs::FleetCollector collector(fc);
     const FleetRunResult r = runFleet(sharedWorkbench(), cfg, collector);
     if (!r.error.empty()) {
@@ -208,6 +205,7 @@ TEST(FleetEventFuzz, SeededRandomConfigsNeverMisbehave)
         cfg.outageStartMonth = u32(rng.below(4));
         cfg.outageMonths = u32(rng.below(3)) == 0 ? u32(rng.below(200))
                                                   : u32(rng.below(3));
+        SimTime window = workload::kMonth;
         if (rng.below(2) == 0) {
             cfg.flashCrowd.enabled = true;
             cfg.outageMonths = 0;
@@ -229,10 +227,9 @@ TEST(FleetEventFuzz, SeededRandomConfigsNeverMisbehave)
             cfg.flashCrowd.outageLen = pick(horizon);
             cfg.flashCrowd.reconnectStagger =
                 pick(workload::kWeek);
-            cfg.flashCrowd.window =
-                rng.below(2) == 0 ? SimTime(0) : workload::kWeek;
+            window = rng.below(2) == 0 ? workload::kMonth : workload::kWeek;
         }
-        const std::string err = mustRunClean(cfg);
+        const std::string err = mustRunClean(cfg, window);
         if (err.empty())
             ++ran;
         else
@@ -288,7 +285,8 @@ struct RunBytes
  * one across runs would entangle their bytes.
  */
 RunBytes
-runAt(FleetRunConfig cfg, unsigned threads, bool cloud = false)
+runAt(FleetRunConfig cfg, unsigned threads, bool cloud = false,
+      SimTime window = workload::kMonth)
 {
     const Workbench &wb = sharedWorkbench();
     std::unique_ptr<server::CloudUpdateService> svc;
@@ -304,9 +302,7 @@ runAt(FleetRunConfig cfg, unsigned threads, bool cloud = false)
     cfg.cloud = svc.get();
 
     obs::FleetConfig fc;
-    fc.windowWidth = cfg.flashCrowd.enabled && cfg.flashCrowd.window > 0
-                         ? cfg.flashCrowd.window
-                         : workload::kMonth;
+    fc.windowWidth = window;
     obs::FleetCollector collector(fc);
     RunBytes out;
     out.result = runFleet(wb, cfg, collector);
@@ -332,10 +328,11 @@ runAt(FleetRunConfig cfg, unsigned threads, bool cloud = false)
 
 /** Run at 1 and 3 threads; every compared byte must match. */
 RunBytes
-runThreadInvariant(const FleetRunConfig &cfg, bool cloud = false)
+runThreadInvariant(const FleetRunConfig &cfg, bool cloud = false,
+                   SimTime window = workload::kMonth)
 {
-    const RunBytes want = runAt(cfg, 1, cloud);
-    const RunBytes got = runAt(cfg, 3, cloud);
+    const RunBytes want = runAt(cfg, 1, cloud, window);
+    const RunBytes got = runAt(cfg, 3, cloud, window);
     EXPECT_EQ(got.snapshotJson, want.snapshotJson)
         << "fleet registry snapshot diverged";
     EXPECT_EQ(got.seriesCsv, want.seriesCsv) << "series CSV diverged";
@@ -442,8 +439,8 @@ TEST(FleetEventGolden, FlashCrowdBytesArePinned)
     cfg.flashCrowd.outageStart = workload::kMonth + workload::kWeek;
     cfg.flashCrowd.outageLen = workload::kWeek;
     cfg.flashCrowd.reconnectStagger = 24ll * 3600 * kSecond;
-    cfg.flashCrowd.window = workload::kWeek;
-    const RunBytes r = runThreadInvariant(cfg);
+    const RunBytes r =
+        runThreadInvariant(cfg, /*cloud=*/false, workload::kWeek);
     EXPECT_EQ(crc32(r.seriesCsv), 0xf8a9bddbu);
     EXPECT_EQ(r.result.queries, 26057u);
     EXPECT_EQ(r.result.reconnectSyncs, 4u);
@@ -452,7 +449,8 @@ TEST(FleetEventGolden, FlashCrowdBytesArePinned)
     // month-0 sync runs only if month begin precedes the outage at
     // that instant (otherwise it fails and retries in month 1).
     cfg.flashCrowd.outageStart = 0;
-    const RunBytes c = runThreadInvariant(cfg, /*cloud=*/true);
+    const RunBytes c =
+        runThreadInvariant(cfg, /*cloud=*/true, workload::kWeek);
     EXPECT_EQ(crc32(c.seriesCsv), 0xcab4dabdu);
     EXPECT_EQ(c.result.queries, 26057u);
     EXPECT_EQ(c.result.reconnectSyncs, 4u);

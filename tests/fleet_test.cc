@@ -25,13 +25,13 @@ namespace {
 TEST(TimeSeries, WindowsBinByTime)
 {
     TimeSeries ts(100);
-    ts.recordCounter(10, "q", 3);
-    ts.recordCounter(99, "q", 2);
-    ts.recordCounter(150, "q", 7);
-    ts.recordAccum(10, "e", 1.5);
-    ts.recordAccum(150, "e", 2.5);
-    ts.recordValue(20, "r", 0.5);
-    ts.recordValue(30, "r", 1.5);
+    ts.counterSlot(ts.windowIndex(10), "q") += 3;
+    ts.counterSlot(ts.windowIndex(99), "q") += 2;
+    ts.counterSlot(ts.windowIndex(150), "q") += 7;
+    ts.accumSlot(ts.windowIndex(10), "e") += 1.5;
+    ts.accumSlot(ts.windowIndex(150), "e") += 2.5;
+    ts.valueSlot(ts.windowIndex(20), "r").add(0.5);
+    ts.valueSlot(ts.windowIndex(30), "r").add(1.5);
 
     ASSERT_EQ(ts.windows().size(), 2u);
     const SeriesWindow &w0 = ts.windows()[0];
@@ -56,8 +56,8 @@ TEST(TimeSeries, DownsampleDoublesWidthAndConservesMass)
 {
     TimeSeries ts(10, /*maxWindows=*/4);
     for (SimTime t = 0; t < 160; t += 2) {
-        ts.recordCounter(t, "q", 1);
-        ts.recordValue(t, "v", double(t));
+        ts.counterSlot(ts.windowIndex(t), "q") += 1;
+        ts.valueSlot(ts.windowIndex(t), "v").add(double(t));
     }
     EXPECT_GT(ts.downsamples(), 0u);
     EXPECT_LE(ts.windows().size(), 4u);
@@ -83,13 +83,14 @@ TEST(TimeSeries, CsvIsDeterministic)
         TimeSeries ts(workload::kMonth);
         Rng rng(5);
         for (int m = 0; m < 6; ++m) {
-            const SimTime t = SimTime(m) * workload::kMonth;
-            ts.recordCounter(t, "device.queries", 70 + u64(m));
-            ts.recordAccum(t, "device.energy_mj.pocket.sum",
-                           rng.uniform(100.0, 200.0));
+            const std::size_t w =
+                ts.windowIndex(SimTime(m) * workload::kMonth);
+            ts.counterSlot(w, "device.queries") += 70 + u64(m);
+            ts.accumSlot(w, "device.energy_mj.pocket.sum") +=
+                rng.uniform(100.0, 200.0);
+            const TimeSeries::ValueSlot hit = ts.valueSlot(w, "device.hit_rate");
             for (int d = 0; d < 10; ++d)
-                ts.recordValue(t, "device.hit_rate",
-                               rng.uniform(0.5, 0.8));
+                hit.add(rng.uniform(0.5, 0.8));
         }
         std::ostringstream os;
         ts.writeCsv(os);
@@ -163,7 +164,7 @@ TEST(FleetCollector, MergingNRegistriesEqualsTheUnion)
         fillRegistry(reg, u64(d) + 1, 50 + d);
         fillRegistry(unionReg, u64(d) + 1, 50 + d);
         collector.beginDevice(d % 2 ? "low" : "high");
-        collector.collect(0, reg);
+        collector.collect(0, reg.sample());
         collector.endDevice(reg);
     }
     EXPECT_EQ(collector.devices(), std::size_t(kDevices));
@@ -204,10 +205,10 @@ TEST(FleetCollector, WindowedDeltasAndRatios)
     collector.beginDevice("low");
     a.counter("device.queries").bump(10);
     a.counter("device.cache_hits").bump(6);
-    collector.collect(0, a);
+    collector.collect(0, a.sample());
     a.counter("device.queries").bump(10);
     a.counter("device.cache_hits").bump(2);
-    collector.collect(100, a);
+    collector.collect(100, a.sample());
     collector.endDevice(a);
 
     // Device B: 30 queries/24 hits in window 0 only.
@@ -215,7 +216,7 @@ TEST(FleetCollector, WindowedDeltasAndRatios)
     collector.beginDevice("high");
     b.counter("device.queries").bump(30);
     b.counter("device.cache_hits").bump(24);
-    collector.collect(0, b);
+    collector.collect(0, b.sample());
     collector.endDevice(b);
 
     const TimeSeries &fleet = collector.fleetSeries();
@@ -248,7 +249,7 @@ TEST(FleetCollector, AnomalyScanFlagsAnInjectedDip)
         const bool outage = (m == 8);
         reg.counter("device.queries").bump(100);
         reg.counter("device.cache_hits").bump(outage ? 10 : 65);
-        collector.collect(SimTime(m) * 100, reg);
+        collector.collect(SimTime(m) * 100, reg.sample());
     }
     collector.endDevice(reg);
 
@@ -359,11 +360,11 @@ TEST(FleetCollector, LateMetricsDeltaFromZero)
     MetricRegistry reg;
     collector.beginDevice("low");
     reg.counter("device.queries").bump(4);
-    collector.collect(0, reg);
+    collector.collect(0, reg.sample());
     reg.counter("device.queries").bump(6);
     reg.counter("device.cache_hits").bump(3);
     reg.histogram("device.energy_mj.3g").observe(2.5);
-    collector.collect(100, reg);
+    collector.collect(100, reg.sample());
     collector.endDevice(reg);
 
     const TimeSeries &fleet = collector.fleetSeries();
@@ -387,15 +388,15 @@ TEST(FleetCollectorDeathTest, WindowStartsMustStrictlyAscend)
     MetricRegistry reg;
     reg.counter("device.queries").bump(1);
     collector.beginDevice("low");
-    collector.collect(100, reg);
-    EXPECT_DEATH(collector.collect(100, reg), "strictly ascend");
-    EXPECT_DEATH(collector.collect(0, reg), "strictly ascend");
-    collector.collect(200, reg);
+    collector.collect(100, reg.sample());
+    EXPECT_DEATH(collector.collect(100, reg.sample()), "strictly ascend");
+    EXPECT_DEATH(collector.collect(0, reg.sample()), "strictly ascend");
+    collector.collect(200, reg.sample());
     collector.endDevice(reg);
 
     // A new device starts its own sequence.
     collector.beginDevice("low");
-    collector.collect(0, reg);
+    collector.collect(0, reg.sample());
     collector.endDevice(reg);
     EXPECT_EQ(collector.devices(), 2u);
 }

@@ -244,8 +244,9 @@ availabilitySpec(double objective = 0.9)
 TEST(SloBurn, EmptyWindowBurnsNothing)
 {
     TimeSeries ts(100);
-    ts.recordCounter(10, "ev", 50);   // window 0: traffic, no errors
-    ts.recordCounter(150, "other", 1); // window 1: no ev at all
+    // Window 0: traffic, no errors. Window 1: no ev at all.
+    ts.counterSlot(ts.windowIndex(10), "ev") += 50;
+    ts.counterSlot(ts.windowIndex(150), "other") += 1;
 
     MetricRegistry reg;
     reg.counter("ev").bump(50);
@@ -264,8 +265,8 @@ TEST(SloBurn, ExactBudgetExhaustionStillMeets)
     // objective 0.9 over 100 events allows exactly 10 bad ones:
     // consuming all 10 leaves remaining 0 but does not miss.
     TimeSeries ts(100);
-    ts.recordCounter(10, "ev", 100);
-    ts.recordCounter(10, "bad", 10);
+    ts.counterSlot(ts.windowIndex(10), "ev") += 100;
+    ts.counterSlot(ts.windowIndex(10), "bad") += 10;
 
     MetricRegistry reg;
     reg.counter("ev").bump(100);
@@ -279,7 +280,7 @@ TEST(SloBurn, ExactBudgetExhaustionStillMeets)
     EXPECT_TRUE(out[0].met);
     // One more bad event tips it over.
     reg.counter("bad").bump(1);
-    ts.recordCounter(10, "bad", 1);
+    ts.counterSlot(ts.windowIndex(10), "bad") += 1;
     const auto over =
         evaluateSlos({availabilitySpec()}, ts, reg.snapshot());
     EXPECT_FALSE(over[0].met);
@@ -289,10 +290,10 @@ TEST(SloBreach, EventsAreDeterministicAcrossEvaluations)
 {
     // Two fully-bad windows: burn 10x in each, breaching both.
     TimeSeries ts(100);
-    ts.recordCounter(10, "ev", 40);
-    ts.recordCounter(10, "bad", 40);
-    ts.recordCounter(150, "ev", 40);
-    ts.recordCounter(150, "bad", 40);
+    ts.counterSlot(ts.windowIndex(10), "ev") += 40;
+    ts.counterSlot(ts.windowIndex(10), "bad") += 40;
+    ts.counterSlot(ts.windowIndex(150), "ev") += 40;
+    ts.counterSlot(ts.windowIndex(150), "bad") += 40;
     MetricRegistry reg;
     reg.counter("ev").bump(80);
     reg.counter("bad").bump(80);

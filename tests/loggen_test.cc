@@ -121,21 +121,5 @@ TEST_F(LogGenTest, GoldenSixMonthDigest)
     EXPECT_EQ(crc, 0x16bfd245u);
 }
 
-TEST(SearchLog, SortByUserTimeGroupsUsers)
-{
-    UniverseConfig ucfg = tinyUniverse();
-    QueryUniverse uni(ucfg);
-    SearchLog log(uni);
-    log.add({2, 50, {0, 0}, DeviceType::Smartphone});
-    log.add({1, 99, {0, 0}, DeviceType::Smartphone});
-    log.add({2, 10, {0, 0}, DeviceType::Smartphone});
-    log.sortByUserTime();
-    const auto &r = log.records();
-    EXPECT_EQ(r[0].user, 1u);
-    EXPECT_EQ(r[1].user, 2u);
-    EXPECT_EQ(r[1].time, 10);
-    EXPECT_EQ(r[2].time, 50);
-}
-
 } // namespace
 } // namespace pc::workload

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the logging sink and the PC_LOG debug gate.
+ * Unit tests for the swappable warn sink.
  */
 
 #include <gtest/gtest.h>
@@ -20,85 +20,45 @@ class SinkCapture
   public:
     SinkCapture()
     {
-        prev_ = setLogSink([this](LogLevel level, const std::string &msg) {
-            messages_.emplace_back(level, msg);
-        });
+        prev_ = setLogSink(
+            [this](const std::string &msg) { messages_.push_back(msg); });
     }
 
     ~SinkCapture() { setLogSink(std::move(prev_)); }
 
-    const std::vector<std::pair<LogLevel, std::string>> &messages() const
-    {
-        return messages_;
-    }
+    const std::vector<std::string> &messages() const { return messages_; }
 
   private:
     LogSink prev_;
-    std::vector<std::pair<LogLevel, std::string>> messages_;
+    std::vector<std::string> messages_;
 };
 
-TEST(Logging, SinkCapturesWarnAndInform)
+TEST(Logging, SinkCapturesWarn)
 {
     SinkCapture cap;
     pc_warn("w ", 1);
-    pc_inform("i ", 2);
+    pc_warn("second");
     ASSERT_EQ(cap.messages().size(), 2u);
-    EXPECT_EQ(cap.messages()[0].first, LogLevel::Warn);
-    EXPECT_EQ(cap.messages()[0].second, "w 1");
-    EXPECT_EQ(cap.messages()[1].first, LogLevel::Info);
-    EXPECT_EQ(cap.messages()[1].second, "i 2");
-}
-
-TEST(Logging, DebugGatedOffDropsMessageAndSkipsArgs)
-{
-    SinkCapture cap;
-    setDebugLogging(false);
-    int evaluations = 0;
-    auto expensive = [&]() {
-        ++evaluations;
-        return 42;
-    };
-    pc_debug("value ", expensive());
-    EXPECT_TRUE(cap.messages().empty());
-    EXPECT_EQ(evaluations, 0) << "pc_debug args must not evaluate when off";
-
-    setDebugLogging(true);
-    pc_debug("value ", expensive());
-    ASSERT_EQ(cap.messages().size(), 1u);
-    EXPECT_EQ(cap.messages()[0].first, LogLevel::Debug);
-    EXPECT_EQ(cap.messages()[0].second, "value 42");
-    EXPECT_EQ(evaluations, 1);
-    setDebugLogging(false);
-}
-
-TEST(Logging, ParseLogEnvValues)
-{
-    EXPECT_FALSE(detail::parseLogEnv(nullptr));
-    EXPECT_FALSE(detail::parseLogEnv(""));
-    EXPECT_FALSE(detail::parseLogEnv("0"));
-    EXPECT_FALSE(detail::parseLogEnv("off"));
-    EXPECT_FALSE(detail::parseLogEnv("warn"));
-    EXPECT_TRUE(detail::parseLogEnv("debug"));
-    EXPECT_TRUE(detail::parseLogEnv("all"));
-    EXPECT_TRUE(detail::parseLogEnv("1"));
+    EXPECT_EQ(cap.messages()[0], "w 1");
+    EXPECT_EQ(cap.messages()[1], "second");
 }
 
 TEST(Logging, SetLogSinkReturnsPrevious)
 {
     std::vector<std::string> first;
-    LogSink prev = setLogSink([&](LogLevel, const std::string &msg) {
+    LogSink prev = setLogSink([&](const std::string &msg) {
         first.push_back(msg);
     });
     pc_warn("to-first");
 
     // Swap in a second sink; the returned previous one is the first.
     std::vector<std::string> second;
-    LogSink firstSink = setLogSink([&](LogLevel, const std::string &msg) {
+    LogSink firstSink = setLogSink([&](const std::string &msg) {
         second.push_back(msg);
     });
     pc_warn("to-second");
     ASSERT_TRUE(firstSink);
-    firstSink(LogLevel::Warn, "direct");
+    firstSink("direct");
 
     setLogSink(std::move(prev)); // restore default before leaving
     ASSERT_EQ(first.size(), 2u);
@@ -106,13 +66,6 @@ TEST(Logging, SetLogSinkReturnsPrevious)
     EXPECT_EQ(first[1], "direct");
     ASSERT_EQ(second.size(), 1u);
     EXPECT_EQ(second[0], "to-second");
-}
-
-TEST(Logging, LogLevelNames)
-{
-    EXPECT_STREQ(logLevelName(LogLevel::Debug), "debug");
-    EXPECT_STREQ(logLevelName(LogLevel::Info), "info");
-    EXPECT_STREQ(logLevelName(LogLevel::Warn), "warn");
 }
 
 } // namespace

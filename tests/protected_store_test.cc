@@ -88,8 +88,20 @@ TEST_F(ProtectedStoreTest, CrossCloudletWriteAndRemoveDenied)
     os_.create(bank_, "transactions", id);
     SimTime t = 0;
     EXPECT_EQ(os_.append(maps_, id, "graffiti", t), Access::Denied);
-    EXPECT_EQ(os_.remove(maps_, id), Access::Denied);
+    EXPECT_EQ(os_.remove(maps_, id, t), Access::Denied);
     EXPECT_TRUE(raw_.valid(id)) << "the file must survive the attempt";
+}
+
+TEST_F(ProtectedStoreTest, OwnerRemoveChargesErases)
+{
+    FileId id = kNoFile;
+    os_.create(bank_, "transactions", id);
+    SimTime t = 0;
+    ASSERT_EQ(os_.append(bank_, id, std::string(10000, 'x'), t), Access::Ok);
+    SimTime removeTime = 0;
+    EXPECT_EQ(os_.remove(bank_, id, removeTime), Access::Ok);
+    EXPECT_FALSE(raw_.valid(id));
+    EXPECT_GT(removeTime, 0) << "freed blocks pay their erases";
 }
 
 TEST_F(ProtectedStoreTest, RevokedGrantFails)

@@ -69,21 +69,6 @@ TEST(Rng, BelowIsRoughlyUniform)
     }
 }
 
-TEST(Rng, RangeInclusive)
-{
-    Rng rng(17);
-    bool saw_lo = false, saw_hi = false;
-    for (int i = 0; i < 5000; ++i) {
-        const i64 v = rng.range(-3, 3);
-        ASSERT_GE(v, -3);
-        ASSERT_LE(v, 3);
-        saw_lo |= (v == -3);
-        saw_hi |= (v == 3);
-    }
-    EXPECT_TRUE(saw_lo);
-    EXPECT_TRUE(saw_hi);
-}
-
 TEST(Rng, ChanceEdgeCases)
 {
     Rng rng(19);
@@ -116,65 +101,6 @@ TEST(Rng, ExponentialMean)
         sum += x;
     }
     EXPECT_NEAR(sum / n, 4.0, 0.1);
-}
-
-TEST(Rng, NormalMoments)
-{
-    Rng rng(31);
-    const int n = 100000;
-    double sum = 0.0, sq = 0.0;
-    for (int i = 0; i < n; ++i) {
-        const double x = rng.normal(5.0, 2.0);
-        sum += x;
-        sq += x * x;
-    }
-    const double mean = sum / n;
-    const double var = sq / n - mean * mean;
-    EXPECT_NEAR(mean, 5.0, 0.05);
-    EXPECT_NEAR(var, 4.0, 0.15);
-}
-
-TEST(Rng, GammaMeanAndVariance)
-{
-    Rng rng(37);
-    const double shape = 3.0, scale = 2.0;
-    const int n = 100000;
-    double sum = 0.0, sq = 0.0;
-    for (int i = 0; i < n; ++i) {
-        const double x = rng.gamma(shape, scale);
-        ASSERT_GT(x, 0.0);
-        sum += x;
-        sq += x * x;
-    }
-    const double mean = sum / n;
-    const double var = sq / n - mean * mean;
-    EXPECT_NEAR(mean, shape * scale, 0.1);        // 6
-    EXPECT_NEAR(var, shape * scale * scale, 0.5); // 12
-}
-
-TEST(Rng, GammaSmallShape)
-{
-    Rng rng(41);
-    const int n = 50000;
-    double sum = 0.0;
-    for (int i = 0; i < n; ++i)
-        sum += rng.gamma(0.5, 1.0);
-    EXPECT_NEAR(sum / n, 0.5, 0.03);
-}
-
-TEST(Rng, BetaInUnitIntervalWithCorrectMean)
-{
-    Rng rng(43);
-    const double a = 2.0, b = 5.0;
-    const int n = 100000;
-    double sum = 0.0;
-    for (int i = 0; i < n; ++i) {
-        const double x = rng.beta(a, b);
-        ASSERT_GE(x, 0.0);
-        ASSERT_LE(x, 1.0);
-        sum += x;
-    }
-    EXPECT_NEAR(sum / n, a / (a + b), 0.01);
 }
 
 TEST(Rng, WeightedFollowsWeights)

@@ -170,36 +170,6 @@ TEST(EmpiricalCdf, QuantileWithDuplicates)
     EXPECT_DOUBLE_EQ(mixed.quantile(0.75), 5.0);
 }
 
-TEST(Histogram, BucketsAndClamping)
-{
-    Histogram h(0.0, 10.0, 5);
-    h.add(0.5);   // bucket 0
-    h.add(9.9);   // bucket 4
-    h.add(-3.0);  // clamps to 0
-    h.add(42.0);  // clamps to 4
-    h.add(5.0);   // bucket 2
-    EXPECT_EQ(h.total(), 5u);
-    EXPECT_EQ(h.bucketCount(0), 2u);
-    EXPECT_EQ(h.bucketCount(2), 1u);
-    EXPECT_EQ(h.bucketCount(4), 2u);
-    EXPECT_DOUBLE_EQ(h.bucketLow(2), 4.0);
-    EXPECT_DOUBLE_EQ(h.bucketHigh(2), 6.0);
-}
-
-TEST(Histogram, ClampToEdgeBuckets)
-{
-    Histogram h(0.0, 10.0, 4);
-    h.add(-1e9);  // far below -> bucket 0
-    h.add(0.0);   // exactly lo -> bucket 0
-    h.add(10.0);  // exactly hi (exclusive) clamps to the last bucket
-    h.add(1e9);   // far above -> last bucket
-    EXPECT_EQ(h.total(), 4u);
-    EXPECT_EQ(h.bucketCount(0), 2u);
-    EXPECT_EQ(h.bucketCount(1), 0u);
-    EXPECT_EQ(h.bucketCount(2), 0u);
-    EXPECT_EQ(h.bucketCount(3), 2u);
-}
-
 TEST(CumulativeShare, SortsAndAccumulates)
 {
     auto cs = CumulativeShare::fromVolumes({10, 50, 20, 20});

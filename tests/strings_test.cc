@@ -50,19 +50,6 @@ TEST(Split, SingleField)
     EXPECT_EQ(parts[0], "abc");
 }
 
-TEST(Join, RoundTripsWithSplit)
-{
-    const std::vector<std::string> parts = {"x", "y", "z"};
-    EXPECT_EQ(join(parts, ","), "x,y,z");
-    EXPECT_EQ(join({}, ","), "");
-}
-
-TEST(ToLower, AsciiOnly)
-{
-    EXPECT_EQ(toLower("YouTube"), "youtube");
-    EXPECT_EQ(toLower("already lower 123"), "already lower 123");
-}
-
 TEST(Contains, Substrings)
 {
     EXPECT_TRUE(contains("www.youtube.com", "youtube"));

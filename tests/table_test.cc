@@ -43,14 +43,5 @@ TEST(AsciiTableDeath, RowWidthMismatchPanics)
     EXPECT_DEATH(t.row({"only-one"}), "row width");
 }
 
-TEST(CsvWriter, EmitsRows)
-{
-    std::ostringstream oss;
-    CsvWriter csv(oss);
-    csv.row({"a", "b", "c"});
-    csv.row({"1", "2", "3"});
-    EXPECT_EQ(oss.str(), "a,b,c\n1,2,3\n");
-}
-
 } // namespace
 } // namespace pc

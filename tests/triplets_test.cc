@@ -91,16 +91,6 @@ TEST_F(TripletsTest, CumulativeShareAndRowsForShare)
     EXPECT_EQ(t.rowsForShare(1.0), 3u);
 }
 
-TEST_F(TripletsTest, UniqueResultsInTop)
-{
-    addN(1, 10, 50); // result 10 reached via two queries
-    addN(2, 10, 30);
-    addN(3, 12, 20);
-    const auto t = TripletTable::fromLog(log_);
-    EXPECT_EQ(t.uniqueResultsInTop(2), 1u);
-    EXPECT_EQ(t.uniqueResultsInTop(3), 2u);
-}
-
 TEST_F(TripletsTest, EmptyLog)
 {
     const auto t = TripletTable::fromLog(log_);
