@@ -20,12 +20,6 @@ LruPairCache::lookup(const workload::PairRef &p)
     return true;
 }
 
-bool
-LruPairCache::contains(const workload::PairRef &p) const
-{
-    return map_.count(key(p)) != 0;
-}
-
 void
 LruPairCache::insert(const workload::PairRef &p)
 {

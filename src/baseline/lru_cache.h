@@ -31,9 +31,6 @@ class LruPairCache
     /** True if the pair is cached; refreshes its recency when found. */
     bool lookup(const workload::PairRef &p);
 
-    /** Membership test without recency side effects. */
-    bool contains(const workload::PairRef &p) const;
-
     /** Insert a pair (evicting the LRU victim if full). */
     void insert(const workload::PairRef &p);
 

@@ -53,22 +53,6 @@ pairInRange(const workload::PairRef &p, const QueryUniverse &u)
 
 } // namespace
 
-const char *
-deltaApplyErrorName(DeltaApplyError e)
-{
-    switch (e) {
-    case DeltaApplyError::None:
-        return "none";
-    case DeltaApplyError::BadPairId:
-        return "bad_pair_id";
-    case DeltaApplyError::MissingEvictTarget:
-        return "missing_evict_target";
-    case DeltaApplyError::MissingRerankTarget:
-        return "missing_rerank_target";
-    }
-    return "unknown";
-}
-
 CommunityDelta
 diffContents(const CacheContents &from, const CacheContents &to,
              u64 from_version, u64 to_version)

@@ -94,9 +94,6 @@ enum class DeltaApplyError
     MissingRerankTarget, ///< A re-rank names a pair the device lacks.
 };
 
-/** Display name of an apply error. */
-const char *deltaApplyErrorName(DeltaApplyError e);
-
 /** Outcome of a transactional delta application. */
 struct DeltaApplyResult
 {

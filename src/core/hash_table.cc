@@ -207,15 +207,6 @@ QueryHashTable::setScore(std::string_view query, u64 url_hash, double score)
 }
 
 bool
-QueryHashTable::markAccessed(std::string_view query, u64 url_hash)
-{
-    auto *r = const_cast<ResultRef *>(locate(query, url_hash));
-    if (r)
-        r->userAccessed = true;
-    return r != nullptr;
-}
-
-bool
 QueryHashTable::erasePair(std::string_view query, u64 url_hash)
 {
     // Collect the whole chain, drop the pair, then rebuild the chain so

@@ -97,9 +97,6 @@ class QueryHashTable
     /** Overwrite a pair's score (server-side conflict resolution). */
     bool setScore(std::string_view query, u64 url_hash, double score);
 
-    /** Set the user-accessed flag of a pair. */
-    bool markAccessed(std::string_view query, u64 url_hash);
-
     /**
      * Remove a pair; compacts the query's slot chain so lookups remain
      * contiguous. @return True if the pair was present.

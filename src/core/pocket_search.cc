@@ -19,23 +19,10 @@ cacheModeName(CacheMode m)
     return "?";
 }
 
-std::string
-indexTierName(IndexTier t)
-{
-    switch (t) {
-      case IndexTier::DramFromNand:
-        return "dram-from-nand";
-      case IndexTier::Pcm:
-        return "pcm";
-    }
-    return "?";
-}
-
 PocketSearch::PocketSearch(const QueryUniverse &universe,
                            pc::simfs::FlashStore &store,
                            const PocketSearchConfig &cfg)
     : universe_(universe),
-      store_(store),
       cfg_(cfg),
       table_(cfg.layout),
       db_(store, cfg.db)
@@ -45,7 +32,6 @@ PocketSearch::PocketSearch(const QueryUniverse &universe,
 PocketSearch::PocketSearch(const PocketSearch &image,
                            pc::simfs::FlashStore &store)
     : universe_(image.universe_),
-      store_(store),
       cfg_(image.cfg_),
       table_(image.table_),
       db_(image.db_, store),
@@ -58,20 +44,6 @@ SimTime
 PocketSearch::tierProbePenalty() const
 {
     return cfg_.indexTier == IndexTier::Pcm ? kPcmProbePenalty : 0;
-}
-
-SimTime
-PocketSearch::bootIndexLoadTime() const
-{
-    if (cfg_.indexTier == IndexTier::Pcm)
-        return 0; // persistent in place (Section 3.3's selling point)
-    // Stream the serialized index in from NAND and deserialize it.
-    const Bytes index_bytes = dramBytes() + suggest_.memoryBytes();
-    if (index_bytes == 0)
-        return 0;
-    SimTime t = store_.device().read(0, index_bytes);
-    t += SimTime(index_bytes) * kIndexParsePerByte;
-    return t;
 }
 
 void
@@ -255,12 +227,6 @@ PocketSearch::containsPair(const workload::PairRef &p) const
     const auto &q = universe_.query(p.query);
     const auto &r = universe_.result(p.result);
     return table_.containsPair(q.text, urlHash(r.url));
-}
-
-bool
-PocketSearch::containsQuery(const std::string &query_text) const
-{
-    return !table_.lookup(query_text).empty();
 }
 
 void

@@ -48,9 +48,6 @@ enum class IndexTier
     Pcm,
 };
 
-/** Display name of a tier. */
-std::string indexTierName(IndexTier t);
-
 /** PocketSearch configuration. */
 struct PocketSearchConfig
 {
@@ -198,9 +195,6 @@ class PocketSearch
     /** True if the exact (query, result) pair is cached. */
     bool containsPair(const workload::PairRef &p) const;
 
-    /** True if the query string has any cached results. */
-    bool containsQuery(const std::string &query_text) const;
-
     /**
      * Record a user click-through for a pair: updates ranking
      * (Equations 1/2) and, when personalization is active, caches the
@@ -253,13 +247,6 @@ class PocketSearch
 
     /** The auto-suggest index (empty when disabled). */
     const SuggestIndex &suggestIndex() const { return suggest_; }
-
-    /**
-     * Time from power-on until the index is usable (Section 3.3): a
-     * DRAM index must stream in from NAND and deserialize; a PCM index
-     * is persistent and instantly available.
-     */
-    SimTime bootIndexLoadTime() const;
 
     /** Per-probe penalty of the configured tier over DRAM. */
     SimTime tierProbePenalty() const;
@@ -318,7 +305,6 @@ class PocketSearch
     void resyncSuggest(const std::string &query_text);
 
     const QueryUniverse &universe_;
-    pc::simfs::FlashStore &store_;
     PocketSearchConfig cfg_;
     QueryHashTable table_;
     ResultDatabase db_;

@@ -20,6 +20,15 @@ wireSize(std::size_t pairs)
     return kHeaderBytes + pairs * kRecordBytes;
 }
 
+void
+appendWireRecord(std::string &out, const WirePair &w)
+{
+    appendRaw<u64>(out, w.queryFnv);
+    appendRaw<u64>(out, w.urlHash);
+    appendRaw<double>(out, w.score);
+    appendRaw<u8>(out, w.accessed ? 1 : 0);
+}
+
 std::string
 encodeTable(const QueryHashTable &table)
 {
@@ -28,10 +37,8 @@ encodeTable(const QueryHashTable &table)
     out.append(kMagic, 4);
     appendRaw<u32>(out, u32(table.pairs()));
     table.forEachPair([&](u64 query_fnv, const ResultRef &r) {
-        appendRaw<u64>(out, query_fnv);
-        appendRaw<u64>(out, r.urlHash);
-        appendRaw<double>(out, r.score);
-        appendRaw<u8>(out, r.userAccessed ? 1 : 0);
+        appendWireRecord(out, {query_fnv, r.urlHash, r.score,
+                               r.userAccessed});
     });
     return out;
 }

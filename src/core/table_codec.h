@@ -33,6 +33,9 @@ struct WirePair
     bool operator==(const WirePair &o) const = default;
 };
 
+/** Append one fixed-width wire record (the upload blob's record body). */
+void appendWireRecord(std::string &out, const WirePair &w);
+
 /** Encode a hash table into the upload blob. */
 std::string encodeTable(const QueryHashTable &table);
 

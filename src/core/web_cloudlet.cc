@@ -143,11 +143,4 @@ WebContentCloudlet::shrinkTo(Bytes data_budget)
     return before - dataBytes();
 }
 
-const CachedPage *
-WebContentCloudlet::find(const std::string &url) const
-{
-    const auto it = pages_.find(url);
-    return it == pages_.end() ? nullptr : &it->second;
-}
-
 } // namespace pc::core

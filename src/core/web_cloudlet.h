@@ -122,9 +122,6 @@ class WebContentCloudlet : public Cloudlet
     /** Per-policy statistics. */
     const WebServeStats &stats() const { return stats_; }
 
-    /** State of one page (testing/diagnostics). */
-    const CachedPage *find(const std::string &url) const;
-
   private:
     bool isFresh(const CachedPage &p, SimTime now) const;
 

@@ -55,14 +55,6 @@ FaultPlan::inOutage(SimTime now)
     return inOutage_;
 }
 
-SimTime
-FaultPlan::outageEnd(SimTime now)
-{
-    if (!inOutage(now))
-        return now;
-    return nextTransition_;
-}
-
 bool
 FaultPlan::drawExchangeFailure()
 {

@@ -122,9 +122,6 @@ class FaultPlan
      */
     bool inOutage(SimTime now);
 
-    /** End of the outage containing `now`; `now` itself if covered. */
-    SimTime outageEnd(SimTime now);
-
     /** Draw: does this exchange attempt die mid-flight? (counted) */
     bool drawExchangeFailure();
 

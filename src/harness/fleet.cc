@@ -1,7 +1,6 @@
 #include "harness/fleet.h"
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -44,7 +43,10 @@ defaultOutageFaults()
 
 namespace {
 
-/** CRC-32 over wire pairs in canonical (query fnv, url hash) order. */
+/**
+ * CRC-32 over wire pairs in canonical (query fnv, url hash) order,
+ * each in its upload-record layout.
+ */
 u32
 digestWirePairs(std::vector<core::WirePair> pairs)
 {
@@ -54,16 +56,11 @@ digestWirePairs(std::vector<core::WirePair> pairs)
                       return a.queryFnv < b.queryFnv;
                   return a.urlHash < b.urlHash;
               });
-    u32 crc = 0;
-    for (const auto &w : pairs) {
-        char buf[8 + 8 + 8 + 1];
-        std::memcpy(buf, &w.queryFnv, 8);
-        std::memcpy(buf + 8, &w.urlHash, 8);
-        std::memcpy(buf + 16, &w.score, 8);
-        buf[24] = w.accessed ? 1 : 0;
-        crc = crc32(std::string_view(buf, sizeof(buf)), crc);
-    }
-    return crc;
+    std::string records;
+    records.reserve(core::wireSize(pairs.size()));
+    for (const auto &w : pairs)
+        core::appendWireRecord(records, w);
+    return crc32(records);
 }
 
 } // namespace

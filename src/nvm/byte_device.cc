@@ -11,7 +11,6 @@ dramConfig(Bytes capacity)
     cfg.name = "dram";
     cfg.capacity = capacity;
     cfg.readAccessLatency = 50;
-    cfg.writeAccessLatency = 50;
     cfg.perByte = 0;
     cfg.activePower = 100.0;
     cfg.nonVolatile = false;
@@ -25,7 +24,6 @@ pcmConfig(Bytes capacity)
     cfg.name = "pcm";
     cfg.capacity = capacity;
     cfg.readAccessLatency = 150;   // ~3x DRAM read.
-    cfg.writeAccessLatency = 1000; // PCM writes are slow (SET/RESET).
     cfg.perByte = 1;
     cfg.activePower = 60.0;
     cfg.nonVolatile = true;
@@ -45,16 +43,6 @@ ByteDevice::read(Bytes addr, Bytes len)
               " capacity");
     const SimTime t = cfg_.readAccessLatency + SimTime(len) * cfg_.perByte;
     account(false, len, t, cfg_.activePower);
-    return t;
-}
-
-SimTime
-ByteDevice::write(Bytes addr, Bytes len)
-{
-    pc_assert(addr + len <= cfg_.capacity, "write beyond ", cfg_.name,
-              " capacity");
-    const SimTime t = cfg_.writeAccessLatency + SimTime(len) * cfg_.perByte;
-    account(true, len, t, cfg_.activePower);
     return t;
 }
 

@@ -5,7 +5,7 @@
  * These back the paper's Section 3.3 three-tier discussion: indexes live
  * in DRAM today; a PCM tier would make them persistent and instantly
  * available at boot (no index reload from NAND), at some access-latency
- * cost. Both are modelled as fixed per-access latency plus a per-byte
+ * cost. Both model a read as a fixed per-access latency plus a per-byte
  * stream term.
  */
 
@@ -18,13 +18,12 @@
 
 namespace pc::nvm {
 
-/** Timing/energy of a byte-addressable tier. */
+/** Read timing/energy of a byte-addressable tier. */
 struct ByteDeviceConfig
 {
     std::string name = "dram";
     Bytes capacity = 512 * kMiB;
     SimTime readAccessLatency = 50;   ///< ns, first-word latency.
-    SimTime writeAccessLatency = 50;  ///< ns.
     SimTime perByte = 0;              ///< ns per streamed byte (0 => 10GB/s+).
     MilliWatts activePower = 100.0;
     bool nonVolatile = false;         ///< Survives power cycles?
@@ -34,8 +33,8 @@ struct ByteDeviceConfig
 ByteDeviceConfig dramConfig(Bytes capacity = 512 * kMiB);
 
 /**
- * PCM-like defaults: non-volatile, ~3x slower reads than DRAM and much
- * slower writes, but vastly faster than NAND and byte-addressable.
+ * PCM-like defaults: non-volatile, ~3x slower reads than DRAM, but
+ * vastly faster than NAND and byte-addressable.
  */
 ByteDeviceConfig pcmConfig(Bytes capacity = 4 * kGiB);
 
@@ -54,8 +53,6 @@ class ByteDevice : public StorageDevice
 
     /** Model a read of `len` bytes at `addr`; returns its latency. */
     SimTime read(Bytes addr, Bytes len);
-    /** Model a write of `len` bytes at `addr`; returns its latency. */
-    SimTime write(Bytes addr, Bytes len);
 
     /** Whether contents survive a power cycle. */
     bool nonVolatile() const { return cfg_.nonVolatile; }

@@ -65,16 +65,6 @@ CapacityProjection::project(int year, const ScenarioFlags &flags) const
     return pt;
 }
 
-std::vector<CapacityPoint>
-CapacityProjection::series(const ScenarioFlags &flags) const
-{
-    std::vector<CapacityPoint> out;
-    out.reserve(roadmap_.nodes().size());
-    for (const auto &node : roadmap_.nodes())
-        out.push_back(project(node.year, flags));
-    return out;
-}
-
 std::vector<ScenarioFlags>
 CapacityProjection::figure2Scenarios()
 {

@@ -65,9 +65,6 @@ class CapacityProjection
     /** Project one year under a scenario. */
     CapacityPoint project(int year, const ScenarioFlags &flags) const;
 
-    /** Project every roadmap year under a scenario (a Figure 2 series). */
-    std::vector<CapacityPoint> series(const ScenarioFlags &flags) const;
-
     /** The four scenarios plotted in Figure 2, cumulative in technique. */
     static std::vector<ScenarioFlags> figure2Scenarios();
 

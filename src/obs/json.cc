@@ -174,11 +174,4 @@ JsonWriter::value(double d)
     os_ << buf;
 }
 
-void
-JsonWriter::null()
-{
-    preValue();
-    os_ << "null";
-}
-
 } // namespace pc::obs

@@ -58,8 +58,6 @@ class JsonWriter
     void value(bool b);
     /** Floating-point value; non-finite values emit null. */
     void value(double d);
-    /** Null value. */
-    void null();
 
     /** key() + value() in one call. */
     template <typename T>

@@ -87,12 +87,6 @@ RadioLink::needsWakeup(SimTime now) const
     return readyUntil_ < 0 || now > readyUntil_;
 }
 
-void
-RadioLink::reset()
-{
-    readyUntil_ = -1;
-}
-
 TransferResult
 RadioLink::request(SimTime now, Bytes uplinkBytes, Bytes downlinkBytes,
                    SimTime serverTime)

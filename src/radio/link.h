@@ -113,9 +113,6 @@ class RadioLink
     /** Would a request at `now` need the wake-up ramp? */
     bool needsWakeup(SimTime now) const;
 
-    /** Forget history; next request pays the wake-up ramp. */
-    void reset();
-
     /** Total radio energy across all requests so far. */
     MicroJoules totalEnergy() const { return totalEnergy_; }
 

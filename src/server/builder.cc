@@ -86,12 +86,6 @@ CommunityModelBuilder::CommunityModelBuilder(
     }
 }
 
-u32
-CommunityModelBuilder::shardOf(u32 query_id) const
-{
-    return queryShard_.at(query_id);
-}
-
 CommunityModel
 CommunityModelBuilder::build(const workload::SearchLog &log, u64 version,
                              const core::ContentPolicy &policy) const

@@ -96,9 +96,6 @@ class CommunityModelBuilder
     CommunityModel build(const workload::SearchLog &log, u64 version,
                          const core::ContentPolicy &policy) const;
 
-    /** Shard a query id the way the pipeline does (exposed for tests). */
-    u32 shardOf(u32 query_id) const;
-
     /** Configuration. */
     const BuildConfig &config() const { return cfg_; }
 

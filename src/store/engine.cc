@@ -41,8 +41,6 @@ StoreEngine::StoreEngine(pc::simfs::FlashStore &store,
                   "size classes must ascend");
     }
     pc_assert(cfg_.slotsPerSlab >= 2, "slabs need at least two slots");
-    pc_assert(cfg_.gcDeadFraction > 0.0 && cfg_.gcDeadFraction <= 1.0,
-              "gcDeadFraction must be in (0, 1]");
     classSlabs_.resize(cfg_.sizeClasses.size());
     nextNameSeq_.assign(cfg_.sizeClasses.size(), 0);
     batch_.onFlush([this](pc::simfs::FileId f, Bytes off, Bytes len) {
@@ -232,23 +230,6 @@ StoreEngine::put(u64 key, std::string_view value, SimTime &time)
     return true;
 }
 
-bool
-StoreEngine::remove(u64 key, SimTime &time)
-{
-    if (powerLost())
-        return false;
-    auto it = index_.find(key);
-    if (it == index_.end())
-        return false;
-    const ItemLoc dead = it->second;
-    index_.erase(it);
-    liveBytes_ -= dead.len;
-    killSlot(dead, time);
-    ++stats_.removes;
-    maybeGc(dead.slab, time);
-    return true;
-}
-
 void
 StoreEngine::flush(SimTime &time)
 {
@@ -370,17 +351,6 @@ StoreEngine::contains(u64 key) const
     return index_.count(key) != 0;
 }
 
-std::vector<u64>
-StoreEngine::keys() const
-{
-    std::vector<u64> out;
-    out.reserve(index_.size());
-    for (const auto &entry : index_)
-        out.push_back(entry.first);
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
 bool
 StoreEngine::collectSlab(u32 slabId, SimTime &time)
 {
@@ -462,8 +432,6 @@ StoreEngine::collectSlab(u32 slabId, SimTime &time)
 void
 StoreEngine::maybeGc(u32 slabId, SimTime &time)
 {
-    if (!cfg_.gcAuto)
-        return;
     const Slab &s = slabs_[slabId];
     if (s.defunct)
         return;
@@ -472,26 +440,9 @@ StoreEngine::maybeGc(u32 slabId, SimTime &time)
     const auto &list = classSlabs_[s.classIdx];
     if (!list.empty() && list.back() == slabId)
         return;
-    if (double(s.dead) < cfg_.gcDeadFraction * double(s.slots.size()))
+    if (double(s.dead) < kGcDeadFraction * double(s.slots.size()))
         return;
     collectSlab(slabId, time);
-}
-
-u32
-StoreEngine::gcSweep(SimTime &time)
-{
-    u32 reclaimed = 0;
-    const std::size_t count = slabs_.size(); // new slabs appended are clean
-    for (u32 id = 0; id < count; ++id) {
-        const Slab &s = slabs_[id];
-        if (s.defunct)
-            continue;
-        if (double(s.dead) < cfg_.gcDeadFraction * double(s.slots.size()))
-            continue;
-        if (collectSlab(id, time))
-            ++reclaimed;
-    }
-    return reclaimed;
 }
 
 Bytes
@@ -633,30 +584,6 @@ StoreEngine::recover()
         index_[key] = ItemLoc{c.slabId, c.slot, c.len};
         liveBytes_ += c.len;
     }
-}
-
-void
-StoreEngine::publishMetrics(obs::MetricRegistry &reg) const
-{
-    reg.counter("store.puts").bump(stats_.puts);
-    reg.counter("store.updates").bump(stats_.updates);
-    reg.counter("store.removes").bump(stats_.removes);
-    reg.counter("store.gets").bump(stats_.gets);
-    reg.counter("store.get_hits").bump(stats_.getHits);
-    reg.counter("store.crc_retries").bump(stats_.crcRetries);
-    reg.counter("store.read_failures").bump(stats_.readFailures);
-    const PageCacheStats &cs = cache_.stats();
-    reg.counter("store.cache.hits").bump(cs.hits);
-    reg.counter("store.cache.misses").bump(cs.misses);
-    reg.counter("store.cache.insertions").bump(cs.insertions);
-    reg.counter("store.cache.evictions").bump(cs.evictions);
-    reg.counter("store.gc.collections").bump(gcStats_.collections);
-    reg.counter("store.gc.relocated").bump(gcStats_.relocated);
-    reg.counter("store.gc.slabs_reclaimed").bump(gcStats_.slabsReclaimed);
-    const BatchStats &bs = batch_.stats();
-    reg.counter("store.batch.ops").bump(bs.ops);
-    reg.counter("store.batch.runs").bump(bs.runs);
-    reg.counter("store.batch.flushes").bump(bs.flushes);
 }
 
 } // namespace pc::store

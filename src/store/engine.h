@@ -20,13 +20,14 @@
  * `seq` is a store-wide monotonic write sequence; `crc` covers
  * (len, key, seq, payload). Updates are written out-of-place to a
  * fresh slot first, then the predecessor's header magic is zeroed
- * in-place (NAND-legal: programming only clears bits). Removes zero
- * the magic the same way. Recovery scans every slab, keeps the
- * highest-seq valid copy per key, and treats everything else as free
- * — so a torn update leaves the previous acknowledged version intact,
- * a torn kill leaves two valid copies of which the newer wins, and
- * nothing ever resurrects. GC copies live slots verbatim (same seq):
- * a crash mid-GC recovers from whichever copy completed.
+ * in-place (NAND-legal: programming only clears bits). There is no
+ * delete: PocketSearch's result database only grows and updates.
+ * Recovery scans every slab, keeps the highest-seq valid copy per key,
+ * and treats everything else as free — so a torn update leaves the
+ * previous acknowledged version intact, a torn kill leaves two valid
+ * copies of which the newer wins, and a superseded version never comes
+ * back. GC copies live slots verbatim (same seq): a crash mid-GC
+ * recovers from whichever copy completed.
  *
  * Acknowledgement contract: a write is durable once flush() returns
  * with the attached FaultPlan (if any) not reporting powerLost(). The
@@ -40,7 +41,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "simfs/flash_store.h"
 #include "store/io_queue.h"
 #include "store/page_cache.h"
@@ -71,13 +71,6 @@ struct StoreEngineConfig
     PageCacheConfig cache{};
     /** Write-queue auto-flush threshold (0 = unbatched). */
     u32 batchWindow = 8;
-    /**
-     * GC trigger: collect a non-fill slab once this fraction of its
-     * slots are dead. 1.0 (or gcAuto = false) defers to gcSweep().
-     */
-    double gcDeadFraction = 0.5;
-    /** Run GC opportunistically after kills. */
-    bool gcAuto = true;
 };
 
 /** Garbage-collection counters. */
@@ -95,7 +88,6 @@ struct EngineStats
 {
     u64 puts = 0;         ///< Fresh inserts.
     u64 updates = 0;      ///< Overwrites of an existing key.
-    u64 removes = 0;      ///< Erases of a present key.
     u64 gets = 0;         ///< Point lookups.
     u64 getHits = 0;      ///< Lookups that found the key.
     u64 crcRetries = 0;   ///< Reads retried after checksum mismatch.
@@ -143,21 +135,8 @@ class StoreEngine
     /** True if `key` is present (index only; no time charged). */
     bool contains(u64 key) const;
 
-    /**
-     * Remove `key` by zeroing its slot header in place.
-     * @return False if the key is absent or power is lost.
-     */
-    bool remove(u64 key, SimTime &time);
-
     /** Drain the write queue. Durability point for queued writes. */
     void flush(SimTime &time);
-
-    /**
-     * Collect every eligible slab now (dead fraction at or above the
-     * configured threshold, fill slabs included).
-     * @return Slabs reclaimed.
-     */
-    u32 gcSweep(SimTime &time);
 
     /** Live item count. */
     u64 items() const { return index_.size(); }
@@ -186,21 +165,11 @@ class StoreEngine
     /** Write-batching statistics. */
     const BatchStats &batchStats() const { return batch_.stats(); }
 
-    /** Every live key, ascending. */
-    std::vector<u64> keys() const;
-
     /** Configuration. */
     const StoreEngineConfig &config() const { return cfg_; }
 
     /** Backing store. */
     pc::simfs::FlashStore &store() { return store_; }
-
-    /**
-     * Fold the engine's counters into a registry: bumps "store.*"
-     * (ops, cache, gc, batch) by current totals. Call once per
-     * experiment phase, like FaultPlan::publishMetrics.
-     */
-    void publishMetrics(obs::MetricRegistry &reg) const;
 
     /** On-flash slot header size. */
     static constexpr Bytes kHeaderSize = 32;
@@ -214,6 +183,11 @@ class StoreEngine
     static constexpr SimTime kHitOverhead = 2 * kMicrosecond;
     /** Modelled block-layer submission cost of a read that misses. */
     static constexpr SimTime kMissOverhead = 150 * kMicrosecond;
+    /**
+     * GC trigger: an update that leaves this fraction of a non-fill
+     * slab's slots dead collects the slab.
+     */
+    static constexpr double kGcDeadFraction = 0.5;
 
   private:
     /** Slot lifecycle within a slab. */

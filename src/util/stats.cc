@@ -111,13 +111,6 @@ EmpiricalCdf::quantile(double q) const
     return xs_[i] * (1.0 - frac) + xs_[i + 1] * frac;
 }
 
-const std::vector<double> &
-EmpiricalCdf::sorted() const
-{
-    ensureSorted();
-    return xs_;
-}
-
 CumulativeShare
 CumulativeShare::fromVolumes(std::vector<u64> volumes)
 {

@@ -77,9 +77,6 @@ class EmpiricalCdf
     /** q-quantile for q in [0, 1]. @pre non-empty. */
     double quantile(double q) const;
 
-    /** Sorted copy of the sample. */
-    const std::vector<double> &sorted() const;
-
   private:
     void ensureSorted() const;
 

@@ -8,6 +8,7 @@
 
 #include "core/ad_cloudlet.h"
 #include "core/coordinator.h"
+#include "util/strings.h"
 
 namespace pc::core {
 namespace {
@@ -84,7 +85,7 @@ TEST_F(AdCloudletTest, FootprintAccounting)
 {
     SimTime t = 0;
     for (int i = 0; i < 10; ++i)
-        ads_.installAd("q" + std::to_string(i), makeAd(i), t);
+        ads_.installAd(strformat("q%d", i), makeAd(i), t);
     EXPECT_EQ(ads_.dataBytes(), 10u * 5 * kKiB);
     EXPECT_EQ(ads_.indexBytes(), 10u * 24u);
     EXPECT_GE(store_.stats().physicalBytes, ads_.dataBytes());
@@ -103,7 +104,7 @@ TEST_F(AdCloudletTest, ShrinkToBudget)
 {
     SimTime t = 0;
     for (int i = 0; i < 10; ++i)
-        ads_.installAd("q" + std::to_string(i), makeAd(i), t);
+        ads_.installAd(strformat("q%d", i), makeAd(i), t);
     const Bytes released = ads_.shrinkTo(4 * 5 * kKiB);
     EXPECT_EQ(released, 6u * 5 * kKiB);
     EXPECT_EQ(ads_.entries(), 4u);
@@ -191,9 +192,10 @@ TEST_F(CoordinatorTest, CoordinatedEviction)
     const std::string q1 = prime(1, true);
     const std::size_t evicted = coord_->evictQueries({q0});
     EXPECT_EQ(evicted, 1u);
-    EXPECT_FALSE(ps_->containsQuery(q0));
+    EXPECT_TRUE(ps_->table().lookup(q0).empty());
     EXPECT_FALSE(ads_->containsQuery(q0));
-    EXPECT_TRUE(ps_->containsQuery(q1)) << "unrelated entries survive";
+    EXPECT_FALSE(ps_->table().lookup(q1).empty())
+        << "unrelated entries survive";
     EXPECT_TRUE(ads_->containsQuery(q1));
 }
 

@@ -88,9 +88,12 @@ TEST_F(CapacityFixture, SeriesMonotoneExceptMlcDecline)
 {
     // Capacity never shrinks over time for the scaling-only scenario.
     ScenarioFlags scaling_only{true, false, false, false};
-    const auto series = proj_.series(scaling_only);
-    for (std::size_t i = 1; i < series.size(); ++i)
-        EXPECT_GE(series[i].highEnd, series[i - 1].highEnd);
+    Bytes prev = 0;
+    for (const auto &node : roadmap_.nodes()) {
+        const Bytes highEnd = proj_.project(node.year, scaling_only).highEnd;
+        EXPECT_GE(highEnd, prev) << node.year;
+        prev = highEnd;
+    }
 }
 
 TEST_F(CapacityFixture, MlcSceneDipsWhenBitsPerCellDrops)

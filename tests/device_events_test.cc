@@ -194,7 +194,7 @@ runScenario(Rig &rig,
     while (ps.containsPair({staleQuery, staleResult}))
         ++staleResult;
     u32 offlineQuery = 0;
-    while (ps.containsQuery(uni.query(offlineQuery).text))
+    while (!ps.table().lookup(uni.query(offlineQuery).text).empty())
         ++offlineQuery;
     for (const workload::PairRef pair :
          {workload::PairRef{staleQuery, staleResult},

@@ -57,24 +57,6 @@ TEST(FaultPlanTest, OutageShareApproximatesTarget)
     EXPECT_NEAR(double(out) / double(total), 0.25, 0.03);
 }
 
-TEST(FaultPlanTest, OutageEndIsConsistent)
-{
-    FaultConfig cfg;
-    cfg.seed = 3;
-    cfg.radio.outageShare = 0.5;
-    cfg.radio.meanOutageDuration = 10 * kSecond;
-    FaultPlan plan(cfg);
-    for (SimTime t = 0; t < 1000 * kSecond; t += kSecond) {
-        if (plan.inOutage(t)) {
-            const SimTime end = plan.outageEnd(t);
-            EXPECT_GT(end, t);
-            EXPECT_FALSE(plan.inOutage(end)) << "coverage back at end";
-        } else {
-            EXPECT_EQ(plan.outageEnd(t), t);
-        }
-    }
-}
-
 TEST(FaultPlanTest, ExchangeFailureRateAndCounting)
 {
     FaultConfig cfg;

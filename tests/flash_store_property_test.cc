@@ -11,6 +11,7 @@
 
 #include "simfs/flash_store.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace pc::simfs {
 namespace {
@@ -38,7 +39,7 @@ TEST_P(StoreVsReference, RandomOpsMatchReferenceModel)
     for (int step = 0; step < 3000; ++step) {
         const u64 op = rng.below(100);
         const std::string name =
-            "f" + std::to_string(rng.below(20));
+            strformat("f%llu", (unsigned long long)rng.below(20));
 
         if (op < 25) { // create (if absent)
             if (!ref.count(name)) {

@@ -9,6 +9,7 @@
 
 #include "fault/fault_plan.h"
 #include "simfs/flash_store.h"
+#include "util/strings.h"
 
 namespace pc::simfs {
 namespace {
@@ -199,7 +200,7 @@ TEST_P(AllocUnitSweep, WasteMatchesBlockArithmetic)
     SimTime t = 0;
     // 33 files of 500 B each: classic small-record fragmentation.
     for (int i = 0; i < 33; ++i) {
-        const FileId id = store.create("r" + std::to_string(i));
+        const FileId id = store.create(strformat("r%d", i));
         store.append(id, std::string(500, 'x'), t);
     }
     const auto stats = store.stats();

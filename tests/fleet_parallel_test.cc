@@ -28,6 +28,7 @@
 #include "harness/fleet.h"
 #include "obs/fleet.h"
 #include "server/service.h"
+#include "util/strings.h"
 
 namespace pc::harness {
 namespace {
@@ -201,8 +202,8 @@ gridCellName(
     const std::size_t devices = std::get<0>(info.param);
     const bool outage = std::get<1>(info.param);
     const bool cloud = std::get<2>(info.param);
-    return "d" + std::to_string(devices) +
-           (outage ? "_outage" : "_clean") + (cloud ? "_cloud" : "_push");
+    return strformat("d%zu%s%s", devices, outage ? "_outage" : "_clean",
+                     cloud ? "_cloud" : "_push");
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -119,17 +119,15 @@ TEST(QueryHashTable, ClickDecaysAcrossChainEntries)
     }
 }
 
-TEST(QueryHashTable, SetScoreAndMarkAccessed)
+TEST(QueryHashTable, SetScore)
 {
     QueryHashTable t;
     t.insert("q", 1, 0.3);
     EXPECT_TRUE(t.setScore("q", 1, 0.8));
     EXPECT_FALSE(t.setScore("q", 2, 0.8));
-    EXPECT_TRUE(t.markAccessed("q", 1));
-    EXPECT_FALSE(t.markAccessed("x", 1));
     const auto refs = t.lookup("q");
     EXPECT_DOUBLE_EQ(refs[0].score, 0.8);
-    EXPECT_TRUE(refs[0].userAccessed);
+    EXPECT_FALSE(refs[0].userAccessed) << "a score write is not a click";
 }
 
 TEST(QueryHashTable, ErasePairCompactsChain)

@@ -31,9 +31,9 @@ TEST(LruPairCache, EvictsLeastRecentlyUsed)
     c.insert(pair(1, 1));
     c.insert(pair(2, 2));
     c.insert(pair(3, 3)); // evicts (1,1)
-    EXPECT_FALSE(c.contains(pair(1, 1)));
-    EXPECT_TRUE(c.contains(pair(2, 2)));
-    EXPECT_TRUE(c.contains(pair(3, 3)));
+    EXPECT_FALSE(c.lookup(pair(1, 1)));
+    EXPECT_TRUE(c.lookup(pair(2, 2)));
+    EXPECT_TRUE(c.lookup(pair(3, 3)));
     EXPECT_EQ(c.evictions(), 1u);
 }
 
@@ -44,18 +44,8 @@ TEST(LruPairCache, LookupRefreshesRecency)
     c.insert(pair(2, 2));
     EXPECT_TRUE(c.lookup(pair(1, 1))); // 1 becomes MRU
     c.insert(pair(3, 3));              // evicts (2,2)
-    EXPECT_TRUE(c.contains(pair(1, 1)));
-    EXPECT_FALSE(c.contains(pair(2, 2)));
-}
-
-TEST(LruPairCache, ContainsHasNoSideEffect)
-{
-    LruPairCache c(2);
-    c.insert(pair(1, 1));
-    c.insert(pair(2, 2));
-    EXPECT_TRUE(c.contains(pair(1, 1))); // no recency refresh
-    c.insert(pair(3, 3));                // evicts (1,1), still LRU
-    EXPECT_FALSE(c.contains(pair(1, 1)));
+    EXPECT_TRUE(c.lookup(pair(1, 1)));
+    EXPECT_FALSE(c.lookup(pair(2, 2)));
 }
 
 TEST(LruPairCache, ReinsertRefreshesWithoutGrowth)
@@ -67,15 +57,15 @@ TEST(LruPairCache, ReinsertRefreshesWithoutGrowth)
     EXPECT_EQ(c.size(), 2u);
     EXPECT_EQ(c.evictions(), 0u);
     c.insert(pair(3, 3)); // evicts (2,2)
-    EXPECT_TRUE(c.contains(pair(1, 1)));
+    EXPECT_TRUE(c.lookup(pair(1, 1)));
 }
 
 TEST(LruPairCache, QueryAndResultBothKeyed)
 {
     LruPairCache c(8);
     c.insert(pair(1, 1));
-    EXPECT_FALSE(c.contains(pair(1, 2)));
-    EXPECT_FALSE(c.contains(pair(2, 1)));
+    EXPECT_FALSE(c.lookup(pair(1, 2)));
+    EXPECT_FALSE(c.lookup(pair(2, 1)));
 }
 
 TEST(LruPairCache, CapacityOne)
@@ -84,7 +74,7 @@ TEST(LruPairCache, CapacityOne)
     c.insert(pair(1, 1));
     c.insert(pair(2, 2));
     EXPECT_EQ(c.size(), 1u);
-    EXPECT_TRUE(c.contains(pair(2, 2)));
+    EXPECT_TRUE(c.lookup(pair(2, 2)));
 }
 
 /** Property: size never exceeds capacity across random workloads. */

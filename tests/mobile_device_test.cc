@@ -350,7 +350,7 @@ TEST(DeviceClone, CloneEqualsFreshInstallInStateAndBehaviour)
     EXPECT_TRUE(a.reranked);
     EXPECT_EQ(a.evicted, b.evicted);
     EXPECT_EQ(a.reranked, b.reranked);
-    EXPECT_TRUE(a.sync.ok) << core::deltaApplyErrorName(a.sync.applyError);
+    EXPECT_TRUE(a.sync.ok) << int(a.sync.applyError);
     EXPECT_EQ(a.sync.ok, b.sync.ok);
     EXPECT_EQ(a.sync.toVersion, b.sync.toVersion);
     EXPECT_EQ(a.sync.time, b.sync.time);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -18,6 +19,7 @@
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
+#include "util/strings.h"
 
 namespace pc::obs {
 namespace {
@@ -79,8 +81,7 @@ TEST(JsonWriter, ObjectsArraysAndTypes)
     w.kv("i", i64(-3));
     w.kv("b", true);
     w.kv("d", 2.5);
-    w.key("n");
-    w.null();
+    w.kv("n", std::nan(""));
     w.key("a");
     w.beginArray();
     w.value(u64(1));
@@ -243,7 +244,7 @@ TEST(Tracer, RingBufferDropsOldest)
 {
     Tracer tr(3);
     for (int i = 0; i < 5; ++i)
-        tr.span(0, "s" + std::to_string(i), "device", i * 100, 50);
+        tr.span(0, strformat("s%d", i), "device", i * 100, 50);
     EXPECT_EQ(tr.recorded(), 5u);
     EXPECT_EQ(tr.dropped(), 2u);
     ASSERT_EQ(tr.spans().size(), 3u);

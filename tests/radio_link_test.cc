@@ -51,14 +51,6 @@ TEST(RadioLink, IdleGapForcesWakeupAgain)
     EXPECT_TRUE(link.needsWakeup(later));
 }
 
-TEST(RadioLink, ResetForgetsState)
-{
-    RadioLink link(wifiConfig());
-    link.request(0, 1024, 1024, 0);
-    link.reset();
-    EXPECT_TRUE(link.needsWakeup(fromMillis(1)));
-}
-
 TEST(RadioLink, LatencyOrderingMatchesPaper)
 {
     // Figure 15a ordering for a search exchange: EDGE > 3G > WiFi.

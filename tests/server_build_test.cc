@@ -184,18 +184,6 @@ TEST(CommunityModelBuilder, ManyMoreShardsThanQueriesStillMatches)
     EXPECT_EQ(b.build(log, 1, policy).encode(), want);
 }
 
-TEST(CommunityModelBuilder, ShardOfPartitionsByQueryHash)
-{
-    const Workbench &wb = sharedWorkbench();
-    BuildConfig cfg;
-    cfg.shards = 5;
-    CommunityModelBuilder b(wb.universe(), cfg);
-    for (u32 q = 0; q < 100; ++q) {
-        EXPECT_LT(b.shardOf(q), cfg.shards);
-        EXPECT_EQ(b.shardOf(q), b.shardOf(q)) << "stable";
-    }
-}
-
 TEST(CommunityModelBuilder, PoisonedRecordsSkippedLikeSequentialBuild)
 {
     const Workbench &wb = sharedWorkbench();
@@ -286,14 +274,12 @@ TEST(CommunityModelBuilder, EqualVolumesAcrossShardsBreakTiesByPairKey)
     const auto &u = wb.universe();
     BuildConfig shape;
     shape.shards = 4;
-    const CommunityModelBuilder probe(u, shape);
 
     // Every pair gets volume 3 or 7, written in descending key order
     // so arrival order is the reverse of the wanted tie order. Every
     // fourth pair is outside the dictionary, so ties also cross the
     // slot/spill boundary.
     workload::SearchLog log(u);
-    std::vector<u32> shardsSeen(shape.shards, 0);
     for (u32 q = 120; q-- > 0;) {
         u32 r = u.query(q).results.front().first;
         if (q % 4 == 0 && r + 1 < u.numResults() &&
@@ -302,10 +288,10 @@ TEST(CommunityModelBuilder, EqualVolumesAcrossShardsBreakTiesByPairKey)
         const u32 volume = q % 3 == 0 ? 7 : 3;
         for (u32 c = 0; c < volume; ++c)
             log.add(recordOf(q, r));
-        ++shardsSeen[probe.shardOf(q)];
     }
-    for (u32 n : shardsSeen)
-        ASSERT_GT(n, 0u) << "ties must span every shard";
+    const auto sharded = CommunityModelBuilder(u, shape).build(log, 1, {});
+    for (const auto &ss : sharded.stats.shardStats)
+        ASSERT_GT(ss.rows, 0u) << "ties must span every shard";
 
     const auto seq = sequentialBuild(u, log, 1, {});
     const auto &rows = seq.table.rows();

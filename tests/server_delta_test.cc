@@ -312,7 +312,7 @@ expectBatchMatchesOneByOne(Cache &a, Cache &b, const core::CommunityDelta &d)
 {
     SimTime time_a = 0;
     const auto res = core::tryApplyCommunityDelta(*a.ps, d, time_a);
-    EXPECT_TRUE(res.ok) << core::deltaApplyErrorName(res.error);
+    EXPECT_TRUE(res.ok) << int(res.error);
     SimTime time_b = 0;
     const auto ref = applyOneByOne(*b.ps, d, time_b);
 

@@ -2,8 +2,8 @@
  * @file
  * Golden CRC-32 pins of every byte format the system ships or
  * persists: the hash-table upload, the framed community delta, the
- * canonical community model, an index snapshot slot and one pc::store
- * slot. Each is built from fixed inputs, so the pins change only if a
+ * canonical community model, an index snapshot slot, one pc::store
+ * slot, and the chaos checker's table digests over upload records. Each is built from fixed inputs, so the pins change only if a
  * format's bytes do — a refactor of the encoders must leave them
  * untouched.
  */
@@ -13,6 +13,7 @@
 #include "core/delta.h"
 #include "core/persistence.h"
 #include "core/table_codec.h"
+#include "harness/fleet.h"
 #include "nvm/flash_device.h"
 #include "server/model.h"
 #include "store/engine.h"
@@ -112,6 +113,28 @@ TEST(WireGolden, StoreSlot)
     const std::size_t slot = store::StoreEngine::kHeaderSize + 20;
     ASSERT_GE(slab.size(), slot);
     EXPECT_EQ(crc32(slab.substr(0, slot)), 0x51a2aa68u);
+}
+
+TEST(WireGolden, ChaosTableDigests)
+{
+    const workload::QueryUniverse uni(tinyUniverse());
+    core::CacheContents contents;
+    for (u32 r = 0; r < 12; ++r) {
+        const workload::PairRef p{uni.result(r).queries.front().first, r};
+        contents.pairs.push_back({p, 0.25 + 0.05 * r, 100 - r});
+    }
+    EXPECT_EQ(harness::contentsDigest(contents, uni), 0x267d0d59u);
+
+    nvm::FlashConfig fc;
+    fc.capacity = 128 * kMiB;
+    nvm::FlashDevice flash(fc);
+    simfs::FlashStore store(flash);
+    core::PocketSearch ps(uni, store);
+    SimTime t = 0;
+    for (const auto &sp : contents.pairs)
+        ps.installPair(sp.pair, sp.score, false, t);
+    ps.recordClick(contents.pairs[5].pair, t);
+    EXPECT_EQ(harness::deviceTableDigest(ps), 0x63d58f8eu);
 }
 
 } // namespace
