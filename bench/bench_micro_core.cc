@@ -5,8 +5,10 @@
  * lookup (the paper's 10 us budget), database fetch, click-ranking
  * update, the whole served hit with its click (the device serve path)
  * and the click's PocketSearch bookkeeping, Zipf sampling, universe
- * pair sampling, one user-stream event at a fixed history size and one
- * month of community log generation.
+ * pair sampling, one user-stream event at a fixed history size, one
+ * month of community log generation, CRC-32 over frame-sized buffers,
+ * and one first-contact community sync, running the apply against
+ * adopting the shared install image.
  *
  * These measure *host* performance of the implementation (the simulated
  * latencies above are modelled, not measured).
@@ -15,11 +17,15 @@
 #include <benchmark/benchmark.h>
 
 #include <map>
+#include <memory>
+#include <string>
 
 #include "core/cache_content.h"
+#include "core/delta.h"
 #include "core/pocket_search.h"
 #include "device/mobile_device.h"
 #include "harness/workbench.h"
+#include "util/crc32.h"
 #include "util/hash.h"
 #include "util/zipf.h"
 #include "workload/loggen.h"
@@ -275,6 +281,49 @@ BM_LogGenMonth(benchmark::State &state)
     state.SetItemsProcessed(i64(records));
 }
 BENCHMARK(BM_LogGenMonth)->Unit(benchmark::kMillisecond);
+
+void
+BM_Crc32(benchmark::State &state)
+{
+    std::string buf(std::size_t(state.range(0)), '\0');
+    for (std::size_t i = 0; i < buf.size(); ++i)
+        buf[i] = char(i * 131 + 7);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(crc32(buf));
+    state.SetBytesProcessed(i64(state.iterations()) * i64(buf.size()));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(4 << 10)->Arg(64 << 10);
+
+/**
+ * One first-contact sync of the workbench's community push onto a
+ * fresh clone of an empty device: Arg 0 runs the apply, Arg 1 adopts
+ * the prepared device::InstallImage. Both pay the same frame, CRC
+ * check and decode; the clone and its teardown are untimed.
+ */
+void
+BM_FirstContactApply(benchmark::State &state)
+{
+    const Fixture &f = fixture();
+    static const device::MobileDevice empty(f.wb.universe());
+    static const CommunityDelta full =
+        diffContents(CacheContents{}, f.wb.communityCache(), 0, 1);
+    static const device::InstallImage image(empty, full);
+    const bool adopt = state.range(0) == 1;
+    std::unique_ptr<device::MobileDevice> dev;
+    for (auto _ : state) {
+        state.PauseTiming();
+        dev = std::make_unique<device::MobileDevice>(empty);
+        if (adopt)
+            dev->attachInstallImage(&image);
+        state.ResumeTiming();
+        benchmark::DoNotOptimize(dev->syncCommunityUpdate(full).ok);
+    }
+    state.SetLabel(adopt ? "adopt" : "install");
+}
+BENCHMARK(BM_FirstContactApply)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

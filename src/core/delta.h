@@ -83,6 +83,8 @@ struct DeltaApplyStats
     std::size_t conflicts = 0;    ///< Adds merged into existing pairs.
     std::size_t staleEvicted = 0; ///< Full-install reconcile removals.
     std::size_t recordsPatched = 0; ///< New flash records shipped.
+
+    bool operator==(const DeltaApplyStats &) const = default;
 };
 
 /** Why a delta was rejected (device state left untouched). */

@@ -14,6 +14,16 @@ QueryHashTable::QueryHashTable(HashEntryLayout layout)
               "resultsPerEntry must be in [1, 8]");
 }
 
+bool
+QueryHashTable::operator==(const QueryHashTable &other) const
+{
+    return layout_.resultsPerEntry == other.layout_.resultsPerEntry &&
+           pairs_ == other.pairs_ &&
+           table_.bucket_count() == other.table_.bucket_count() &&
+           std::equal(table_.begin(), table_.end(), other.table_.begin(),
+                      other.table_.end());
+}
+
 const QueryHashTable::Entry *
 QueryHashTable::findEntry(u64 qh, u32 slot) const
 {

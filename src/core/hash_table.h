@@ -34,6 +34,8 @@ struct ResultRef
     u64 urlHash = 0;          ///< Database record key.
     double score = 0.0;       ///< Current ranking score.
     bool userAccessed = false; ///< Flag bit: user clicked this pair.
+
+    bool operator==(const ResultRef &) const = default;
 };
 
 /**
@@ -147,6 +149,13 @@ class QueryHashTable
     /** Layout in use. */
     const HashEntryLayout &layout() const { return layout_; }
 
+    /**
+     * Same layout, same entries in the same iteration order over the
+     * same bucket count: the two tables answer, insert and iterate
+     * alike from here on.
+     */
+    bool operator==(const QueryHashTable &other) const;
+
     /** Modelled latency of one lookup (paper Table 4: ~10us). */
     static constexpr SimTime kLookupLatency = 10 * kMicrosecond;
 
@@ -157,6 +166,8 @@ class QueryHashTable
         u64 queryHash = 0; ///< hash(query) — same for all chain slots.
         ResultRef sr[8];   ///< Up to layout_.resultsPerEntry used.
         u64 flags = 0;     ///< Reserved; accessed bits live in sr[].
+
+        bool operator==(const Entry &) const = default;
     };
 
     /** Chain-walk bound: slots never exceed this (sanity guard). */

@@ -259,4 +259,21 @@ PocketSearch::clearTable()
     suggest_.clear();
 }
 
+bool
+PocketSearch::sameCache(const PocketSearch &other) const
+{
+    return &universe_ == &other.universe_ &&
+           cfg_.enableSuggest == other.cfg_.enableSuggest &&
+           table_ == other.table_ && db_ == other.db_ &&
+           suggest_ == other.suggest_;
+}
+
+void
+PocketSearch::adoptCache(const PocketSearch &installed)
+{
+    table_ = installed.table_;
+    db_.adoptState(installed.db_);
+    suggest_ = installed.suggest_;
+}
+
 } // namespace pc::core

@@ -287,6 +287,22 @@ class PocketSearch
     /** Drop all hash-table contents (cache manager rebuild). */
     void clearTable();
 
+    /**
+     * True if this cache interprets pairs through the same universe,
+     * stages auto-suggest alike and holds exactly `other`'s hash table,
+     * result database and auto-suggest index. Serving stats are not
+     * compared: no install reads or writes them.
+     */
+    bool sameCache(const PocketSearch &other) const;
+
+    /**
+     * Copy `installed`'s hash table, database location map and
+     * auto-suggest index into this cache; serving stats, configuration
+     * and the store binding stay. The caller adopts the store and
+     * flash state alongside (MobileDevice's install image).
+     */
+    void adoptCache(const PocketSearch &installed);
+
   private:
     /**
      * lookup(), additionally flagging whether the result keyed

@@ -1,5 +1,6 @@
 #include "core/result_db.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -56,6 +57,30 @@ ResultDatabase::ResultDatabase(const ResultDatabase &image,
 {
     pc_assert(!cfg_.useStoreEngine,
               "cannot clone a database backed by the slab engine");
+}
+
+bool
+ResultDatabase::operator==(const ResultDatabase &other) const
+{
+    const DbConfig &a = cfg_;
+    const DbConfig &b = other.cfg_;
+    return !engine_ && !other.engine_ && a.numFiles == b.numFiles &&
+           a.perReadOverhead == b.perReadOverhead &&
+           a.parsePerByte == b.parsePerByte &&
+           a.recordParse == b.recordParse && prefix_ == other.prefix_ &&
+           dataFiles_ == other.dataFiles_ &&
+           indexFiles_ == other.indexFiles_ &&
+           locations_.bucket_count() == other.locations_.bucket_count() &&
+           std::equal(locations_.begin(), locations_.end(),
+                      other.locations_.begin(), other.locations_.end());
+}
+
+void
+ResultDatabase::adoptState(const ResultDatabase &installed)
+{
+    pc_assert(!engine_ && !installed.engine_,
+              "cannot adopt a database backed by the slab engine");
+    locations_ = installed.locations_;
 }
 
 void

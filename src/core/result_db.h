@@ -143,6 +143,20 @@ class ResultDatabase
     /** Names of all database files. */
     std::vector<std::string> fileNames() const;
 
+    /**
+     * Both flat-file databases with the same shape, prefix, file ids
+     * and location map (iteration order and bucket count included).
+     * Engine-backed databases never compare equal.
+     */
+    bool operator==(const ResultDatabase &other) const;
+
+    /**
+     * Take `installed`'s location map; flat mode only. The caller
+     * adopts the store's files the same way (FlashStore::adoptState),
+     * from a database that compared equal to this one before.
+     */
+    void adoptState(const ResultDatabase &installed);
+
     /** The slab engine, or nullptr in flat-file mode. */
     pc::store::StoreEngine *engine() { return engine_.get(); }
     const pc::store::StoreEngine *engine() const { return engine_.get(); }
@@ -153,6 +167,8 @@ class ResultDatabase
         u32 file;    ///< Database file index.
         Bytes offset; ///< Record offset within the data region.
         Bytes length; ///< Record length in bytes.
+
+        bool operator==(const Location &) const = default;
     };
 
     std::string dataFileName(u32 file) const;

@@ -103,12 +103,17 @@ class SuggestIndex
     /** Modelled per-keystroke lookup latency (well under a frame). */
     static constexpr SimTime kKeystrokeLatency = 30 * kMicrosecond;
 
+    /** Same entries, arena bytes (dead ones included) and live count. */
+    bool operator==(const SuggestIndex &) const = default;
+
   private:
     struct Entry
     {
         u32 offset; ///< First byte of the query in arena_.
         u32 len;    ///< Query length in bytes.
         double score;
+
+        bool operator==(const Entry &) const = default;
     };
     static_assert(std::is_trivially_copyable_v<Entry>);
 

@@ -78,6 +78,21 @@ MobileDevice::MobileDevice(const MobileDevice &image)
     ps_ = std::make_unique<PocketSearch>(*image.ps_, *store_);
 }
 
+InstallImage::InstallImage(const MobileDevice &empty,
+                           const core::CommunityDelta &full_install)
+    : empty_(empty), installed_(empty),
+      frame_(core::frameDelta(full_install))
+{
+    pc_assert(full_install.fromVersion == 0,
+              "an install image holds a full install");
+    installed_.store().attachMetrics(&storeCounts_);
+    const core::DeltaApplyResult res = core::tryApplyCommunityDelta(
+        installed_.pocketSearch(), full_install, applyTime_);
+    installed_.store().attachMetrics(nullptr);
+    pc_assert(res.ok, "install image: the full install did not apply");
+    stats_ = res.stats;
+}
+
 SimTime
 MobileDevice::installCommunityCache(const core::CacheContents &contents)
 {
@@ -478,6 +493,7 @@ MobileDevice::syncCommunityUpdate(const core::CommunityDelta &delta,
                                     .start = now_});
 
     std::optional<core::CommunityDelta> received;
+    std::string delivered; // the last frame the radio delivered
     const RadioRun run = radioRetry(
         link(path), now_, cfg_.syncRequestBytes, res.deltaBytes,
         cfg_.retry.maxAttempts,
@@ -494,11 +510,11 @@ MobileDevice::syncCommunityUpdate(const core::CommunityDelta &delta,
                 return false;
             // The exchange delivered; the payload may still have been
             // mangled in flight. Verify the frame before trusting it.
-            std::string bytes = frame;
+            delivered = frame;
             if (faults_)
-                faults_->maybeCorruptPayload(bytes);
+                faults_->maybeCorruptPayload(delivered);
             core::FrameError ferr;
-            received = core::unframeDelta(bytes, &ferr);
+            received = core::unframeDelta(delivered, &ferr);
             events_.emit(obs::SyncEvent{
                 .stage = obs::SyncStage::CrcCheck, .ok = received.has_value(),
                 .attempt = attempt, .fromVersion = res.fromVersion,
@@ -538,7 +554,7 @@ MobileDevice::syncCommunityUpdate(const core::CommunityDelta &delta,
         end.fromVersion = res.fromVersion;
         end.detail = res.corruptRejected;
     } else {
-        const auto ar = core::tryApplyCommunityDelta(*ps_, *received, apply);
+        const auto ar = applyDelta(*received, delivered, apply);
         end.fromVersion = received->fromVersion;
         end.toVersion = received->toVersion;
         obs::SyncEvent validate = end;
@@ -576,6 +592,32 @@ MobileDevice::syncCommunityUpdate(const core::CommunityDelta &delta,
     }
     publishCounts();
     return res;
+}
+
+core::DeltaApplyResult
+MobileDevice::applyDelta(const core::CommunityDelta &delta,
+                         std::string_view frame, SimTime &time)
+{
+    // The copy must leave what the apply would: same starting state,
+    // same delta, and no storage fault that could cut a write short.
+    const InstallImage *img = installImage_;
+    const fault::FaultPlan *storeFaults = store_->faults();
+    const bool adopt =
+        img != nullptr && delta.fromVersion == 0 && frame == img->frame_ &&
+        (storeFaults == nullptr ||
+         (!storeFaults->crashArmed() && !storeFaults->powerLost())) &&
+        *flash_ == *img->empty_.flash_ &&
+        store_->sameState(*img->empty_.store_) &&
+        ps_->sameCache(*img->empty_.ps_);
+    if (!adopt)
+        return core::tryApplyCommunityDelta(*ps_, delta, time);
+    const MobileDevice &src = img->installed_;
+    *flash_ = *src.flash_;
+    store_->adoptState(*src.store_, img->storeCounts_);
+    ps_->adoptCache(*src.ps_);
+    time += img->applyTime_;
+    ++installsAdopted_;
+    return core::DeltaApplyResult{.ok = true, .stats = img->stats_};
 }
 
 SimTime

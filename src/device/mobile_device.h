@@ -16,6 +16,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/delta.h"
@@ -144,6 +145,8 @@ struct QueryOutcome
 
     bool operator==(const QueryOutcome &) const = default;
 };
+
+class InstallImage;
 
 /**
  * The simulated phone.
@@ -321,6 +324,8 @@ class MobileDevice
         /** Why validation rejected it (None unless `rejected`). */
         core::DeltaApplyError applyError = core::DeltaApplyError::None;
         core::DeltaApplyStats apply{}; ///< Application accounting.
+
+        bool operator==(const CommunitySyncResult &) const = default;
     };
 
     /**
@@ -349,6 +354,31 @@ class MobileDevice
     CommunitySyncResult
     syncCommunityUpdate(const core::CommunityDelta &delta,
                         ServePath path = ServePath::ThreeG);
+
+    /**
+     * Attach a prepared full install (InstallImage) for first contact.
+     * A sync whose verified frame is byte-equal to the image's, onto a
+     * device whose cache layers still equal the image's starting state
+     * (hash table, result database, auto-suggest, store files and
+     * allocator, flash wear and counters) and whose store has no armed
+     * or fired crash, copies the image's result into this device's own
+     * objects instead of running the apply. The copy leaves the state,
+     * apply time, DeltaApplyStats and "simfs.*" counts the apply would
+     * have left, and the radio exchange, frame check and events are
+     * those of any sync. Every other sync applies as before. nullptr
+     * detaches. The image must outlive the attachment; any number of
+     * devices, on any threads, may share one.
+     */
+    void attachInstallImage(const InstallImage *image)
+    {
+        installImage_ = image;
+    }
+
+    /**
+     * Syncs that copied the attached install image instead of running
+     * the apply. Host work only: the simulated sync is the same.
+     */
+    u64 installsAdopted() const { return installsAdopted_; }
 
     /** Consecutive bad syncs before escalating to a full install. */
     static constexpr u32 kBadDeltaEscalation = 3;
@@ -456,6 +486,15 @@ class MobileDevice
                         Bytes uplink, Bytes downlink, u32 max_attempts,
                         OnAttempt &&on_attempt, OnBackoff &&on_backoff);
 
+    /**
+     * Apply a verified delta (`frame` is the frame it decoded from):
+     * adopt the attached install image when it fits (see
+     * attachInstallImage), else core::tryApplyCommunityDelta.
+     */
+    core::DeltaApplyResult applyDelta(const core::CommunityDelta &delta,
+                                      std::string_view frame,
+                                      SimTime &time);
+
     DeviceConfig cfg_;
     std::unique_ptr<pc::nvm::FlashDevice> flash_;
     std::unique_ptr<pc::simfs::FlashStore> store_;
@@ -476,6 +515,43 @@ class MobileDevice
     std::vector<EnergyMirror> energyMirrors_; ///< Built by attachMetrics.
     std::vector<Mirror> healthMirrors_;       ///< Built by attachHealth.
     obs::DeviceEvents events_;
+    const InstallImage *installImage_ = nullptr;
+    u64 installsAdopted_ = 0;
+};
+
+/**
+ * A full install applied once, kept for devices to copy on first
+ * contact (MobileDevice::attachInstallImage). Every device of a fleet
+ * starts as a clone of one image device, and its first sync installs
+ * the same model onto that same empty cache; the result is a function
+ * of the two, so it is computed here once. Read-only after
+ * construction, so workers may share one image.
+ */
+class InstallImage
+{
+  public:
+    /**
+     * Clone `empty` twice and run the real apply of `full_install`
+     * (core::tryApplyCommunityDelta) on one clone, keeping the apply
+     * time, its DeltaApplyStats and the "simfs.*" counts its store
+     * operations made.
+     * @pre full_install.fromVersion == 0 and applies cleanly; `empty`
+     *      meets the clone constructor's preconditions.
+     */
+    InstallImage(const MobileDevice &empty,
+                 const core::CommunityDelta &full_install);
+    InstallImage(const InstallImage &) = delete;
+    InstallImage &operator=(const InstallImage &) = delete;
+
+  private:
+    friend class MobileDevice;
+
+    MobileDevice empty_;     ///< The state the apply started from.
+    MobileDevice installed_; ///< The state it left.
+    std::string frame_;      ///< core::frameDelta of the install.
+    SimTime applyTime_ = 0;
+    core::DeltaApplyStats stats_;
+    obs::MetricRegistry storeCounts_; ///< "simfs.*" counts of the apply.
 };
 
 } // namespace pc::device

@@ -160,6 +160,9 @@ class FaultPlan
     /** True once an armed crash has fired; writes are dead until reboot. */
     bool powerLost() const { return powerLost_; }
 
+    /** True while a crash is armed and has not fired yet. */
+    bool crashArmed() const { return crashArmed_; }
+
     /**
      * Consume crash budget for a program of `want` bytes; returns how
      * many bytes actually commit before the power dies (normally all

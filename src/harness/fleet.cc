@@ -165,7 +165,8 @@ class DeviceSim
 {
   public:
     DeviceSim(const Workbench &wb, const FleetRunConfig &cfg,
-              const device::MobileDevice &image, std::size_t i,
+              const device::MobileDevice &image,
+              const device::InstallImage *firstContact, std::size_t i,
               const workload::UserProfile &profile)
         : cfg_(cfg), i_(i), chaos_(cfg.chaos.enabled),
           devSeed_(cfg.seed * 1000003ull + u64(i) * 7919ull)
@@ -178,6 +179,7 @@ class DeviceSim
         // runFleet); observers and faults attach after the clone.
         dev_.emplace(image);
         dev_->attachMetrics(out_.registry.get());
+        dev_->attachInstallImage(firstContact);
 
         // Chaos attaches the flight recorder: every sync leaves a
         // causal event chain (both tiers), so an invariant trip comes
@@ -577,10 +579,11 @@ driveFlashCrowd(DeviceSim &sim, const FleetRunConfig &cfg, std::size_t i,
  */
 DeviceTelemetry
 simulateDevice(const Workbench &wb, const FleetRunConfig &cfg,
-               const device::MobileDevice &image, std::size_t i,
+               const device::MobileDevice &image,
+               const device::InstallImage *firstContact, std::size_t i,
                const workload::UserProfile &profile, SimTime window)
 {
-    DeviceSim sim(wb, cfg, image, i, profile);
+    DeviceSim sim(wb, cfg, image, firstContact, i, profile);
     if (cfg.flashCrowd.enabled) {
         driveFlashCrowd(sim, cfg, i, window);
     } else {
@@ -749,6 +752,15 @@ runFleet(const Workbench &wb, const FleetRunConfig &cfg,
         image.pocketSearch().loadCommunity(wb.communityCache(),
                                            installTime);
     }
+    // With a cloud service, a device's first sync is the full install
+    // of the latest model onto a cache still equal to the image's, so
+    // that apply runs once here and each device copies its result
+    // (MobileDevice::attachInstallImage checks both conditions).
+    std::optional<device::InstallImage> firstContact;
+    if (cfg.cloud && cfg.cloud->latestVersion() > 0)
+        firstContact.emplace(image, cfg.cloud->makeDelta(0));
+    const device::InstallImage *install =
+        firstContact ? &*firstContact : nullptr;
 
     // Flash-crowd devices sample telemetry at the collector's width.
     const SimTime window = collector.windowWidth();
@@ -756,17 +768,17 @@ runFleet(const Workbench &wb, const FleetRunConfig &cfg,
     if (threads == 1) {
         // In-place: one device world alive at a time.
         for (std::size_t i = 0; i < profiles.size(); ++i)
-            foldDevice(
-                simulateDevice(wb, cfg, image, i, profiles[i], window),
-                cfg, ctx, collector, result);
+            foldDevice(simulateDevice(wb, cfg, image, install, i,
+                                      profiles[i], window),
+                       cfg, ctx, collector, result);
     } else {
         // At most kFoldWindowPerThread * threads telemetry records are
         // alive at once, however slow one device is.
         forEachInOrder(
             profiles.size(), threads, kFoldWindowPerThread * threads,
             [&](std::size_t i) {
-                return simulateDevice(wb, cfg, image, i, profiles[i],
-                                      window);
+                return simulateDevice(wb, cfg, image, install, i,
+                                      profiles[i], window);
             },
             [&](DeviceTelemetry &&t) {
                 foldDevice(std::move(t), cfg, ctx, collector, result);

@@ -32,6 +32,8 @@ struct FlashConfig
     /** Bus transfer time per byte (50 MB/s bus => 20 ns/B). */
     SimTime busPerByte = 20;
     MilliWatts activePower = 30.0; ///< Power while busy.
+
+    bool operator==(const FlashConfig &) const = default;
 };
 
 /**
@@ -73,6 +75,9 @@ class FlashDevice : public StorageDevice
     u64 pagesProgrammed() const { return pagesProgrammed_; }
     /** Total blocks erased since construction. */
     u64 blocksErased() const { return blocksErased_; }
+
+    /** Same geometry, per-block wear, page/erase counts and stats. */
+    bool operator==(const FlashDevice &) const = default;
 
   private:
     void checkRange(Bytes addr, Bytes len) const;

@@ -24,6 +24,8 @@ struct DeviceStats
     Bytes bytesWritten = 0;
     SimTime busyTime = 0;
     MicroJoules energy = 0;
+
+    bool operator==(const DeviceStats &) const = default;
 };
 
 /**
@@ -41,6 +43,8 @@ class StorageDevice
 
     /** Reset statistics (capacity/contents untouched). */
     void resetStats() { stats_ = DeviceStats{}; }
+
+    bool operator==(const StorageDevice &) const = default;
 
   protected:
     /** Fold one access into the stats. */

@@ -134,6 +134,8 @@ struct SyncEvent
     u64 detail = 0; ///< Stage-specific (see struct comment).
     SimTime start = 0;
     SimTime duration = 0;
+
+    bool operator==(const SyncEvent &) const = default;
 };
 
 /**

@@ -39,6 +39,35 @@ FlashStore::FlashStore(const FlashStore &image, pc::nvm::FlashDevice &device)
               "a store clone needs its own flash device");
 }
 
+bool
+FlashStore::sameState(const FlashStore &other) const
+{
+    return cfg_ == other.cfg_ && nextBlock_ == other.nextBlock_ &&
+           freeBlocks_ == other.freeBlocks_ && files_ == other.files_ &&
+           byName_ == other.byName_;
+}
+
+void
+FlashStore::adoptState(const FlashStore &installed,
+                       const obs::MetricRegistry &counts)
+{
+    files_ = installed.files_;
+    byName_ = installed.byName_;
+    freeBlocks_ = installed.freeBlocks_;
+    nextBlock_ = installed.nextBlock_;
+    for (obs::Counter *c :
+         {metrics_.creates, metrics_.opens, metrics_.reads,
+          metrics_.writes, metrics_.truncates, metrics_.removes,
+          metrics_.bytesRead, metrics_.bytesWritten,
+          metrics_.createConflicts, metrics_.readNs, metrics_.writeNs,
+          metrics_.truncateNs, metrics_.removeNs}) {
+        if (c == nullptr)
+            continue;
+        if (const obs::Counter *n = counts.findCounter(c->name()))
+            c->bump(n->value());
+    }
+}
+
 void
 FlashStore::attachMetrics(obs::MetricRegistry *reg)
 {

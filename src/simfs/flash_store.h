@@ -53,6 +53,8 @@ struct StoreConfig
      * allocator work, much flatter erase distribution.
      */
     bool wearLeveling = false;
+
+    bool operator==(const StoreConfig &) const = default;
 };
 
 /** Aggregate space accounting for the store. */
@@ -209,6 +211,27 @@ class FlashStore
     /** The underlying flash device. */
     pc::nvm::FlashDevice &device() { return device_; }
 
+    /**
+     * True if this store holds exactly `other`'s state: configuration,
+     * files (names, bytes, block lists, liveness), the name map and the
+     * allocator. The device binding, fault plan and metrics are not
+     * part of the state.
+     */
+    bool sameState(const FlashStore &other) const;
+
+    /**
+     * Take `installed`'s files and allocator state, keeping this
+     * store's device binding, fault plan and metrics, and bump each
+     * attached "simfs.*" counter by the same-named counter of
+     * `counts`. When this store held what `installed` started from,
+     * `counts` holds the counts of the operations that took
+     * `installed` to its state, and the caller copies the flash device
+     * likewise, the result is the state, counts and wear those
+     * operations would have left here.
+     */
+    void adoptState(const FlashStore &installed,
+                    const obs::MetricRegistry &counts);
+
     /** Configuration. */
     const StoreConfig &config() const { return cfg_; }
 
@@ -241,6 +264,8 @@ class FlashStore
         std::string data;
         std::vector<u64> blocks; ///< Allocated block indices, in order.
         bool live = false;
+
+        bool operator==(const File &) const = default;
     };
 
     const File &fileAt(FileId id) const;
