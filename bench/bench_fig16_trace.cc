@@ -45,7 +45,8 @@ runTen(MobileDevice &dev, const core::CacheContents &cache,
         table.row({strformat("%d", q + 1), servePathName(path),
                    humanTime(out.latency),
                    strformat("%.0f mJ", out.energy / 1000.0),
-                   out.trace.empty() ? "-" : out.trace.front().label});
+                   std::string(out.trace.empty() ? "-"
+                                                 : out.trace.front().label)});
         // Immediately type the next query: stays inside the 3G tail.
         (void)busy;
     }

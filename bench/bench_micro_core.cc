@@ -24,6 +24,7 @@
 #include "core/delta.h"
 #include "core/pocket_search.h"
 #include "device/mobile_device.h"
+#include "fault/fault_plan.h"
 #include "harness/workbench.h"
 #include "util/crc32.h"
 #include "util/hash.h"
@@ -101,7 +102,7 @@ BM_DatabaseFetch(benchmark::State &state)
         f.wb.universe().result(cache.pairs[0].pair.result);
     const u64 key = urlHash(r.url);
     for (auto _ : state) {
-        ResultRecord rec;
+        RecordView rec;
         SimTime t = 0;
         benchmark::DoNotOptimize(f.ps->db().fetch(key, rec, t));
         benchmark::DoNotOptimize(rec);
@@ -151,6 +152,38 @@ BM_ServeQueryHitWithClick(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ServeQueryHitWithClick);
+
+void
+BM_ServeQueryMiss(benchmark::State &state)
+{
+    // A served miss end to end: the probe, then the 3G fallback through
+    // a fault plan that fails, spikes and retries some attempts. No
+    // click is fed back, so every query stays a miss.
+    auto &f = fixture();
+    device::MobileDevice dev(f.wb.universe());
+    dev.installCommunityCache(f.wb.communityCache());
+    fault::FaultConfig fc;
+    fc.seed = 3;
+    fc.radio.exchangeFailureRate = 0.1;
+    fc.radio.latencySpikeRate = 0.1;
+    fault::FaultPlan plan(fc);
+    dev.attachFaults(&plan);
+    const auto &u = f.wb.universe();
+    std::vector<workload::PairRef> pairs;
+    for (u32 q = 0; q < u.numQueries() && pairs.size() < 1024; ++q) {
+        const workload::PairRef p{q, u.query(q).results.front().first};
+        if (!dev.pocketSearch().containsPair(p))
+            pairs.push_back(p);
+    }
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(dev.serveQuery(
+            pairs[i % pairs.size()], device::ServePath::PocketSearch,
+            false));
+        ++i;
+    }
+}
+BENCHMARK(BM_ServeQueryMiss);
 
 void
 BM_RecordClick(benchmark::State &state)

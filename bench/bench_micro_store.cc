@@ -107,7 +107,7 @@ runCell(const Cell &cell, const Workload &wl)
             continue;
         }
         const u64 key = urlHash(recordInfo(op.key, 1).url);
-        core::ResultRecord rec;
+        core::RecordView rec;
         SimTime lat = 0;
         const bool found = db.fetch(key, rec, lat);
         pc_assert(found, "benchmark record vanished");

@@ -89,8 +89,8 @@ main()
     workload::UserStream stream(wb.universe(), profile, 17);
     for (int i = 0; i < 120; ++i) {
         const auto ev = stream.next();
-        ps.lookupPair(ev.pair);
-        ps.recordClick(ev.pair, t);
+        const auto probe = ps.servePair(ev.pair);
+        ps.recordClick(ev.pair, probe.queryFnv, probe.urlHash, t);
         SimTime tt = 0;
         ads.access(ads.sampleAccess(rng), tt);
         maps.access(maps.sampleAccess(rng), tt);

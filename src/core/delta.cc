@@ -177,9 +177,12 @@ tryApplyCommunityDelta(PocketSearch &ps, const CommunityDelta &delta,
         }
     }
 
-    // Adds go in as one batch. A conflict (the user's clicks got there
-    // first) merges by maximum score; its staged suggest entry is
-    // already flushed, so setPairScore's resync sees the whole batch.
+    // Adds go in as one batch. A conflict (the pair is already cached)
+    // merges by maximum score, except that a full install sets a pair
+    // the user never accessed to the target's score, lower or higher:
+    // the target model is the whole truth about community pairs. The
+    // staged suggest entries are already flushed, so setPairScore's
+    // resync sees the whole batch.
     std::vector<InstallItem> items;
     items.reserve(delta.adds.size());
     for (const auto &sp : delta.adds)
@@ -190,7 +193,9 @@ tryApplyCommunityDelta(PocketSearch &ps, const CommunityDelta &delta,
     stats.conflicts = installed.conflicts.size();
     for (const std::size_t i : installed.conflicts) {
         const ScoredPair &sp = delta.adds[i];
-        if (sp.score > ps.findPair(sp.pair)->score)
+        const ResultRef cached = *ps.findPair(sp.pair);
+        const bool converge = fullInstall && !cached.userAccessed;
+        if (converge ? sp.score != cached.score : sp.score > cached.score)
             ps.setPairScore(sp.pair, sp.score);
     }
 

@@ -32,8 +32,9 @@
  * snapshot into either the old or the new state, never a torn one.
  *
  * Personalization rules (the commit phase):
- *  - adds already cached (the user's clicks got there first) merge by
- *    maximum score and keep the accessed flag;
+ *  - adds already cached merge by maximum score and keep the accessed
+ *    flag, except that in a full install a cached pair the user never
+ *    accessed takes the target's score, lower or higher;
  *  - evicts skip user-accessed pairs (the paper's retention rule);
  *  - re-ranks of accessed pairs only ratchet the score upward.
  */

@@ -42,10 +42,9 @@ QueryHashTable::findEntry(u64 qh, u32 slot)
         static_cast<const QueryHashTable *>(this)->findEntry(qh, slot));
 }
 
-std::vector<ResultRef>
-QueryHashTable::chain(u64 qh, u32 *entries) const
+u32
+QueryHashTable::chain(u64 qh, std::vector<ResultRef> &out) const
 {
-    std::vector<ResultRef> out;
     u32 slot = 0;
     for (; slot < kMaxChain; ++slot) {
         const Entry *e = findEntry(qh, slot);
@@ -56,24 +55,31 @@ QueryHashTable::chain(u64 qh, u32 *entries) const
                 out.push_back(e->sr[i]);
         }
     }
-    if (entries)
-        *entries = slot;
-    return out;
+    return slot;
 }
 
 std::vector<ResultRef>
 QueryHashTable::lookup(std::string_view query, SimTime *time) const
 {
+    std::vector<ResultRef> out;
+    lookup(fnv1a(query), out, time);
+    return out;
+}
+
+void
+QueryHashTable::lookup(u64 query_fnv, std::vector<ResultRef> &out,
+                       SimTime *time) const
+{
     if (time)
         *time += kLookupLatency;
-    std::vector<ResultRef> out = chain(fnv1a(query));
+    out.clear();
+    chain(query_fnv, out);
     std::sort(out.begin(), out.end(),
               [](const ResultRef &a, const ResultRef &b) {
                   if (a.score != b.score)
                       return a.score > b.score;
                   return a.urlHash < b.urlHash;
               });
-    return out;
 }
 
 const ResultRef *
@@ -165,10 +171,16 @@ bool
 QueryHashTable::applyClick(std::string_view query, u64 url_hash,
                            double lambda, double *top_score)
 {
+    return applyClick(fnv1a(query), url_hash, lambda, top_score);
+}
+
+bool
+QueryHashTable::applyClick(u64 qh, u64 url_hash, double lambda,
+                           double *top_score)
+{
     // Decay every unclicked sibling of the query: S = S * e^-lambda
     // (Equation 2); raise the clicked pair by 1 (Equation 1).
     const double decay = std::exp(-lambda);
-    const u64 qh = fnv1a(query);
     bool existed = false;
     // The result lookup() would rank first: best score, ties to the
     // lower url hash (its sort order).
@@ -222,8 +234,8 @@ QueryHashTable::erasePair(std::string_view query, u64 url_hash)
     // Collect the whole chain, drop the pair, then rebuild the chain so
     // slot keys stay contiguous.
     const u64 qh = fnv1a(query);
-    u32 chain_len = 0;
-    std::vector<ResultRef> all = chain(qh, &chain_len);
+    std::vector<ResultRef> all;
+    const u32 chain_len = chain(qh, all);
     const auto it = std::find_if(all.begin(), all.end(),
                                  [&](const ResultRef &r) {
                                      return r.urlHash == url_hash;
@@ -244,8 +256,9 @@ std::size_t
 QueryHashTable::eraseQuery(std::string_view query)
 {
     const u64 qh = fnv1a(query);
-    u32 chain_len = 0;
-    const std::size_t removed = chain(qh, &chain_len).size();
+    std::vector<ResultRef> all;
+    const u32 chain_len = chain(qh, all);
+    const std::size_t removed = all.size();
     for (u32 slot = 0; slot < chain_len; ++slot)
         table_.erase(querySlotKey(qh, slot));
     pairs_ -= removed;

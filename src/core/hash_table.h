@@ -56,6 +56,14 @@ class QueryHashTable
     std::vector<ResultRef> lookup(std::string_view query,
                                   SimTime *time = nullptr) const;
 
+    /**
+     * lookup() with the query already hashed (query_fnv =
+     * fnv1a(query)), into `out` (cleared first) so a caller probing
+     * query after query reuses one buffer. Same order, same charge.
+     */
+    void lookup(u64 query_fnv, std::vector<ResultRef> &out,
+                SimTime *time = nullptr) const;
+
     /** True if the (query, result) pair is cached. */
     bool containsPair(std::string_view query, u64 url_hash) const;
 
@@ -94,6 +102,10 @@ class QueryHashTable
      * @return True if the pair already existed before the click.
      */
     bool applyClick(std::string_view query, u64 url_hash, double lambda,
+                    double *top_score = nullptr);
+
+    /** applyClick() with the query already hashed (fnv1a(query)). */
+    bool applyClick(u64 query_fnv, u64 url_hash, double lambda,
                     double *top_score = nullptr);
 
     /** Overwrite a pair's score (server-side conflict resolution). */
@@ -178,10 +190,10 @@ class QueryHashTable
     Entry *findEntry(u64 qh, u32 slot);
 
     /**
-     * Every cached result of a query, in chain order; `*entries`
-     * receives the chain's entry count.
+     * Append every cached result of a query to `out`, in chain order.
+     * @return The chain's entry count.
      */
-    std::vector<ResultRef> chain(u64 qh, u32 *entries = nullptr) const;
+    u32 chain(u64 qh, std::vector<ResultRef> &out) const;
 
     /** The cached slot of a pair, or nullptr: one chain walk. */
     const ResultRef *locate(std::string_view query, u64 url_hash) const;

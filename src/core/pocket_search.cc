@@ -170,52 +170,57 @@ PocketSearch::suggestWithResults(std::string_view prefix,
         const u32 n =
             std::min<u32>(results_per_suggestion, u32(refs.size()));
         for (u32 i = 0; i < n; ++i) {
-            ResultRecord rec;
+            RecordView rec;
             if (db_.fetch(refs[i].urlHash, rec, out.latency))
-                row.results.push_back(std::move(rec));
+                row.results.push_back(rec.record());
         }
         out.rows.push_back(std::move(row));
     }
     return out;
 }
 
+template <typename OnRecord>
+bool
+PocketSearch::probe(u64 query_fnv, u32 max_results, SimTime &hash_time,
+                    SimTime &fetch_time, OnRecord &&on_record)
+{
+    ++stats_.lookups;
+    hash_time += tierProbePenalty();
+    table_.lookup(query_fnv, probeBuf_, &hash_time);
+    if (probeBuf_.empty())
+        return false;
+    ++stats_.queryHits;
+    const u32 n = std::min<u32>(max_results, u32(probeBuf_.size()));
+    RecordView rec;
+    for (u32 i = 0; i < n; ++i) {
+        if (db_.fetch(probeBuf_[i].urlHash, rec, fetch_time))
+            on_record(probeBuf_[i].urlHash, rec);
+    }
+    return true;
+}
+
 LookupOutcome
 PocketSearch::lookup(const std::string &query_text, u32 max_results)
 {
-    return lookupQuery(query_text, max_results, 0);
-}
-
-LookupOutcome
-PocketSearch::lookupQuery(const std::string &query_text, u32 max_results,
-                          u64 url_hash)
-{
     LookupOutcome out;
-    ++stats_.lookups;
-    out.hashLookupTime += tierProbePenalty();
-    const auto refs = table_.lookup(query_text, &out.hashLookupTime);
-    if (refs.empty())
-        return out;
-    out.hit = true;
-    ++stats_.queryHits;
-    for (const ResultRef &r : refs)
-        out.pairCached |= r.urlHash == url_hash;
-    const u32 n = std::min<u32>(max_results, u32(refs.size()));
-    for (u32 i = 0; i < n; ++i) {
-        ResultRecord rec;
-        if (db_.fetch(refs[i].urlHash, rec, out.fetchTime)) {
-            out.results.push_back(std::move(rec));
-            out.urlHashes.push_back(refs[i].urlHash);
-        }
-    }
+    out.hit = probe(fnv1a(query_text), max_results, out.hashLookupTime,
+                    out.fetchTime, [&out](u64 url_hash, const RecordView &r) {
+                        out.results.push_back(r.record());
+                        out.urlHashes.push_back(url_hash);
+                    });
     return out;
 }
 
-LookupOutcome
-PocketSearch::lookupPair(const workload::PairRef &p, u32 max_results)
+PairProbe
+PocketSearch::servePair(const workload::PairRef &p, u32 max_results)
 {
-    const auto &q = universe_.query(p.query);
-    const auto &r = universe_.result(p.result);
-    LookupOutcome out = lookupQuery(q.text, max_results, urlHash(r.url));
+    PairProbe out;
+    out.queryFnv = fnv1a(universe_.query(p.query).text);
+    out.urlHash = urlHash(universe_.result(p.result).url);
+    out.hit = probe(out.queryFnv, max_results, out.hashLookupTime,
+                    out.fetchTime, [](u64, const RecordView &) {});
+    for (const ResultRef &r : probeBuf_)
+        out.pairCached |= r.urlHash == out.urlHash;
     if (out.pairCached)
         ++stats_.pairHits;
     return out;
@@ -232,23 +237,27 @@ PocketSearch::containsPair(const workload::PairRef &p) const
 void
 PocketSearch::recordClick(const workload::PairRef &p, SimTime &time)
 {
-    ++stats_.clicksRecorded;
-    const auto &q = universe_.query(p.query);
-    const auto &r = universe_.result(p.result);
-    const u64 uh = urlHash(r.url);
+    recordClick(p, fnv1a(universe_.query(p.query).text),
+                urlHash(universe_.result(p.result).url), time);
+}
 
+void
+PocketSearch::recordClick(const workload::PairRef &p, u64 query_fnv,
+                          u64 url_hash, SimTime &time)
+{
+    ++stats_.clicksRecorded;
     if (cfg_.mode == CacheMode::CommunityOnly) {
         // Static cache: no learning, no re-ranking state accumulates.
         return;
     }
 
     double top = 0.0;
-    if (!table_.applyClick(q.text, uh, cfg_.lambda, &top))
+    if (!table_.applyClick(query_fnv, url_hash, cfg_.lambda, &top))
         ++stats_.pairsLearned;
     // Keep the box in sync: the clicked query's best score rose.
     if (cfg_.enableSuggest)
-        suggest_.insert(q.text, top);
-    if (db_.addRecord(r, uh, time))
+        suggest_.insert(universe_.query(p.query).text, top);
+    if (db_.addRecord(universe_.result(p.result), url_hash, time))
         ++stats_.recordsLearned;
 }
 

@@ -68,17 +68,27 @@ struct PocketSearchConfig
 struct LookupOutcome
 {
     bool hit = false;          ///< Query found in the hash table.
-    /**
-     * lookupPair only: the looked-up pair itself is cached, read off
-     * the same chain walk (containsPair without a second walk).
-     */
-    bool pairCached = false;
     SimTime hashLookupTime = 0; ///< Table probe latency (~10us).
     SimTime fetchTime = 0;      ///< Flash retrieval latency.
     /** Fetched records, ranked by descending score. */
     std::vector<ResultRecord> results;
     /** Ranked url hashes (parallel to `results`). */
     std::vector<u64> urlHashes;
+};
+
+/**
+ * What PocketSearch::servePair found: the serve path's probe, which
+ * charges exactly what lookup() charges but keeps no records.
+ */
+struct PairProbe
+{
+    bool hit = false;           ///< Query found in the hash table.
+    /** The probed pair itself is cached, read off the same chain walk. */
+    bool pairCached = false;
+    SimTime hashLookupTime = 0; ///< Table probe latency (~10us).
+    SimTime fetchTime = 0;      ///< Flash retrieval latency.
+    u64 queryFnv = 0;           ///< fnv1a of the pair's query text.
+    u64 urlHash = 0;            ///< urlHash of the pair's result URL.
 };
 
 /** Auto-suggest output: completions plus their instant results. */
@@ -186,11 +196,14 @@ class PocketSearch
                          u32 max_results = 2);
 
     /**
-     * Lookup by universe pair (replay convenience); also reports
-     * whether the pair itself is cached (LookupOutcome::pairCached).
+     * The serve path's probe of a universe pair: lookup() of the
+     * pair's query, with the same charges, stats, flash reads and
+     * fault draws, plus whether the pair itself is cached. Each string
+     * is hashed once, both hashes are returned for recordClick, and
+     * nothing is allocated once the reused chain and read buffers are
+     * warm: the fetched records are checked, not copied.
      */
-    LookupOutcome lookupPair(const workload::PairRef &p,
-                             u32 max_results = 2);
+    PairProbe servePair(const workload::PairRef &p, u32 max_results = 2);
 
     /** True if the exact (query, result) pair is cached. */
     bool containsPair(const workload::PairRef &p) const;
@@ -202,6 +215,13 @@ class PocketSearch
      * @param[out] time Accumulates flash write latency for learning.
      */
     void recordClick(const workload::PairRef &p, SimTime &time);
+
+    /**
+     * recordClick() with the pair's hashes already computed (a
+     * servePair probe's queryFnv and urlHash).
+     */
+    void recordClick(const workload::PairRef &p, u64 query_fnv,
+                     u64 url_hash, SimTime &time);
 
     /**
      * installPairs for one pair.
@@ -305,11 +325,15 @@ class PocketSearch
 
   private:
     /**
-     * lookup(), additionally flagging whether the result keyed
-     * `url_hash` is among the query's cached results (0 never is).
+     * The probe lookup() and servePair() share, so both charge alike:
+     * count the lookup, walk the query's chain into probeBuf_ (ranked)
+     * and fetch up to `max_results` top-ranked records, handing each
+     * parsable one to `on_record(url_hash, view)`.
+     * @return True on a query hit.
      */
-    LookupOutcome lookupQuery(const std::string &query_text,
-                              u32 max_results, u64 url_hash);
+    template <typename OnRecord>
+    bool probe(u64 query_fnv, u32 max_results, SimTime &hash_time,
+               SimTime &fetch_time, OnRecord &&on_record);
 
     /**
      * Re-derive a query's auto-suggest score after an evict/rerank.
@@ -326,6 +350,8 @@ class PocketSearch
     ResultDatabase db_;
     SuggestIndex suggest_;
     ServeStats stats_;
+    /** probe()'s ranked chain; reused so a probe does not allocate. */
+    std::vector<ResultRef> probeBuf_;
 };
 
 static_assert(!std::is_copy_constructible_v<PocketSearch>);

@@ -138,7 +138,7 @@ ResultDatabase::encode(const ResultInfo &r)
 }
 
 bool
-ResultDatabase::decode(std::string_view text, ResultRecord &out)
+ResultDatabase::decode(std::string_view text, RecordView &out)
 {
     // Strip padding and the trailing newline.
     const auto nl = text.find('\n');
@@ -151,9 +151,9 @@ ResultDatabase::decode(std::string_view text, ResultRecord &out)
     const auto p2 = body.find('|', p1 + 1);
     if (p2 == std::string_view::npos)
         return false;
-    out.title = std::string(body.substr(0, p1));
-    out.description = std::string(body.substr(p1 + 1, p2 - p1 - 1));
-    out.url = std::string(body.substr(p2 + 1));
+    out.title = body.substr(0, p1);
+    out.description = body.substr(p1 + 1, p2 - p1 - 1);
+    out.url = body.substr(p2 + 1);
     return true;
 }
 
@@ -227,16 +227,15 @@ ResultDatabase::contains(u64 url_hash) const
 }
 
 bool
-ResultDatabase::fetch(u64 url_hash, ResultRecord &out, SimTime &time) const
+ResultDatabase::fetch(u64 url_hash, RecordView &out, SimTime &time)
 {
     if (engine_) {
         // Index probe + (cached) slot read replaces the whole
         // open + parse-the-header sequence of flat mode.
-        std::string text;
-        if (!engine_->get(url_hash, text, time))
+        if (!engine_->get(url_hash, readBuf_, time))
             return false;
         time += cfg_.recordParse;
-        const bool ok = decode(text, out);
+        const bool ok = decode(readBuf_, out);
         pc_assert(ok, "corrupt database record");
         return true;
     }
@@ -262,16 +261,16 @@ ResultDatabase::fetch(u64 url_hash, ResultRecord &out, SimTime &time) const
     time += SimTime(header) * cfg_.parsePerByte;
 
     // 3. Read the record at its offset.
-    std::string text;
     time += cfg_.perReadOverhead;
-    const Bytes got = store_.read(data, loc.offset, loc.length, text, time);
+    const Bytes got =
+        store_.read(data, loc.offset, loc.length, readBuf_, time);
     pc_assert(got == loc.length, "truncated database record");
     time += cfg_.recordParse;
 
     // Flat records carry no checksum, so a storage bit flip on a `|` or
     // `\n` separator surfaces here as an unparsable record: report it
     // missing (its read time is already charged) rather than abort.
-    return decode(text, out);
+    return decode(readBuf_, out);
 }
 
 Bytes

@@ -19,6 +19,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <unordered_map>
 #include <vector>
@@ -37,6 +38,25 @@ struct ResultRecord
     std::string title;       ///< Hyperlink text.
     std::string description; ///< Landing-page snippet.
     std::string url;         ///< Human-readable address.
+};
+
+/**
+ * A fetched record's fields as views into the database's read buffer:
+ * valid until that database's next fetch.
+ */
+struct RecordView
+{
+    std::string_view title;
+    std::string_view description;
+    std::string_view url;
+
+    /** The fields copied out. */
+    ResultRecord
+    record() const
+    {
+        return {std::string(title), std::string(description),
+                std::string(url)};
+    }
 };
 
 /** Database shape and host-software timing. */
@@ -113,14 +133,17 @@ class ResultDatabase
 
     /**
      * Retrieve a record by key, modelling the full open + header parse +
-     * record read sequence.
-     * @param[out] out The record, when found.
+     * record read sequence. The record is read into a buffer the
+     * database owns and reuses, and its separators are checked in
+     * place, so a warm fetch allocates nothing.
+     * @param[out] out The record's fields, when found; they view the
+     *        read buffer until the next fetch.
      * @param[out] time Accumulates the retrieval latency.
      * @return True if found and parsable. A flat-mode record a storage
      *         bit flip left unparsable returns false (engine mode
      *         verifies a CRC instead).
      */
-    bool fetch(u64 url_hash, ResultRecord &out, SimTime &time) const;
+    bool fetch(u64 url_hash, RecordView &out, SimTime &time);
 
     /** Number of stored records. */
     std::size_t records() const
@@ -190,8 +213,8 @@ class ResultDatabase
      */
     Location appendRecord(u64 key, std::string_view rec, SimTime &time);
 
-    /** Deserialize a record. */
-    static bool decode(std::string_view text, ResultRecord &out);
+    /** Split a record into its fields; false if a separator is lost. */
+    static bool decode(std::string_view text, RecordView &out);
 
     pc::simfs::FlashStore &store_;
     DbConfig cfg_;
@@ -201,6 +224,8 @@ class ResultDatabase
     std::unordered_map<u64, Location> locations_;
     /** encode()'s output; reused so encoding does not allocate. */
     std::string encodeBuf_;
+    /** fetch()'s read buffer; reused so a fetch does not allocate. */
+    std::string readBuf_;
     std::unique_ptr<pc::store::StoreEngine> engine_;
 };
 

@@ -1,5 +1,6 @@
 #include "device/mobile_device.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/logging.h"
@@ -253,8 +254,8 @@ MobileDevice::finishQueryObs(const workload::PairRef &pair, ServePath path,
 }
 
 void
-MobileDevice::addSegment(QueryOutcome &out, const char *label, SimTime dur,
-                         MilliWatts power) const
+MobileDevice::addSegment(QueryOutcome &out, std::string_view label,
+                         SimTime dur, MilliWatts power) const
 {
     if (dur <= 0)
         return;
@@ -315,19 +316,27 @@ MobileDevice::serveQuery(const workload::PairRef &pair, ServePath path,
                          bool record_click)
 {
     QueryOutcome out;
-    core::LookupOutcome lookup;
+    core::PairProbe probe;
     const SimTime t0 = now_;
 
     if (path == ServePath::PocketSearch) {
-        lookup = ps_->lookupPair(pair, 2);
-        out.hashLookupTime = lookup.hashLookupTime;
+        probe = ps_->servePair(pair, 2);
+        out.hashLookupTime = probe.hashLookupTime;
         // Operationally the user is served locally only when the result
         // they are after is among the cached results for the query.
-        out.cacheHit = lookup.pairCached;
+        out.cacheHit = probe.pairCached;
     }
+    // The trace's one allocation, sized for the path's longest
+    // timeline: a hit shows serve, render and learn; a miss shows the
+    // probe, each attempt's exchange plus the backoff after it, then a
+    // stale fetch or learn, render and misc.
+    const std::size_t attempts = std::max<u32>(cfg_.retry.maxAttempts, 1);
+    const std::size_t missSegments =
+        3 + attempts * (radio::kMaxExchangeSegments + 1);
+    out.trace.reserve(out.cacheHit ? 3 : missSegments);
 
     if (out.cacheHit) {
-        out.fetchTime = lookup.fetchTime;
+        out.fetchTime = probe.fetchTime;
     } else {
         // A miss falls through to 3G (the phone's default data path),
         // having paid only the 10us probe.
@@ -347,7 +356,7 @@ MobileDevice::serveQuery(const workload::PairRef &pair, ServePath path,
                         addSegment(out, "radio-tail", seg.duration,
                                    seg.power);
                     } else {
-                        addSegment(out, seg.label.c_str(), seg.duration,
+                        addSegment(out, seg.label, seg.duration,
                                    cfg_.basePower + seg.power);
                     }
                 }
@@ -380,10 +389,10 @@ MobileDevice::serveQuery(const workload::PairRef &pair, ServePath path,
                 missQueue_.push_back(pair);
                 ++resilience_.queuedMisses;
             }
-            if (lookup.hit) {
+            if (probe.hit) {
                 out.staleServe = true;
                 ++resilience_.staleServes;
-                out.fetchTime = lookup.fetchTime;
+                out.fetchTime = probe.fetchTime;
                 addSegment(out, "stale-fetch", out.fetchTime,
                            cfg_.basePower);
             } else {
@@ -422,7 +431,7 @@ MobileDevice::serveQuery(const workload::PairRef &pair, ServePath path,
     }
     if (record_click && path == ServePath::PocketSearch && !out.degraded) {
         SimTime learn = 0;
-        ps_->recordClick(pair, learn);
+        ps_->recordClick(pair, probe.queryFnv, probe.urlHash, learn);
         // Learning happens after results display; it costs energy but
         // not user latency.
         addSegment(out, "learn", learn, cfg_.basePower);

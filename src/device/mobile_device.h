@@ -458,7 +458,7 @@ class MobileDevice
                         const QueryOutcome &out, SimTime t0);
 
     /** Append a device-power segment and charge energy. */
-    void addSegment(QueryOutcome &out, const char *label, SimTime dur,
+    void addSegment(QueryOutcome &out, std::string_view label, SimTime dur,
                     MilliWatts power) const;
 
     /** How one operation's radio attempts ended. */

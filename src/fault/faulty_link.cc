@@ -57,34 +57,39 @@ FaultyLink::attempt(SimTime now, Bytes uplinkBytes, Bytes downlinkBytes,
         const SimTime cut = SimTime(
             std::llround(double(preTailLatency(full)) *
                          plan_->drawFailurePoint()));
-        radio::TransferResult part;
+        // Cut the modelled timeline in place: its buffer already has
+        // room for the stall and the tail.
+        auto &segs = full.segments;
+        std::size_t kept = 0;
         SimTime used = 0;
-        for (const auto &seg : full.segments) {
+        full.latency = 0;
+        full.radioEnergy = 0;
+        for (const auto &seg : segs) {
             if (seg.label == "tail")
                 break;
             const SimTime take =
                 std::min<SimTime>(seg.duration, cut - used);
             if (take <= 0)
                 break;
-            part.segments.push_back({seg.label, take, seg.power});
-            part.latency += take;
-            part.radioEnergy += energyOver(seg.power, take);
+            segs[kept++] = {seg.label, take, seg.power};
+            full.latency += take;
+            full.radioEnergy += energyOver(seg.power, take);
             used += take;
         }
+        segs.resize(kept);
         const SimTime stall = plan_->config().radio.failureStall;
         if (stall > 0) {
-            part.segments.push_back({"stall", stall, cfg.activePower});
-            part.latency += stall;
-            part.radioEnergy += energyOver(cfg.activePower, stall);
+            segs.push_back({"stall", stall, cfg.activePower});
+            full.latency += stall;
+            full.radioEnergy += energyOver(cfg.activePower, stall);
         }
         if (cfg.tailDuration > 0) {
-            part.segments.push_back(
-                {"tail", cfg.tailDuration, cfg.tailPower});
-            part.radioEnergy +=
+            segs.push_back({"tail", cfg.tailDuration, cfg.tailPower});
+            full.radioEnergy +=
                 energyOver(cfg.tailPower, cfg.tailDuration);
         }
-        link_.commit(now, part);
-        out.xfer = std::move(part);
+        link_.commit(now, full);
+        out.xfer = std::move(full);
         return out;
     }
 

@@ -113,7 +113,10 @@ RadioLink::model(SimTime now, Bytes uplinkBytes, Bytes downlinkBytes,
                  SimTime serverTime) const
 {
     TransferResult res;
-    auto push = [&](const char *label, SimTime dur, MilliWatts power,
+    // Reserved for the fault layer's extra segment too, so a faulted
+    // attempt edits this timeline in place.
+    res.segments.reserve(kMaxExchangeSegments);
+    auto push = [&](std::string_view label, SimTime dur, MilliWatts power,
                     bool counts_latency) {
         if (dur <= 0)
             return;

@@ -20,6 +20,7 @@
 #define PC_RADIO_LINK_H
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/types.h"
@@ -29,12 +30,25 @@ namespace pc::radio {
 /** One constant-power interval of radio activity. */
 struct PowerSegment
 {
-    std::string label;   ///< e.g. "wakeup", "rtt", "downlink", "tail".
+    /**
+     * e.g. "wakeup", "handshake", "downlink", "tail". Always a view of
+     * a static string literal, so segments copy without allocating and
+     * a label outlives every timeline that holds it.
+     */
+    std::string_view label;
     SimTime duration;    ///< Length of the interval.
     MilliWatts power;    ///< Radio power over the interval.
 
     bool operator==(const PowerSegment &) const = default;
 };
+
+/**
+ * Most segments one exchange attempt's timeline holds: the six phases
+ * of RadioLink::model (wakeup, handshake, uplink, server, downlink,
+ * tail) plus the one the fault layer adds (congestion before the tail,
+ * or the stall of an exchange cut short).
+ */
+inline constexpr std::size_t kMaxExchangeSegments = 7;
 
 /** Outcome of one modelled exchange. */
 struct TransferResult

@@ -12,8 +12,8 @@ QuantileSketch::QuantileSketch(u32 k)
 {
     pc_assert(k_ >= 8, "QuantileSketch needs k >= 8");
     levels_.emplace_back();
-    levels_.front().reserve(k_);
-    capacity_ = capacityTotal();
+    levels_.front().items.reserve(k_);
+    resetCapacities();
 }
 
 bool
@@ -38,22 +38,14 @@ QuantileSketch::levelCapacity(std::size_t level, std::size_t height) const
     return std::max<std::size_t>(2, std::size_t(cap));
 }
 
-std::size_t
-QuantileSketch::capacityTotal() const
+void
+QuantileSketch::resetCapacities()
 {
-    std::size_t total = 0;
-    for (std::size_t l = 0; l < levels_.size(); ++l)
-        total += levelCapacity(l, levels_.size());
-    return total;
-}
-
-std::size_t
-QuantileSketch::retained() const
-{
-    std::size_t total = 0;
-    for (const auto &lvl : levels_)
-        total += lvl.size();
-    return total;
+    capacity_ = 0;
+    for (std::size_t l = 0; l < levels_.size(); ++l) {
+        levels_[l].capacity = levelCapacity(l, levels_.size());
+        capacity_ += levels_[l].capacity;
+    }
 }
 
 void
@@ -67,8 +59,8 @@ QuantileSketch::add(double x)
         max_ = std::max(max_, x);
     }
     ++n_;
-    levels_.front().push_back(x);
-    if (retained() > capacity_)
+    levels_.front().items.push_back(x);
+    if (++retained_ > capacity_)
         compress();
 }
 
@@ -87,14 +79,15 @@ QuantileSketch::mergeFrom(const QuantileSketch &other)
     n_ += other.n_;
     if (levels_.size() < other.levels_.size()) {
         levels_.resize(other.levels_.size());
-        capacity_ = capacityTotal();
+        resetCapacities();
     }
     for (std::size_t l = 0; l < other.levels_.size(); ++l) {
-        levels_[l].insert(levels_[l].end(), other.levels_[l].begin(),
-                          other.levels_[l].end());
+        const auto &from = other.levels_[l].items;
+        levels_[l].items.insert(levels_[l].items.end(), from.begin(),
+                                from.end());
     }
-    while (retained() > capacity_)
-        compress();
+    retained_ += other.retained_;
+    compress();
 }
 
 void
@@ -102,10 +95,10 @@ QuantileSketch::compress()
 {
     // Compact the lowest level that is over its own budget; one such
     // level must exist whenever the total budget is exceeded.
-    while (retained() > capacity_) {
+    while (retained_ > capacity_) {
         std::size_t victim = levels_.size();
         for (std::size_t l = 0; l < levels_.size(); ++l) {
-            if (levels_[l].size() > levelCapacity(l, levels_.size())) {
+            if (levels_[l].items.size() > levels_[l].capacity) {
                 victim = l;
                 break;
             }
@@ -122,10 +115,10 @@ QuantileSketch::compactLevel(std::size_t level)
     pc_assert(level + 1 <= kMaxLevels, "QuantileSketch level overflow");
     if (level + 1 >= levels_.size()) {
         levels_.emplace_back();
-        capacity_ = capacityTotal();
+        resetCapacities();
     }
 
-    auto &buf = levels_[level];
+    auto &buf = levels_[level].items;
     std::sort(buf.begin(), buf.end());
 
     // Odd count: one item stays behind at this level (weight must be
@@ -142,17 +135,20 @@ QuantileSketch::compactLevel(std::size_t level)
 
     // Promote every other item of the even remainder; offset by coin.
     const std::size_t off = coin() ? 1 : 0;
-    auto &up = levels_[level + 1];
+    auto &up = levels_[level + 1].items;
     for (std::size_t i = lo + off; i < hi; i += 2)
         up.push_back(buf[i]);
 
-    // The survivors of the odd-count rule stay; everything else dies.
-    std::vector<double> keep;
+    // The survivor of the odd-count rule stays; everything else dies.
+    // The buffer keeps its capacity for the items still to come.
     if (lo == 1)
-        keep.push_back(buf.front());
+        buf.resize(1);
     else if (hi == buf.size() - 1)
-        keep.push_back(buf.back());
-    buf = std::move(keep);
+        buf.erase(buf.begin(), buf.end() - 1);
+    else
+        buf.clear();
+    // Half the even remainder went up, the other half died.
+    retained_ -= (hi - lo) / 2;
     ++compactions_;
 }
 
@@ -160,10 +156,10 @@ std::vector<std::pair<double, u64>>
 QuantileSketch::weightedItems() const
 {
     std::vector<std::pair<double, u64>> items;
-    items.reserve(retained());
+    items.reserve(retained_);
     for (std::size_t l = 0; l < levels_.size(); ++l) {
         const u64 w = u64(1) << l;
-        for (double v : levels_[l])
+        for (double v : levels_[l].items)
             items.emplace_back(v, w);
     }
     std::sort(items.begin(), items.end());

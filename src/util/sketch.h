@@ -104,7 +104,7 @@ class QuantileSketch
     void quantiles(std::span<const double> qs, std::span<double> out) const;
 
     /** Items currently stored across all levels. */
-    std::size_t retained() const;
+    std::size_t retained() const { return retained_; }
 
     /**
      * Documented memory cap: retained() <= maxRetained() always (the
@@ -141,8 +141,11 @@ class QuantileSketch
     /** Capacity of `level` when `height` levels exist. */
     std::size_t levelCapacity(std::size_t level, std::size_t height) const;
 
-    /** Total capacity across current levels. */
-    std::size_t capacityTotal() const;
+    /**
+     * Recompute every level's cached capacity and their total; called
+     * whenever the height changes, the only time capacities move.
+     */
+    void resetCapacities();
 
     /** Compact the lowest over-capacity level until under budget. */
     void compress();
@@ -153,17 +156,26 @@ class QuantileSketch
     /** Deterministic coin for compaction offsets (fixed-seed xorshift). */
     bool coin();
 
+    /** One compaction level: weight-2^i items, unsorted. */
+    struct Level
+    {
+        std::vector<double> items;
+        /** levelCapacity(i, height), cached by resetCapacities. */
+        std::size_t capacity = 0;
+    };
+
     u32 k_;
     u64 n_ = 0;
     double min_ = 0.0;
     double max_ = 0.0;
     u64 coinState_;
     u64 compactions_ = 0;
-    /** capacityTotal() at the current height, kept because add()
-     *  compares against it on every observation. */
+    /** Total capacity at the current height: add() compares against
+     *  it on every observation. */
     std::size_t capacity_ = 0;
-    /** levels_[i] holds weight-2^i items, unsorted. */
-    std::vector<std::vector<double>> levels_;
+    /** Items across all levels, kept so add() need not count them. */
+    std::size_t retained_ = 0;
+    std::vector<Level> levels_;
 };
 
 } // namespace pc

@@ -21,6 +21,7 @@
 #include "core/table_codec.h"
 #include "device/mobile_device.h"
 #include "fault/fault_plan.h"
+#include "harness/fleet.h"
 #include "harness/workbench.h"
 #include "obs/causal.h"
 #include "server/service.h"
@@ -246,9 +247,16 @@ TEST(InstallImageTest, EscalatedFullInstallOntoNonEmptyTableReconciles)
     ASSERT_TRUE(ri.ok);
     EXPECT_EQ(ra, ri);
     EXPECT_GT(ri.apply.staleEvicted, 0u) << "a reconcile, not a copy";
+    EXPECT_GT(ri.apply.conflicts, 0u);
     EXPECT_EQ(adopt.dev.installsAdopted(), 0u);
     EXPECT_EQ(adopt.dev.pocketSearch().pairs(),
               world().svc->latest().contents.pairs.size());
+    // No pair was ever accessed (CommunityOnly learns nothing), so the
+    // reconcile converges to exactly the target model: conflicting v1
+    // pairs take v3's score whether it is lower or higher.
+    const auto &v3 = world().svc->latest();
+    EXPECT_EQ(harness::deviceTableDigest(install.dev.pocketSearch()),
+              harness::contentsDigest(v3.contents, world().wb.universe()));
     expectSameDevice(adopt, install);
 }
 

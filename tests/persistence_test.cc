@@ -66,7 +66,7 @@ TEST_F(PowerCycleTest, ResultDatabaseReattachesAndFetches)
     ResultDatabase db2(*store_);
     EXPECT_EQ(db2.records(), 30u);
     for (u32 r = 0; r < 30; ++r) {
-        ResultRecord rec;
+        RecordView rec;
         SimTime t = 0;
         ASSERT_TRUE(db2.fetch(keys[r], rec, t)) << "record " << r;
         EXPECT_EQ(rec.url, uni_.result(r).url);
@@ -108,7 +108,7 @@ TEST_F(PowerCycleTest, FullCacheSurvivesPowerCycle)
     // Everything is back: hits, learned pair, scores, flags, suggest.
     EXPECT_TRUE(ps2.containsPair(canonicalPair(3)));
     EXPECT_TRUE(ps2.containsPair(canonicalPair(50)));
-    auto out = ps2.lookupPair(canonicalPair(3));
+    auto out = ps2.lookup(uni_.query(canonicalPair(3).query).text);
     ASSERT_TRUE(out.hit);
     ASSERT_FALSE(out.results.empty());
     EXPECT_EQ(out.results[0].url, uni_.result(3).url);

@@ -11,8 +11,10 @@
 #include "core/cache_manager.h"
 #include "core/pocket_search.h"
 #include "core/table_codec.h"
+#include "fault/fault_plan.h"
 #include "harness/workbench.h"
 #include "logs/triplets.h"
+#include "obs/metrics.h"
 #include "util/hash.h"
 #include "util/rng.h"
 
@@ -84,14 +86,24 @@ TEST_F(PocketSearchTest, CommunityHitServesRankedResults)
     ps.loadCommunity(makeContents({{p, 10}}), t);
     EXPECT_GT(t, 0) << "community push costs flash writes";
 
-    auto out = ps.lookupPair(p);
+    const PairProbe probe = ps.servePair(p);
+    EXPECT_TRUE(probe.hit);
+    EXPECT_TRUE(probe.pairCached);
+    EXPECT_EQ(probe.hashLookupTime, QueryHashTable::kLookupLatency);
+    EXPECT_GT(probe.fetchTime, 0);
+    EXPECT_EQ(probe.queryFnv, fnv1a(uni_.query(p.query).text));
+    EXPECT_EQ(probe.urlHash, urlHash(uni_.result(0).url));
+    EXPECT_EQ(ps.stats().queryHits, 1u);
+    EXPECT_EQ(ps.stats().pairHits, 1u);
+
+    // lookup() reads the same records and copies them out.
+    const auto out = ps.lookup(uni_.query(p.query).text);
     EXPECT_TRUE(out.hit);
     ASSERT_EQ(out.results.size(), 1u);
     EXPECT_EQ(out.results[0].url, uni_.result(0).url);
-    EXPECT_EQ(out.hashLookupTime, QueryHashTable::kLookupLatency);
-    EXPECT_GT(out.fetchTime, 0);
-    EXPECT_EQ(ps.stats().queryHits, 1u);
-    EXPECT_EQ(ps.stats().pairHits, 1u);
+    EXPECT_EQ(out.urlHashes, std::vector<u64>{probe.urlHash});
+    EXPECT_EQ(out.fetchTime, probe.fetchTime);
+    EXPECT_EQ(ps.stats().pairHits, 1u) << "lookup() probes no pair";
 }
 
 TEST_F(PocketSearchTest, MissOnUncachedQuery)
@@ -99,9 +111,10 @@ TEST_F(PocketSearchTest, MissOnUncachedQuery)
     PocketSearch ps(uni_, *store_);
     SimTime t = 0;
     ps.loadCommunity(makeContents({{canonicalPair(0), 10}}), t);
-    auto out = ps.lookupPair(canonicalPair(57));
+    const PairProbe out = ps.servePair(canonicalPair(57));
     EXPECT_FALSE(out.hit);
-    EXPECT_TRUE(out.results.empty());
+    EXPECT_FALSE(out.pairCached);
+    EXPECT_EQ(out.fetchTime, 0);
     EXPECT_EQ(ps.stats().lookups, 1u);
     EXPECT_EQ(ps.stats().queryHits, 0u);
 }
@@ -135,7 +148,8 @@ TEST_F(PocketSearchTest, PersonalizationLearnsNewPair)
     EXPECT_TRUE(ps.containsPair(newp));
     EXPECT_EQ(ps.stats().pairsLearned, 1u);
     EXPECT_EQ(ps.stats().recordsLearned, 1u);
-    auto out = ps.lookupPair(newp);
+    EXPECT_TRUE(ps.servePair(newp).pairCached);
+    auto out = ps.lookup(uni_.query(newp.query).text);
     EXPECT_TRUE(out.hit);
     ASSERT_EQ(out.results.size(), 1u);
     EXPECT_EQ(out.results[0].url, uni_.result(42).url);
@@ -163,9 +177,9 @@ TEST_F(PocketSearchTest, PersonalizationOnlyModeStartsCold)
     ps.loadCommunity(makeContents({{canonicalPair(0), 10}}), t);
     EXPECT_EQ(ps.pairs(), 0u) << "community push ignored when cold";
     const auto p = canonicalPair(0);
-    EXPECT_FALSE(ps.lookupPair(p).hit);
+    EXPECT_FALSE(ps.servePair(p).hit);
     ps.recordClick(p, t);
-    EXPECT_TRUE(ps.lookupPair(p).hit);
+    EXPECT_TRUE(ps.servePair(p).hit);
 }
 
 TEST_F(PocketSearchTest, ClickReRanksResults)
@@ -224,7 +238,7 @@ TEST_F(PocketSearchTest, CacheModeNames)
 // cached pairs, reranks and evictions, what each single walk reports
 // must equal what the separate walks it replaced read: the top score
 // applyClick reports against lookup().front(), bit for bit, and
-// lookupPair's pair flag against containsPair.
+// servePair's pair flag against containsPair.
 TEST_F(PocketSearchTest, SingleWalksMatchSeparateWalks)
 {
     // -0.0 ties 0.0 in the ranking; the tie-break decides which bits
@@ -281,7 +295,7 @@ TEST_F(PocketSearchTest, SingleWalksMatchSeparateWalks)
                 ps.evictPair(p);
                 break;
               default: {
-                const LookupOutcome out = ps.lookupPair(p, 2);
+                const PairProbe out = ps.servePair(p, 2);
                 ASSERT_EQ(out.pairCached, ps.containsPair(p));
                 ASSERT_EQ(out.hit, !ps.table().lookup(q).empty());
                 cached_lookups += out.pairCached;
@@ -292,6 +306,115 @@ TEST_F(PocketSearchTest, SingleWalksMatchSeparateWalks)
     }
     EXPECT_GT(clicks, 500u);
     EXPECT_GT(cached_lookups, 100u);
+}
+
+// servePair keeps no records, yet it must cost exactly what lookup()
+// costs: the same probe and fetch charges, flash reads and fault-plan
+// draws. Two twin phones on worn flash under the same bit-flip plan
+// answer the same query stream, one through servePair, one through
+// lookup(); flips that hit a record's `|` or `\n` separator make
+// lookup() drop that record, and must not make the twins diverge.
+TEST_F(PocketSearchTest, ServePairChargesWhatLookupCharges)
+{
+    std::vector<std::pair<workload::PairRef, int>> popular;
+    for (u32 r = 0; r < 150; ++r)
+        popular.push_back({canonicalPair(r), int(1 + r % 7)});
+    // Extra results for a few queries: chains longer than two.
+    for (u32 r = 150; r < 170; ++r)
+        popular.push_back({{canonicalPair(r % 10).query, r}, 2});
+    const CacheContents contents = makeContents(popular);
+
+    struct Twin
+    {
+        explicit Twin(const QueryUniverse &uni, const CacheContents &c)
+            : device(flashConfig()), store(device), plan(faultConfig())
+        {
+            SimTime t = 0;
+            // Wear blocks down, then free them: the database files
+            // reuse them (LIFO), so its reads can flip bits.
+            const auto wear = store.create("wear");
+            for (int pass = 0; pass < 400; ++pass)
+                store.truncateAndWrite(
+                    wear, std::string(64 * kKiB, char('a' + pass % 26)),
+                    t);
+            store.remove(wear, t);
+            ps = std::make_unique<PocketSearch>(uni, store);
+            ps->loadCommunity(c, t);
+            store.attachMetrics(&registry);
+            store.attachFaults(&plan);
+        }
+
+        static pc::nvm::FlashConfig
+        flashConfig()
+        {
+            pc::nvm::FlashConfig fc;
+            fc.capacity = 64 * kMiB;
+            return fc;
+        }
+
+        static pc::fault::FaultConfig
+        faultConfig()
+        {
+            pc::fault::FaultConfig f;
+            f.seed = 13;
+            f.storage.bitFlipPerReadPerKiloErase = 0.5;
+            return f;
+        }
+
+        pc::nvm::FlashDevice device;
+        pc::simfs::FlashStore store;
+        pc::fault::FaultPlan plan;
+        obs::MetricRegistry registry;
+        std::unique_ptr<PocketSearch> ps;
+    };
+    Twin probe(uni_, contents);
+    Twin lookup(uni_, contents);
+
+    Rng rng(5);
+    u64 hits = 0, pair_hits = 0, dropped = 0;
+    for (int i = 0; i < 3000; ++i) {
+        SCOPED_TRACE(i);
+        // Cached pairs, cached queries with another result, and misses.
+        const u32 r = u32(rng.below(220));
+        workload::PairRef p = canonicalPair(r);
+        if (rng.below(4) == 0)
+            p.result = u32(rng.below(uni_.numResults()));
+        const PairProbe got = probe.ps->servePair(p);
+        const LookupOutcome want =
+            lookup.ps->lookup(uni_.query(p.query).text);
+        ASSERT_EQ(got.hit, want.hit);
+        ASSERT_EQ(got.pairCached, lookup.ps->containsPair(p));
+        ASSERT_EQ(got.hashLookupTime, want.hashLookupTime);
+        ASSERT_EQ(got.fetchTime, want.fetchTime);
+        ASSERT_EQ(probe.plan.rngDraws(), lookup.plan.rngDraws());
+        hits += got.hit;
+        pair_hits += got.pairCached;
+        if (want.hit) {
+            const auto refs =
+                lookup.ps->table().lookup(uni_.query(p.query).text);
+            dropped += std::min<std::size_t>(2, refs.size()) -
+                       want.results.size();
+        }
+    }
+    EXPECT_GT(hits, 2000u);
+    EXPECT_GT(pair_hits, 1500u);
+    EXPECT_GT(probe.plan.stats().bitFlips, 0u);
+    EXPECT_GT(dropped, 0u) << "no flip hit a separator: scenario too mild";
+    EXPECT_EQ(probe.plan.stats().bitFlips, lookup.plan.stats().bitFlips);
+    EXPECT_EQ(probe.ps->stats().lookups, lookup.ps->stats().lookups);
+    EXPECT_EQ(probe.ps->stats().queryHits, lookup.ps->stats().queryHits);
+    EXPECT_EQ(probe.ps->stats().pairHits, pair_hits);
+
+    const auto simfs = [](const obs::MetricRegistry &reg) {
+        auto counters = reg.snapshot().counters;
+        std::erase_if(counters, [](const auto &c) {
+            return c.first.rfind("simfs.", 0) != 0;
+        });
+        return counters;
+    };
+    const auto counters = simfs(probe.registry);
+    EXPECT_GT(counters.size(), 5u);
+    EXPECT_EQ(counters, simfs(lookup.registry));
 }
 
 /** A fresh phone: flash, file store and search cache. */

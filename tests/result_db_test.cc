@@ -50,7 +50,7 @@ TEST_F(ResultDbTest, AddFetchRoundTrip)
     const auto r = makeResult(1);
     EXPECT_TRUE(db.addRecord(r, t));
     EXPECT_TRUE(db.contains(urlHash(r.url)));
-    ResultRecord rec;
+    RecordView rec;
     SimTime fetch = 0;
     ASSERT_TRUE(db.fetch(urlHash(r.url), rec, fetch));
     EXPECT_EQ(rec.title, r.title);
@@ -72,7 +72,7 @@ TEST_F(ResultDbTest, DuplicateAddIsNoop)
 TEST_F(ResultDbTest, FetchMissingReturnsFalse)
 {
     ResultDatabase db(store_);
-    ResultRecord rec;
+    RecordView rec;
     SimTime t = 0;
     EXPECT_FALSE(db.fetch(12345, rec, t));
     EXPECT_EQ(t, 0) << "a miss is resolved in memory, no flash cost";
@@ -138,7 +138,7 @@ TEST_F(ResultDbTest, TwoCloudletsShareAStore)
     ads.addRecord(makeResult(2), t);
     EXPECT_EQ(search.records(), 1u);
     EXPECT_EQ(ads.records(), 1u);
-    ResultRecord rec;
+    RecordView rec;
     EXPECT_TRUE(search.fetch(urlHash(makeResult(1).url), rec, t));
     EXPECT_FALSE(search.fetch(urlHash(makeResult(2).url), rec, t));
 }
@@ -159,7 +159,7 @@ TEST_P(FileCountSweep, FetchWorksAtAnyFileCount)
     SimTime t = 0;
     for (int i = 0; i < 300; ++i)
         db.addRecord(makeResult(i), t);
-    ResultRecord rec;
+    RecordView rec;
     SimTime fetch = 0;
     for (int i = 0; i < 300; i += 17) {
         ASSERT_TRUE(db.fetch(urlHash(makeResult(i).url), rec, fetch));
@@ -188,7 +188,7 @@ TEST_F(ResultDbTest, FetchCostGolden)
     SimTime fetch = 0;
     for (int i = 0; i < 40; i += 3) {
         const auto r = makeResult(i, i % 2 == 0);
-        ResultRecord rec;
+        RecordView rec;
         ASSERT_TRUE(db.fetch(urlHash(r.url), rec, fetch));
         EXPECT_EQ(rec.title, r.title);
         EXPECT_EQ(rec.description, r.description);
@@ -215,7 +215,7 @@ TEST(ResultDbFigure12, SingleFileSlowerThan32Files)
         for (int i = 0; i < 2500; ++i)
             db.addRecord(makeResult(i), t);
         fetch_time = 0;
-        ResultRecord rec;
+        RecordView rec;
         for (int i = 0; i < 2500; i += 100)
             db.fetch(urlHash(makeResult(i).url), rec, fetch_time);
         physical = db.physicalBytes();
@@ -258,7 +258,7 @@ TEST(ResultDbBitFlips, UnparsableFlatRecordIsAMissNotAnAbort)
     u64 dropped = 0;
     for (int round = 0; round < 50; ++round) {
         for (int i = 0; i < 200; ++i) {
-            ResultRecord rec;
+            RecordView rec;
             SimTime fetch = 0;
             if (db.fetch(urlHash(makeResult(i).url), rec, fetch))
                 ++found;
@@ -276,7 +276,7 @@ TEST(ResultDbBitFlips, UnparsableFlatRecordIsAMissNotAnAbort)
     // detached every record parses again, intact.
     for (int i = 0; i < 200; ++i) {
         const auto r = makeResult(i);
-        ResultRecord rec;
+        RecordView rec;
         SimTime fetch = 0;
         ASSERT_TRUE(db.fetch(urlHash(r.url), rec, fetch));
         EXPECT_EQ(rec.title, r.title);

@@ -274,7 +274,11 @@ applyOneByOne(core::PocketSearch &ps, const core::CommunityDelta &d,
     for (const auto &sp : d.adds) {
         if (const auto cached = ps.findPair(sp.pair)) {
             ++st.conflicts;
-            if (sp.score > cached->score)
+            // A full install sets a pair the user never accessed to the
+            // target's score; otherwise the higher score wins.
+            const bool converge = d.fromVersion == 0 && !cached->userAccessed;
+            if (converge ? sp.score != cached->score
+                         : sp.score > cached->score)
                 ps.setPairScore(sp.pair, sp.score);
             continue;
         }

@@ -9,10 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <iterator>
+#include <string>
 #include <vector>
 
+#include "util/crc32.h"
 #include "util/rng.h"
 #include "util/sketch.h"
 #include "util/stats.h"
@@ -42,6 +45,12 @@ logNormal(Rng &rng, double mu, double sigma)
         std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
     return std::exp(mu + sigma * z);
 }
+
+// Recorded by GoldenAfterAddsAndMerges.
+constexpr u64 kGoldenCompactions = 152256;
+constexpr u32 kGoldenAdds = 3698379007u;
+constexpr u32 kGoldenMerged = 1467463134u;
+constexpr u32 kGoldenIntoEmpty = 3593661553u;
 
 const double kProbes[] = {0.01, 0.05, 0.25, 0.50, 0.75, 0.90,
                           0.95, 0.99};
@@ -276,6 +285,74 @@ TEST(QuantileSketch, BatchQuantilesMatchSingleCalls)
         s.add(rng.uniform(0.0, 10.0));
     ASSERT_GT(s.compactions(), 0u);
     check(s);
+}
+
+/**
+ * CRC-32 of everything a sketch exposes: weighted items (value bits
+ * and weights), compaction count, observation count and p50/p90/p99
+ * bits. Equal digests mean equal sketches for every reader.
+ */
+u32
+sketchDigest(const QuantileSketch &s)
+{
+    std::string bytes;
+    const auto put = [&bytes](u64 v) {
+        for (int i = 0; i < 8; ++i)
+            bytes.push_back(char(v >> (8 * i)));
+    };
+    for (const auto &[v, w] : s.weightedItems()) {
+        put(std::bit_cast<u64>(v));
+        put(w);
+    }
+    put(s.compactions());
+    put(s.count());
+    const double qs[] = {0.50, 0.90, 0.99};
+    double out[std::size(qs)];
+    s.quantiles(qs, out);
+    for (double q : out)
+        put(std::bit_cast<u64>(q));
+    return crc32(bytes);
+}
+
+TEST(QuantileSketch, GoldenAfterAddsAndMerges)
+{
+    // Pins the exact sketch a fixed stream and merge sequence produce,
+    // so a change to the sketch's bookkeeping (capacities, retained
+    // count, buffer reuse) must keep every coin and every item. The
+    // digests were recorded before that bookkeeping was cached.
+    QuantileSketch s;
+    Rng rng(41);
+    for (int i = 0; i < 1'000'000; ++i)
+        s.add(logNormal(rng, 2.0, 0.7));
+    EXPECT_EQ(s.compactions(), kGoldenCompactions);
+    EXPECT_EQ(sketchDigest(s), kGoldenAdds);
+
+    // Merge a small sketch (no compaction), a taller one (the
+    // receiver's height grows) and a shorter one.
+    QuantileSketch small, tall, shorter;
+    for (int i = 0; i < 100; ++i)
+        small.add(rng.uniform(0.0, 50.0));
+    for (int i = 0; i < 4'000'000; ++i)
+        tall.add(logNormal(rng, 1.0, 1.2));
+    for (int i = 0; i < 20'000; ++i)
+        shorter.add(rng.uniform(5.0, 15.0));
+    const auto topWeight = [](const QuantileSketch &x) {
+        u64 w = 0;
+        for (const auto &item : x.weightedItems())
+            w = std::max(w, item.second);
+        return w;
+    };
+    ASSERT_GT(topWeight(tall), topWeight(s));
+    ASSERT_LT(topWeight(shorter), topWeight(s));
+    s.mergeFrom(small);
+    s.mergeFrom(tall);
+    s.mergeFrom(shorter);
+    EXPECT_EQ(sketchDigest(s), kGoldenMerged);
+
+    // Merging into an empty sketch copies the other's levels.
+    QuantileSketch empty;
+    empty.mergeFrom(shorter);
+    EXPECT_EQ(sketchDigest(empty), kGoldenIntoEmpty);
 }
 
 } // namespace

@@ -403,7 +403,7 @@ TEST(ResultDbEngineMode, EngineAndFlatModesAgree)
 {
     using pc::core::DbConfig;
     using pc::core::ResultDatabase;
-    using pc::core::ResultRecord;
+    using pc::core::RecordView;
 
     pc::nvm::FlashConfig fc;
     fc.capacity = 64 * kMiB;
@@ -443,7 +443,7 @@ TEST(ResultDbEngineMode, EngineAndFlatModesAgree)
 
     for (const auto &r : infos) {
         const u64 key = pc::urlHash(r.url);
-        ResultRecord a, b;
+        RecordView a, b;
         SimTime ta = 0, tb = 0;
         ASSERT_TRUE(flat.fetch(key, a, ta));
         ASSERT_TRUE(eng.fetch(key, b, tb));

@@ -148,7 +148,7 @@ TEST(SearchCloudletAdapter, ReportsPocketSearchState)
     SimTime t = 0;
     const workload::PairRef p{uni.result(0).queries.front().first, 0};
     ps.recordClick(p, t);
-    ps.lookupPair(p);
+    ps.servePair(p);
     EXPECT_EQ(adapter.lookups(), 1u);
     EXPECT_EQ(adapter.hits(), 1u);
     EXPECT_GT(adapter.indexBytes(), 0u);
