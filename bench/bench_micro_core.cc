@@ -7,8 +7,9 @@
  * and the click's PocketSearch bookkeeping, Zipf sampling, universe
  * pair sampling, one user-stream event at a fixed history size, one
  * month of community log generation, CRC-32 over frame-sized buffers,
- * and one first-contact community sync, running the apply against
- * adopting the shared install image.
+ * one first-contact community sync, running the apply against
+ * adopting the shared install image, and the same sync served by a
+ * CloudUpdateService (its cached delta included).
  *
  * These measure *host* performance of the implementation (the simulated
  * latencies above are modelled, not measured).
@@ -26,6 +27,7 @@
 #include "device/mobile_device.h"
 #include "fault/fault_plan.h"
 #include "harness/workbench.h"
+#include "server/service.h"
 #include "util/crc32.h"
 #include "util/hash.h"
 #include "util/zipf.h"
@@ -357,6 +359,35 @@ BENCHMARK(BM_FirstContactApply)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMicrosecond);
+
+/**
+ * One first-contact CloudUpdateService::syncDetached onto a fresh clone
+ * of an empty device, through a service holding the workbench's build
+ * log as version 1 and with the install image attached, as runFleet
+ * does: the served delta, frame, CRC check, decode and adopt. The
+ * clone and its teardown are untimed.
+ */
+void
+BM_ServiceSyncFirstContact(benchmark::State &state)
+{
+    const Fixture &f = fixture();
+    static const auto svc = [&f] {
+        auto s = std::make_unique<server::CloudUpdateService>(f.wb.universe());
+        s->ingest(f.wb.buildLog());
+        return s;
+    }();
+    static const device::MobileDevice empty(f.wb.universe());
+    static const device::InstallImage image(empty, *svc->servedDelta(0));
+    std::unique_ptr<device::MobileDevice> dev;
+    for (auto _ : state) {
+        state.PauseTiming();
+        dev = std::make_unique<device::MobileDevice>(empty);
+        dev->attachInstallImage(&image);
+        state.ResumeTiming();
+        benchmark::DoNotOptimize(svc->syncDetached(*dev, nullptr).ok);
+    }
+}
+BENCHMARK(BM_ServiceSyncFirstContact)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

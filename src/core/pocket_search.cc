@@ -179,10 +179,10 @@ PocketSearch::suggestWithResults(std::string_view prefix,
     return out;
 }
 
-template <typename OnRecord>
+template <typename Fetch>
 bool
 PocketSearch::probe(u64 query_fnv, u32 max_results, SimTime &hash_time,
-                    SimTime &fetch_time, OnRecord &&on_record)
+                    Fetch &&fetch)
 {
     ++stats_.lookups;
     hash_time += tierProbePenalty();
@@ -191,11 +191,8 @@ PocketSearch::probe(u64 query_fnv, u32 max_results, SimTime &hash_time,
         return false;
     ++stats_.queryHits;
     const u32 n = std::min<u32>(max_results, u32(probeBuf_.size()));
-    RecordView rec;
-    for (u32 i = 0; i < n; ++i) {
-        if (db_.fetch(probeBuf_[i].urlHash, rec, fetch_time))
-            on_record(probeBuf_[i].urlHash, rec);
-    }
+    for (u32 i = 0; i < n; ++i)
+        fetch(probeBuf_[i].urlHash);
     return true;
 }
 
@@ -204,8 +201,11 @@ PocketSearch::lookup(const std::string &query_text, u32 max_results)
 {
     LookupOutcome out;
     out.hit = probe(fnv1a(query_text), max_results, out.hashLookupTime,
-                    out.fetchTime, [&out](u64 url_hash, const RecordView &r) {
-                        out.results.push_back(r.record());
+                    [this, &out](u64 url_hash) {
+                        RecordView rec;
+                        if (!db_.fetch(url_hash, rec, out.fetchTime))
+                            return;
+                        out.results.push_back(rec.record());
                         out.urlHashes.push_back(url_hash);
                     });
     return out;
@@ -218,7 +218,9 @@ PocketSearch::servePair(const workload::PairRef &p, u32 max_results)
     out.queryFnv = fnv1a(universe_.query(p.query).text);
     out.urlHash = urlHash(universe_.result(p.result).url);
     out.hit = probe(out.queryFnv, max_results, out.hashLookupTime,
-                    out.fetchTime, [](u64, const RecordView &) {});
+                    [this, &out](u64 url_hash) {
+                        db_.chargeFetch(url_hash, out.fetchTime);
+                    });
     for (const ResultRef &r : probeBuf_)
         out.pairCached |= r.urlHash == out.urlHash;
     if (out.pairCached)

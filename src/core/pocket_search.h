@@ -200,8 +200,9 @@ class PocketSearch
      * pair's query, with the same charges, stats, flash reads and
      * fault draws, plus whether the pair itself is cached. Each string
      * is hashed once, both hashes are returned for recordClick, and
-     * nothing is allocated once the reused chain and read buffers are
-     * warm: the fetched records are checked, not copied.
+     * nothing is allocated once the reused chain buffer is warm: the
+     * record fetches are charged (ResultDatabase::chargeFetch), not
+     * read out.
      */
     PairProbe servePair(const workload::PairRef &p, u32 max_results = 2);
 
@@ -327,13 +328,13 @@ class PocketSearch
     /**
      * The probe lookup() and servePair() share, so both charge alike:
      * count the lookup, walk the query's chain into probeBuf_ (ranked)
-     * and fetch up to `max_results` top-ranked records, handing each
-     * parsable one to `on_record(url_hash, view)`.
+     * and hand each of the up to `max_results` top-ranked url hashes
+     * to `fetch(url_hash)`, which charges (and may read) its record.
      * @return True on a query hit.
      */
-    template <typename OnRecord>
+    template <typename Fetch>
     bool probe(u64 query_fnv, u32 max_results, SimTime &hash_time,
-               SimTime &fetch_time, OnRecord &&on_record);
+               Fetch &&fetch);
 
     /**
      * Re-derive a query's auto-suggest score after an evict/rerank.

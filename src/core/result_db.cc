@@ -70,9 +70,7 @@ ResultDatabase::operator==(const ResultDatabase &other) const
            a.recordParse == b.recordParse && prefix_ == other.prefix_ &&
            dataFiles_ == other.dataFiles_ &&
            indexFiles_ == other.indexFiles_ &&
-           locations_.bucket_count() == other.locations_.bucket_count() &&
-           std::equal(locations_.begin(), locations_.end(),
-                      other.locations_.begin(), other.locations_.end());
+           locations_ == other.locations_;
 }
 
 void
@@ -83,10 +81,52 @@ ResultDatabase::adoptState(const ResultDatabase &installed)
     locations_ = installed.locations_;
 }
 
+std::size_t
+ResultDatabase::LocationMap::probe(u64 key) const
+{
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = mix64(key) & mask;
+    while (slots_[i].key != 0 && slots_[i].key != key)
+        i = (i + 1) & mask;
+    return i;
+}
+
+const ResultDatabase::Location *
+ResultDatabase::LocationMap::find(u64 key) const
+{
+    if (key == 0 || slots_.empty())
+        return nullptr;
+    const Slot &s = slots_[probe(key)];
+    return s.key == key ? &s.loc : nullptr;
+}
+
+void
+ResultDatabase::LocationMap::grow()
+{
+    std::vector<Slot> old(std::max<std::size_t>(16, 2 * slots_.size()));
+    old.swap(slots_);
+    for (const Slot &s : old)
+        if (s.key != 0)
+            slots_[probe(s.key)] = s;
+}
+
+void
+ResultDatabase::LocationMap::assign(u64 key, const Location &loc)
+{
+    pc_assert(key != 0, "url hash 0 is the empty-slot sentinel");
+    if (4 * (size_ + 1) > 3 * slots_.size())
+        grow();
+    Slot &s = slots_[probe(key)];
+    if (s.key == 0) {
+        s.key = key;
+        ++size_;
+    }
+    s.loc = loc;
+}
+
 void
 ResultDatabase::recoverLocations()
 {
-    locations_.clear();
     SimTime sink = 0;
     for (u32 f = 0; f < cfg_.numFiles; ++f) {
         std::string header;
@@ -104,7 +144,7 @@ ResultDatabase::recoverLocations()
             const u64 key = std::strtoull(parts[0].c_str(), nullptr, 16);
             // Later header lines supersede earlier ones: updateRecord
             // appends a fresh line for the key, so last wins.
-            locations_[key] = loc;
+            locations_.assign(key, loc);
         }
     }
 }
@@ -190,9 +230,9 @@ ResultDatabase::addRecord(const ResultInfo &r, u64 key, SimTime &time)
             return false;
         return engine_->put(key, encode(r), time);
     }
-    if (locations_.count(key))
+    if (locations_.find(key))
         return false;
-    locations_.emplace(key, appendRecord(key, encode(r), time));
+    locations_.assign(key, appendRecord(key, encode(r), time));
     return true;
 }
 
@@ -205,16 +245,15 @@ ResultDatabase::updateRecord(const ResultInfo &r, SimTime &time)
         engine_->put(key, encode(r), time);
         return had;
     }
-    auto it = locations_.find(key);
-    if (it == locations_.end()) {
-        addRecord(r, time);
+    if (locations_.find(key) == nullptr) {
+        addRecord(r, key, time);
         return false;
     }
     // Append-supersede: the old copy stays as dead weight in the data
     // file (flat files cannot reclaim it — exactly the fragmentation
     // the slab engine's GC addresses) and a fresh header line redirects
     // the key.
-    it->second = appendRecord(key, encode(r), time);
+    locations_.assign(key, appendRecord(key, encode(r), time));
     return true;
 }
 
@@ -223,7 +262,7 @@ ResultDatabase::contains(u64 url_hash) const
 {
     if (engine_)
         return engine_->contains(url_hash);
-    return locations_.count(url_hash) != 0;
+    return locations_.find(url_hash) != nullptr;
 }
 
 bool
@@ -239,11 +278,32 @@ ResultDatabase::fetch(u64 url_hash, RecordView &out, SimTime &time)
         pc_assert(ok, "corrupt database record");
         return true;
     }
-    const auto it = locations_.find(url_hash);
-    if (it == locations_.end())
+    const Location *loc = locations_.find(url_hash);
+    if (loc == nullptr)
         return false;
-    const Location &loc = it->second;
+    readFlat(*loc, &readBuf_, time);
+    // Flat records carry no checksum, so a storage bit flip on a `|` or
+    // `\n` separator surfaces here as an unparsable record: report it
+    // missing (its read time is already charged) rather than abort.
+    return decode(readBuf_, out);
+}
 
+void
+ResultDatabase::chargeFetch(u64 url_hash, SimTime &time)
+{
+    if (engine_) {
+        RecordView unused;
+        fetch(url_hash, unused, time);
+        return;
+    }
+    if (const Location *loc = locations_.find(url_hash))
+        readFlat(*loc, nullptr, time);
+}
+
+void
+ResultDatabase::readFlat(const Location &loc, std::string *out,
+                         SimTime &time)
+{
     // 1. Open the data file (directory/metadata overhead). Its id is
     //    cached; the open is charged as if by name.
     const pc::simfs::FileId data = dataFiles_[loc.file];
@@ -260,17 +320,14 @@ ResultDatabase::fetch(u64 url_hash, RecordView &out, SimTime &time)
     const Bytes header = store_.chargeRead(idx, 0, store_.size(idx), time);
     time += SimTime(header) * cfg_.parsePerByte;
 
-    // 3. Read the record at its offset.
+    // 3. Read the record at its offset (charged alone when `out` is
+    //    null: same time, counts and bit-flip draws).
     time += cfg_.perReadOverhead;
     const Bytes got =
-        store_.read(data, loc.offset, loc.length, readBuf_, time);
+        out ? store_.read(data, loc.offset, loc.length, *out, time)
+            : store_.chargeRead(data, loc.offset, loc.length, time);
     pc_assert(got == loc.length, "truncated database record");
     time += cfg_.recordParse;
-
-    // Flat records carry no checksum, so a storage bit flip on a `|` or
-    // `\n` separator surfaces here as an unparsable record: report it
-    // missing (its read time is already charged) rather than abort.
-    return decode(readBuf_, out);
 }
 
 Bytes

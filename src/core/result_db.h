@@ -21,7 +21,6 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "simfs/flash_store.h"
@@ -145,6 +144,15 @@ class ResultDatabase
      */
     bool fetch(u64 url_hash, RecordView &out, SimTime &time);
 
+    /**
+     * Charge a fetch without reading the record out: the same latency,
+     * simfs.* counts and storage bit-flip draws as fetch(), for callers
+     * that discard the record (the serve path's probe). Engine mode
+     * runs the full fetch, since its CRC check decides what is charged.
+     * @param[out] time Accumulates the retrieval latency.
+     */
+    void chargeFetch(u64 url_hash, SimTime &time);
+
     /** Number of stored records. */
     std::size_t records() const
     {
@@ -168,8 +176,8 @@ class ResultDatabase
 
     /**
      * Both flat-file databases with the same shape, prefix, file ids
-     * and location map (iteration order and bucket count included).
-     * Engine-backed databases never compare equal.
+     * and location map (slot layout included). Engine-backed databases
+     * never compare equal.
      */
     bool operator==(const ResultDatabase &other) const;
 
@@ -194,6 +202,39 @@ class ResultDatabase
         bool operator==(const Location &) const = default;
     };
 
+    /**
+     * urlHash -> Location as one flat open-addressing array: key 0
+     * marks an empty slot, the size is a power of two, probing is
+     * linear and nothing is erased. A clone or adopt is one vector
+     * copy, not one node per record.
+     */
+    class LocationMap
+    {
+      public:
+        /** The key's location, or nullptr. Key 0 is never present. */
+        const Location *find(u64 key) const;
+        /** Insert or overwrite the key's location. @pre key != 0. */
+        void assign(u64 key, const Location &loc);
+        std::size_t size() const { return size_; }
+        bool operator==(const LocationMap &) const = default;
+
+      private:
+        struct Slot
+        {
+            u64 key = 0; ///< 0 = empty.
+            Location loc{};
+
+            bool operator==(const Slot &) const = default;
+        };
+
+        /** The key's slot, or the empty slot ending its probe run. */
+        std::size_t probe(u64 key) const;
+        void grow();
+
+        std::vector<Slot> slots_;
+        std::size_t size_ = 0;
+    };
+
     std::string dataFileName(u32 file) const;
     std::string indexFileName(u32 file) const;
 
@@ -213,6 +254,12 @@ class ResultDatabase
      */
     Location appendRecord(u64 key, std::string_view rec, SimTime &time);
 
+    /**
+     * Flat mode: charge the open, header parse and record read of one
+     * fetch, copying the record into `*out` when `out` is non-null.
+     */
+    void readFlat(const Location &loc, std::string *out, SimTime &time);
+
     /** Split a record into its fields; false if a separator is lost. */
     static bool decode(std::string_view text, RecordView &out);
 
@@ -221,7 +268,7 @@ class ResultDatabase
     std::string prefix_;
     std::vector<pc::simfs::FileId> dataFiles_;
     std::vector<pc::simfs::FileId> indexFiles_;
-    std::unordered_map<u64, Location> locations_;
+    LocationMap locations_;
     /** encode()'s output; reused so encoding does not allocate. */
     std::string encodeBuf_;
     /** fetch()'s read buffer; reused so a fetch does not allocate. */

@@ -755,10 +755,11 @@ runFleet(const Workbench &wb, const FleetRunConfig &cfg,
     // With a cloud service, a device's first sync is the full install
     // of the latest model onto a cache still equal to the image's, so
     // that apply runs once here and each device copies its result
-    // (MobileDevice::attachInstallImage checks both conditions).
+    // (MobileDevice::attachInstallImage checks both conditions). The
+    // install is the service's cached delta the syncs are served.
     std::optional<device::InstallImage> firstContact;
     if (cfg.cloud && cfg.cloud->latestVersion() > 0)
-        firstContact.emplace(image, cfg.cloud->makeDelta(0));
+        firstContact.emplace(image, *cfg.cloud->servedDelta(0));
     const device::InstallImage *install =
         firstContact ? &*firstContact : nullptr;
 

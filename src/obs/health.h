@@ -81,9 +81,11 @@ namespace pc::obs::health {
  * from deterministic artifacts; these constants translate the
  * server's deterministic op counts (records ingested, batches
  * dispatched, delta ops served) into simulated busy time instead.
- * They approximate the measured build throughput of the sharded
- * builder at paper scale; the capacity-planning layer (ROADMAP) will
- * cross-validate them.
+ * They are modelled: no measurement backs them yet (ROADMAP "Server
+ * tier"). kServerPerDeltaOpNs models a server that builds each sync's
+ * delta, so every admitted sync is charged its delta's ops; the host
+ * simulator builds a delta once per (base, target) and serves it from
+ * CloudUpdateService's cache.
  */
 constexpr SimTime kServerPerRecordNs = 2'000;
 constexpr SimTime kServerPerBatchNs = 20'000;

@@ -24,6 +24,7 @@ CloudUpdateService::ingest(const workload::SearchLog &log)
     latest_ = version;
     while (history_.size() > cfg_.maxVersions)
         history_.erase(history_.begin());
+    deltas_.clear();
     publishBuildMetrics(it->second);
     return it->second;
 }
@@ -76,6 +77,24 @@ CloudUpdateService::makeDelta(u64 from_version, u64 to_version) const
     return *std::move(d);
 }
 
+const core::CommunityDelta *
+CloudUpdateService::servedDelta(u64 from_version, u64 to_version) const
+{
+    if (to_version == 0)
+        to_version = latest_;
+    if (!hasVersion(to_version))
+        return nullptr;
+    // tryMakeDelta diffs an off-window base exactly as base 0.
+    if (!hasVersion(from_version))
+        from_version = 0;
+    const std::pair key{from_version, to_version};
+    const std::lock_guard lock(deltasMu_);
+    auto it = deltas_.find(key);
+    if (it == deltas_.end())
+        it = deltas_.emplace(key, makeDelta(from_version, to_version)).first;
+    return &it->second;
+}
+
 device::MobileDevice::CommunitySyncResult
 CloudUpdateService::syncDevice(device::MobileDevice &dev,
                                u64 target_version, device::ServePath path)
@@ -110,17 +129,18 @@ CloudUpdateService::syncDetached(device::MobileDevice &dev,
         from_version = 0;
         escalated = true;
     }
-    const auto delta = tryMakeDelta(from_version, target_version);
+    const core::CommunityDelta *delta =
+        servedDelta(from_version, target_version);
     events.emit(obs::SyncEvent{
         .tier = obs::SyncTier::Server, .stage = obs::SyncStage::VersionLookup,
-        .ok = delta.has_value(), .fromVersion = from_version,
+        .ok = delta != nullptr, .fromVersion = from_version,
         .toVersion = target_version, .detail = history_.size(), .start = now});
     if (escalated)
         events.emit(obs::SyncEvent{
             .tier = obs::SyncTier::Server, .stage = obs::SyncStage::Escalate,
             .fromVersion = dev.communityVersion(), .toVersion = target_version,
             .detail = dev.badDeltaStreak(), .start = now});
-    if (!delta.has_value()) {
+    if (delta == nullptr) {
         // Target version off the window (or nothing published):
         // typed failure, no radio traffic, device untouched.
         device::MobileDevice::CommunitySyncResult res;

@@ -15,6 +15,11 @@
  * synced (version 0) — receives a full install: a delta from the empty
  * model, which tryApplyCommunityDelta handles identically.
  *
+ * One update period serves a few distinct deltas, one per base version,
+ * to many devices, so syncs take theirs from a cache keyed by (base,
+ * target) that ingest() clears (servedDelta). tryMakeDelta/makeDelta
+ * stay the uncached builder.
+ *
  * The service keeps its own obs::MetricRegistry ("server.*": ingest
  * volume, queue depths, delta sizes and op counts, sync outcomes) so a
  * fleet run can fold cloud-side metrics into the same snapshot as the
@@ -25,7 +30,9 @@
 #define PC_SERVER_SERVICE_H
 
 #include <map>
+#include <mutex>
 #include <optional>
+#include <utility>
 
 #include "core/delta.h"
 #include "device/mobile_device.h"
@@ -70,7 +77,8 @@ class CloudUpdateService
     /**
      * Ingest one log window and publish the next model version
      * (1, 2, ...). The multi-threaded build is byte-identical
-     * to a sequential build of the same log (see builder.h).
+     * to a sequential build of the same log (see builder.h). Drops
+     * every cached delta (servedDelta).
      * @return The freshly published model.
      */
     const CommunityModel &ingest(const workload::SearchLog &log);
@@ -126,6 +134,20 @@ class CloudUpdateService
                                    u64 to_version = 0) const;
 
     /**
+     * The delta a sync from `from_version` to `to_version` (0 =
+     * latest) is served: tryMakeDelta's, built on the first request
+     * for its (base, target) and kept until the next ingest(). The
+     * base is 0 when `from_version` is 0 or off the history window, so
+     * the cache holds at most (window + 1) x window deltas whatever
+     * versions devices claim. Safe to call concurrently (one mutex),
+     * but not concurrently with ingest().
+     * @return nullptr when the target version is unavailable; else a
+     *         delta that stays valid until the next ingest().
+     */
+    const core::CommunityDelta *servedDelta(u64 from_version,
+                                            u64 to_version = 0) const;
+
+    /**
      * Sync one device to `target_version` (0 = latest) over `path`:
      * generate the delta against the device's current version, let the
      * device download and apply it (retry/backoff under its fault
@@ -157,12 +179,13 @@ class CloudUpdateService
     };
 
     /**
-     * The read-only half of syncDevice(): generate the delta and let
-     * the device download/apply it, but account nothing — the outcome
-     * lands in `*acct` for a later accountSync(). Const and touches no
-     * service state, so any number of workers may sync their (private)
-     * devices concurrently, as long as no ingest() runs at the same
-     * time. The parallel fleet harness uses this plus an index-ordered
+     * The read-only half of syncDevice(): fetch the delta
+     * (servedDelta) and let the device download/apply it, but account
+     * nothing — the outcome lands in `*acct` for a later accountSync().
+     * Const and touches no service state but the locked delta cache,
+     * so any number of workers may sync their (private) devices
+     * concurrently, as long as no ingest() runs at the same time. The
+     * parallel fleet harness uses this plus an index-ordered
      * accountSync() replay to keep the service registry byte-identical
      * to a sequential run.
      */
@@ -199,6 +222,9 @@ class CloudUpdateService
     /** version -> model; ordered so eviction drops the oldest. */
     std::map<u64, CommunityModel> history_;
     u64 latest_ = 0;
+    /** servedDelta's (base, target) -> delta; ingest() clears it. */
+    mutable std::map<std::pair<u64, u64>, core::CommunityDelta> deltas_;
+    mutable std::mutex deltasMu_;
     obs::MetricRegistry registry_;
 };
 

@@ -1,7 +1,9 @@
 /**
  * @file
  * Unit and property tests for the 32-file flash result database
- * (Figure 13 / Figure 12 behaviour).
+ * (Figure 13 / Figure 12 behaviour) and its flat record-location map:
+ * growth, recovery from the headers, clone/adopt equality and the
+ * key-0 sentinel.
  */
 
 #include <gtest/gtest.h>
@@ -57,6 +59,96 @@ TEST_F(ResultDbTest, AddFetchRoundTrip)
     EXPECT_EQ(rec.description, r.description);
     EXPECT_EQ(rec.url, r.url);
     EXPECT_GT(fetch, 0);
+}
+
+TEST_F(ResultDbTest, LocationMapGrowsThroughSeveralDoublings)
+{
+    ResultDatabase db(store_);
+    SimTime t = 0;
+    constexpr int kRecords = 10000;
+    for (int i = 0; i < kRecords; ++i)
+        ASSERT_TRUE(db.addRecord(makeResult(i), t));
+    EXPECT_EQ(db.records(), std::size_t(kRecords));
+    for (int i = 0; i < kRecords; ++i) {
+        const auto r = makeResult(i);
+        RecordView rec;
+        SimTime fetch = 0;
+        ASSERT_TRUE(db.fetch(urlHash(r.url), rec, fetch)) << i;
+        EXPECT_EQ(rec.url, r.url);
+        EXPECT_FALSE(db.addRecord(r, t)) << "still present after growth";
+    }
+    EXPECT_EQ(db.records(), std::size_t(kRecords));
+}
+
+TEST_F(ResultDbTest, RecoveryKeepsTheLastHeaderLinePerKey)
+{
+    SimTime t = 0;
+    auto r = makeResult(7);
+    {
+        ResultDatabase db(store_);
+        ASSERT_TRUE(db.addRecord(r, t));
+        ASSERT_TRUE(db.addRecord(makeResult(8), t));
+        r.description = "First refresh.";
+        ASSERT_TRUE(db.updateRecord(r, t));
+        r.description = "Second refresh.";
+        ASSERT_TRUE(db.updateRecord(r, t));
+    }
+    ResultDatabase again(store_); // re-attaches and parses the headers
+    EXPECT_EQ(again.records(), 2u);
+    RecordView rec;
+    SimTime fetch = 0;
+    ASSERT_TRUE(again.fetch(urlHash(r.url), rec, fetch));
+    EXPECT_EQ(rec.description, "Second refresh.");
+}
+
+TEST_F(ResultDbTest, CloneAndAdoptCompareEqualAndFetchAlike)
+{
+    ResultDatabase db(store_);
+    // An adopter cloned while the image was still empty.
+    pc::nvm::FlashDevice adoptDevice(device_);
+    pc::simfs::FlashStore adoptStore(store_, adoptDevice);
+    ResultDatabase adopter(db, adoptStore);
+    ASSERT_TRUE(adopter == db);
+
+    SimTime t = 0;
+    constexpr int kRecords = 300;
+    for (int i = 0; i < kRecords; ++i)
+        db.addRecord(makeResult(i), t);
+    EXPECT_FALSE(adopter == db);
+    adoptDevice = device_;
+    adoptStore.adoptState(store_, obs::MetricRegistry{});
+    adopter.adoptState(db);
+
+    pc::nvm::FlashDevice cloneDevice(device_);
+    pc::simfs::FlashStore cloneStore(store_, cloneDevice);
+    ResultDatabase clone(db, cloneStore);
+
+    EXPECT_TRUE(clone == db);
+    EXPECT_TRUE(adopter == db);
+    for (int i = 0; i < kRecords; ++i) {
+        const u64 key = urlHash(makeResult(i).url);
+        RecordView want;
+        SimTime wantTime = 0;
+        ASSERT_TRUE(db.fetch(key, want, wantTime));
+        const std::string url(want.url);
+        for (ResultDatabase *copy : {&clone, &adopter}) {
+            RecordView got;
+            SimTime gotTime = 0;
+            ASSERT_TRUE(copy->fetch(key, got, gotTime)) << i;
+            EXPECT_EQ(got.url, url);
+            EXPECT_EQ(gotTime, wantTime);
+        }
+    }
+}
+
+TEST_F(ResultDbTest, KeyZeroIsRejected)
+{
+    ResultDatabase db(store_);
+    SimTime t = 0;
+    EXPECT_FALSE(db.contains(0));
+    RecordView rec;
+    EXPECT_FALSE(db.fetch(0, rec, t));
+    EXPECT_DEATH(db.addRecord(makeResult(1), 0, t), "empty-slot sentinel");
 }
 
 TEST_F(ResultDbTest, DuplicateAddIsNoop)

@@ -9,7 +9,9 @@
  *  - a served 3G miss allocates at most twice: the trace and the
  *    radio exchange's power timeline;
  *  - a fleet_year-shaped run stays under kFleetAllocsPerQuery
- *    allocations per served query.
+ *    allocations per served query;
+ *  - cloning perfbench's fleet_install image (a device holding the
+ *    community push) makes no allocation per result record.
  *
  * The counter replaces the global operator new, which a sanitizer
  * runtime also provides; under ASan/TSan the counting is skipped and
@@ -96,9 +98,9 @@ namespace {
  * perfbench's fleet_year shape (25 devices x 24 months, outage in
  * months 3-4): everything the run does (device clones, month streams,
  * learning, telemetry windows and the fold) divided by the queries it
- * served. This run measures 3.26 (libstdc++, GCC 12); before the serve
- * path hashed each string once and reused its buffers it measured
- * 12.96.
+ * served. This run measures 2.65 (libstdc++, GCC 12), 3.26 before the
+ * record-location map became one flat array; before the serve path
+ * hashed each string once and reused its buffers it measured 12.96.
  */
 constexpr double kFleetAllocsPerQuery = 4.0;
 
@@ -224,6 +226,37 @@ TEST(ServeAllocTest, FleetYearShapedRunStaysUnderBound)
     if (PC_COUNT_ALLOCS) {
         EXPECT_LE(perQuery, kFleetAllocsPerQuery)
             << n << " allocations for " << run.queries << " queries";
+    }
+}
+
+TEST(ServeAllocTest, ImageCloneMakesNoPerRecordAllocation)
+{
+    // runFleet's image without a cloud: the default device and cache
+    // with the community push installed.
+    const MobileDevice &fleetImage = image();
+    const auto &u = workbench().universe();
+    const std::size_t records = fleetImage.pocketSearch().db().records();
+    ASSERT_GT(records, 100u);
+
+    // The same image with 1,000 more records and nothing else added.
+    MobileDevice bigger(fleetImage);
+    constexpr std::size_t kExtra = 1000;
+    SimTime t = 0;
+    std::size_t added = 0;
+    for (u32 r = 0; r < u.numResults() && added < kExtra; ++r)
+        added += bigger.pocketSearch().db().addRecord(u.result(r), t);
+    ASSERT_EQ(added, kExtra);
+
+    const auto cloneAllocs = [](const MobileDevice &img) {
+        return allocsOf([&] { MobileDevice clone(img); });
+    };
+    const auto base = cloneAllocs(fleetImage);
+    const auto more = cloneAllocs(bigger);
+    RecordProperty("clone_allocs", std::to_string(base));
+    if (PC_COUNT_ALLOCS) {
+        EXPECT_LE(more, base + 4)
+            << records << " -> " << records + kExtra
+            << " records must not add an allocation per record";
     }
 }
 

@@ -5,8 +5,11 @@
  * clean device == fresh install of the target version", the batched add
  * path against a one-item-at-a-time reference, personalization retention
  * across syncs, the full-install fallback, sync failure under a dead
- * radio, and a fleet run wired through the cloud service whose snapshot
- * must carry "server.*" metrics next to the device ones.
+ * radio, a fleet run wired through the cloud service whose snapshot
+ * must carry "server.*" metrics next to the device ones, and the
+ * service's delta cache: every sync base serves what a fresh
+ * tryMakeDelta would, ingest() drops entries for evicted bases, and
+ * concurrent syncs match a serial run.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -548,6 +552,198 @@ TEST(DeltaSync, FailedSyncLeavesDeviceUntouched)
     ASSERT_TRUE(svc.syncDevice(dev, 2).ok);
     EXPECT_EQ(dev.communityVersion(), 2u);
     EXPECT_GT(dev.pocketSearch().pairs(), 0u);
+}
+
+/** Thirds of the build log: the windowed services' three versions. */
+workload::SearchLog
+logThird(const Workbench &wb, std::size_t k)
+{
+    return slicedLog(wb, wb.buildLog().size() * k / 3);
+}
+
+/**
+ * A window-2 service over the three log thirds (v1 evicted, v2 and v3
+ * in window) and one device per sync base, each brought honestly to its
+ * version while that version was published: never synced, v1
+ * (evicted), v2, v3 (the target), a never-published v99, and an
+ * escalated device whose bad-delta streak forces a full install.
+ */
+struct SyncCases
+{
+    SyncCases()
+    {
+        const Workbench &wb = sharedWorkbench();
+        ServiceConfig cfg;
+        cfg.maxVersions = 2;
+        svc = std::make_unique<CloudUpdateService>(wb.universe(), cfg);
+        const auto add = [&](const char *name) {
+            devices.push_back(
+                {name, std::make_unique<device::MobileDevice>(wb.universe())});
+            return devices.back().second.get();
+        };
+        add("v0");
+        for (std::size_t k = 1; k <= 3; ++k) {
+            svc->ingest(logThird(wb, k));
+            device::MobileDevice *d =
+                add(k == 1 ? "v1-evicted" : k == 2 ? "v2" : "v3");
+            EXPECT_TRUE(d->syncCommunityUpdate(svc->makeDelta(0, k)).ok);
+        }
+        add("v99-never-published")->setCommunityVersion(99);
+        // Claims v2 over an empty table: each incremental delta verifies
+        // but fails validation until the streak escalates.
+        device::MobileDevice *liar = add("escalated");
+        liar->setCommunityVersion(2);
+        const auto delta = svc->makeDelta(2, 3);
+        for (u32 i = 0; i < device::MobileDevice::kBadDeltaEscalation; ++i)
+            EXPECT_TRUE(liar->syncCommunityUpdate(delta).rejected);
+        EXPECT_TRUE(liar->needsFullInstall());
+        EXPECT_FALSE(svc->hasVersion(1));
+    }
+
+    std::unique_ptr<CloudUpdateService> svc;
+    std::vector<std::pair<std::string, std::unique_ptr<device::MobileDevice>>>
+        devices;
+};
+
+const SyncCases &
+syncCases()
+{
+    static const SyncCases cases;
+    return cases;
+}
+
+/** The version a fresh tryMakeDelta diffs against for `dev`. */
+u64
+freshBase(const device::MobileDevice &dev)
+{
+    return dev.needsFullInstall() ? 0 : dev.communityVersion();
+}
+
+TEST(DeltaCache, EveryBaseServesWhatAFreshDeltaWould)
+{
+    const SyncCases &cases = syncCases();
+    const CloudUpdateService &svc = *cases.svc;
+    for (const auto &[name, proto] : cases.devices) {
+        SCOPED_TRACE(name);
+        const u64 base = freshBase(*proto);
+        const auto fresh = svc.tryMakeDelta(base);
+        ASSERT_TRUE(fresh.has_value());
+        const core::CommunityDelta *served = svc.servedDelta(base);
+        ASSERT_NE(served, nullptr);
+        EXPECT_EQ(core::encodeDelta(*served), core::encodeDelta(*fresh));
+        EXPECT_EQ(served, svc.servedDelta(base)) << "built once, then kept";
+
+        device::MobileDevice cached(*proto);
+        device::MobileDevice direct(*proto);
+        CloudUpdateService::SyncAccounting acct;
+        const auto got = svc.syncDetached(cached, &acct);
+        const auto want = direct.syncCommunityUpdate(*fresh);
+        EXPECT_TRUE(got.ok);
+        EXPECT_EQ(got, want);
+        EXPECT_EQ(acct.fullInstall, fresh->fromVersion == 0);
+        EXPECT_EQ(acct.escalated, name == "escalated");
+        EXPECT_EQ(acct.adds + acct.evicts + acct.reranks, fresh->ops());
+        EXPECT_EQ(cached.communityVersion(), svc.latestVersion());
+        EXPECT_EQ(canonicalTable(cached.pocketSearch()),
+                  canonicalTable(direct.pocketSearch()));
+        EXPECT_TRUE(cached.pocketSearch().sameCache(direct.pocketSearch()));
+    }
+}
+
+TEST(DeltaCache, IngestDropsDeltasFromAnEvictedBase)
+{
+    const Workbench &wb = sharedWorkbench();
+    ServiceConfig cfg;
+    cfg.maxVersions = 2;
+    CloudUpdateService svc(wb.universe(), cfg);
+    svc.ingest(logThird(wb, 1));
+    svc.ingest(logThird(wb, 2));
+    device::MobileDevice dev(wb.universe());
+    ASSERT_TRUE(svc.syncDevice(dev, 1).ok);
+    const core::CommunityDelta *incremental = svc.servedDelta(1);
+    ASSERT_NE(incremental, nullptr);
+    EXPECT_EQ(incremental->fromVersion, 1u);
+
+    svc.ingest(logThird(wb, 3)); // evicts v1
+    ASSERT_FALSE(svc.hasVersion(1));
+    const core::CommunityDelta *full = svc.servedDelta(1);
+    ASSERT_NE(full, nullptr);
+    EXPECT_EQ(full->fromVersion, 0u);
+    EXPECT_EQ(full->toVersion, 3u);
+
+    CloudUpdateService::SyncAccounting acct;
+    const auto res = svc.syncDetached(dev, &acct);
+    ASSERT_TRUE(res.ok);
+    EXPECT_TRUE(acct.fullInstall);
+    EXPECT_EQ(acct.adds, svc.model(3).contents.pairs.size());
+    EXPECT_EQ(dev.communityVersion(), 3u);
+    device::MobileDevice honest(wb.universe());
+    ASSERT_TRUE(svc.syncDevice(honest).ok);
+    EXPECT_EQ(canonicalTable(dev.pocketSearch()),
+              canonicalTable(honest.pocketSearch()));
+}
+
+TEST(DeltaCache, ConcurrentSyncsMatchASerialRun)
+{
+    const SyncCases &cases = syncCases();
+    // A fresh service of the same versions, so the first requests for
+    // each (base, target) race to build it.
+    const Workbench &wb = sharedWorkbench();
+    ServiceConfig cfg;
+    cfg.maxVersions = 2;
+    CloudUpdateService svc(wb.universe(), cfg);
+    for (std::size_t k = 1; k <= 3; ++k)
+        svc.ingest(logThird(wb, k));
+
+    constexpr std::size_t kThreads = 4;
+    constexpr std::size_t kDevices = 24;
+    const auto protoOf = [&](std::size_t i) -> const device::MobileDevice & {
+        return *cases.devices[i % cases.devices.size()].second;
+    };
+    struct Run
+    {
+        std::vector<std::unique_ptr<device::MobileDevice>> devs;
+        std::vector<device::MobileDevice::CommunitySyncResult> results;
+        std::vector<CloudUpdateService::SyncAccounting> accts;
+    };
+    const auto prepare = [&] {
+        Run r;
+        for (std::size_t i = 0; i < kDevices; ++i)
+            r.devs.push_back(
+                std::make_unique<device::MobileDevice>(protoOf(i)));
+        r.results.resize(kDevices);
+        r.accts.resize(kDevices);
+        return r;
+    };
+
+    Run parallel = prepare();
+    std::vector<std::thread> workers;
+    for (std::size_t t = 0; t < kThreads; ++t)
+        workers.emplace_back([&, t] {
+            for (std::size_t i = t; i < kDevices; i += kThreads)
+                parallel.results[i] = svc.syncDetached(
+                    *parallel.devs[i], &parallel.accts[i]);
+        });
+    for (auto &w : workers)
+        w.join();
+
+    Run serial = prepare();
+    for (std::size_t i = 0; i < kDevices; ++i)
+        serial.results[i] = svc.syncDetached(*serial.devs[i], &serial.accts[i]);
+
+    for (std::size_t i = 0; i < kDevices; ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_TRUE(parallel.results[i].ok);
+        EXPECT_EQ(parallel.results[i], serial.results[i]);
+        const auto &a = parallel.accts[i];
+        const auto &b = serial.accts[i];
+        EXPECT_EQ(std::tie(a.ok, a.deltaBytes, a.adds, a.evicts, a.reranks,
+                           a.fullInstall, a.escalated),
+                  std::tie(b.ok, b.deltaBytes, b.adds, b.evicts, b.reranks,
+                           b.fullInstall, b.escalated));
+        EXPECT_TRUE(parallel.devs[i]->pocketSearch().sameCache(
+            serial.devs[i]->pocketSearch()));
+    }
 }
 
 TEST(DeltaSync, FleetRunThroughCloudServiceCarriesServerMetrics)
