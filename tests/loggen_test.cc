@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <string>
 #include <unordered_map>
 
@@ -119,6 +121,138 @@ TEST_F(LogGenTest, GoldenSixMonthDigest)
     }
     EXPECT_EQ(records, 123756u);
     EXPECT_EQ(crc, 0x16bfd245u);
+}
+
+/** Every field of two logs, record by record. */
+void
+expectSameRecords(const std::vector<LogRecord> &got,
+                  const std::vector<LogRecord> &want, const std::string &what)
+{
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].time, want[i].time) << what << " record " << i;
+        ASSERT_EQ(got[i].user, want[i].user) << what << " record " << i;
+        ASSERT_TRUE(got[i].pair == want[i].pair) << what << " record " << i;
+        ASSERT_EQ(got[i].device, want[i].device) << what << " record " << i;
+    }
+}
+
+/** sortByTime on `recs` must give exactly std::stable_sort's order. */
+void
+expectStableSortOrder(const QueryUniverse &uni,
+                      const std::vector<LogRecord> &recs,
+                      const std::string &what)
+{
+    SearchLog log(uni);
+    for (const auto &r : recs)
+        log.add(r);
+    log.sortByTime();
+    std::vector<LogRecord> want = recs;
+    std::stable_sort(want.begin(), want.end(),
+                     [](const LogRecord &a, const LogRecord &b) {
+                         return a.time < b.time;
+                     });
+    expectSameRecords(log.records(), want, what);
+}
+
+/**
+ * A log shaped like LogGenerator's before its sort: one time-ordered
+ * run per user, users in order. Times come from `span` distinct
+ * values, so small spans tie records across users and within a run.
+ */
+std::vector<LogRecord>
+userRuns(Rng &rng, u32 users, u32 max_run, SimTime start, u64 span)
+{
+    std::vector<LogRecord> out;
+    for (u32 u = 0; u < users; ++u) {
+        const u32 len = u32(rng.below(max_run + 1));
+        std::vector<SimTime> times(len);
+        for (auto &t : times)
+            t = start + SimTime(rng.below(span));
+        std::sort(times.begin(), times.end());
+        for (u32 k = 0; k < len; ++k)
+            out.emplace_back(u, times[k], PairRef{k, u32(out.size())},
+                             u % 2 ? DeviceType::Featurephone
+                                   : DeviceType::Smartphone);
+    }
+    return out;
+}
+
+// The time sort is a stable sort: ties keep log order, across users
+// and within one user's run, for logs of every size.
+TEST_F(LogGenTest, SortByTimeMatchesStableSortOnSmallLogs)
+{
+    const auto rec = [](u32 user, SimTime t, u32 tag) {
+        return LogRecord(user, t, PairRef{tag, tag}, DeviceType::Smartphone);
+    };
+    expectStableSortOrder(uni_, {}, "empty log");
+    expectStableSortOrder(uni_, {rec(3, 17, 0)}, "one record");
+    expectStableSortOrder(uni_, {rec(1, 5, 0), rec(2, 9, 1)}, "two, ordered");
+    expectStableSortOrder(uni_, {rec(1, 9, 0), rec(2, 5, 1)},
+                          "two, reversed");
+    expectStableSortOrder(uni_, {rec(1, 7, 0), rec(2, 7, 1)},
+                          "two, tied across users");
+    expectStableSortOrder(uni_, {rec(4, 7, 0), rec(4, 7, 1)},
+                          "two, tied within a user");
+    expectStableSortOrder(uni_, {rec(1, 7, 0), rec(2, 7, 1), rec(3, 7, 2)},
+                          "all tied");
+}
+
+TEST_F(LogGenTest, SortByTimeMatchesStableSortOnUserRuns)
+{
+    Rng rng(91);
+    for (int trial = 0; trial < 40; ++trial) {
+        const u32 users = 1 + u32(rng.below(400));
+        const u32 max_run = 1 + u32(rng.below(60));
+        // Spans from a handful of instants (ties everywhere) to a
+        // month of nanoseconds (ties rare).
+        const u64 span = trial % 4 == 0 ? 1 + rng.below(8)
+            : trial % 4 == 1            ? 1 + rng.below(5'000)
+                                        : u64(kMonth);
+        const SimTime start = SimTime(rng.below(24)) * kMonth;
+        expectStableSortOrder(uni_, userRuns(rng, users, max_run, start, span),
+                              "trial " + std::to_string(trial));
+    }
+}
+
+// Nothing outside LogGenerator promises per-user order, so the sort
+// must hold for any record order and any times: shuffled logs,
+// reversed logs, negative times and the full SimTime range.
+TEST_F(LogGenTest, SortByTimeMatchesStableSortOnArbitraryLogs)
+{
+    Rng rng(92);
+    const SimTime lo = std::numeric_limits<SimTime>::min();
+    const SimTime hi = std::numeric_limits<SimTime>::max();
+    for (int trial = 0; trial < 40; ++trial) {
+        auto recs = userRuns(rng, 1 + u32(rng.below(300)), 40, 0,
+                             1 + rng.below(trial % 2 ? 50 : u64(kMonth)));
+        switch (trial % 5) {
+          case 0:
+            rng.shuffle(recs);
+            break;
+          case 1:
+            std::reverse(recs.begin(), recs.end());
+            break;
+          case 2:
+            for (auto &r : recs)
+                r.time -= SimTime(kMonth);
+            rng.shuffle(recs);
+            break;
+          case 3:
+            // Outliers at both ends of the range: almost every record
+            // shares one narrow slice of a huge span.
+            if (!recs.empty()) {
+                recs.front().time = hi;
+                recs.back().time = lo;
+            }
+            break;
+          default:
+            for (auto &r : recs)
+                r.time = SimTime(rng.next());
+            break;
+        }
+        expectStableSortOrder(uni_, recs, "trial " + std::to_string(trial));
+    }
 }
 
 } // namespace

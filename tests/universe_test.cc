@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <unordered_set>
 
+#include "util/crc32.h"
 #include "util/strings.h"
 #include "workload/universe.h"
 
@@ -226,6 +228,160 @@ TEST_F(UniverseTest, UrlsAreWellFormed)
             << url;
         EXPECT_NE(url.find(".com"), std::string::npos);
     }
+}
+
+/** Incremental CRC-32 over little-endian fields and strings. */
+class Digest
+{
+  public:
+    void
+    put(u64 v, int n)
+    {
+        buf_.clear();
+        for (int i = 0; i < n; ++i)
+            buf_.push_back(char((v >> (8 * i)) & 0xff));
+        crc_ = crc32(buf_, crc_);
+    }
+    void
+    put(double d)
+    {
+        u64 bits;
+        std::memcpy(&bits, &d, sizeof bits);
+        put(bits, 8);
+    }
+    void
+    put(const std::string &s)
+    {
+        put(s.size(), 4);
+        crc_ = crc32(s, crc_);
+    }
+    u32 value() const { return crc_; }
+
+  private:
+    std::string buf_;
+    u32 crc_ = 0;
+};
+
+/**
+ * CRC-32 over the whole universe: every result's url, title,
+ * description, flags and (query, weight) links, then every query's
+ * text and (result, weight) links, weights by bit pattern.
+ */
+u32
+universeDigest(const QueryUniverse &u)
+{
+    Digest d;
+    d.put(u.numResults(), 4);
+    d.put(u.numQueries(), 4);
+    for (u32 r = 0; r < u.numResults(); ++r) {
+        const ResultInfo &info = u.result(r);
+        d.put(info.url);
+        d.put(info.title);
+        d.put(info.description);
+        d.put(info.navigational ? 1 : 0, 1);
+        d.put(info.poolRank, 4);
+        d.put(info.queries.size(), 4);
+        for (const auto &[qid, w] : info.queries) {
+            d.put(qid, 4);
+            d.put(w);
+        }
+    }
+    for (u32 q = 0; q < u.numQueries(); ++q) {
+        const QueryInfo &info = u.query(q);
+        d.put(info.text);
+        d.put(info.results.size(), 4);
+        for (const auto &[rid, w] : info.results) {
+            d.put(rid, 4);
+            d.put(w);
+        }
+    }
+    return d.value();
+}
+
+/** The workbench's small world (harness::smallWorkbenchConfig). */
+UniverseConfig
+workbenchConfig()
+{
+    UniverseConfig cfg;
+    cfg.navResults = 8'000;
+    cfg.nonNavResults = 32'000;
+    cfg.navHead = 800;
+    cfg.nonNavHead = 800;
+    cfg.habitNavHead = 480;
+    cfg.habitNonNavHead = 320;
+    cfg.trendStride = 30;
+    return cfg;
+}
+
+// Golden digests of universe construction. Any change to a string, a
+// link, its order or a weight bit moves them; a change of layout alone
+// must leave every one unchanged.
+TEST_F(UniverseTest, GoldenDigestSmall)
+{
+    EXPECT_EQ(universeDigest(uni_), 0x8eaead32u);
+}
+
+TEST(UniverseGolden, GoldenDigestWorkbench)
+{
+    EXPECT_EQ(universeDigest(QueryUniverse(workbenchConfig())),
+              0xe8ab3025u);
+}
+
+TEST(UniverseGolden, GoldenDigestDefault)
+{
+    EXPECT_EQ(universeDigest(QueryUniverse(UniverseConfig{})), 0x48b89fe7u);
+}
+
+/**
+ * CRC-32 over 40,000 draws of samplePair (habitual = false) or
+ * samplePairHabitual (true, alternating the config's and an overridden
+ * navigational share) on one device type and epoch.
+ */
+u32
+drawDigest(const QueryUniverse &u, DeviceType device, u32 epoch,
+           bool habitual)
+{
+    Rng rng(1000 + 10 * u64(device) + epoch + (habitual ? 500 : 0));
+    Digest d;
+    for (int i = 0; i < 40'000; ++i) {
+        const PairRef p = !habitual
+            ? u.samplePair(rng, device, epoch)
+            : u.samplePairHabitual(rng, device, i % 2 ? 0.5 : -1.0,
+                                   epoch);
+        d.put(p.query, 4);
+        d.put(p.result, 4);
+    }
+    return d.value();
+}
+
+// Golden draw digests for both device types at epochs 0 and 3 (a
+// trending epoch), fresh and habitual. A pure speed-up of the pick
+// path must leave every draw, and so every digest, unchanged.
+TEST(UniverseGolden, GoldenSamplePairDigests)
+{
+    const QueryUniverse u(workbenchConfig());
+    struct Cell
+    {
+        DeviceType device;
+        u32 epoch;
+        bool habitual;
+        u32 want;
+    };
+    const Cell cells[] = {
+        {DeviceType::Featurephone, 0, false, 0x5ee29d9eu},
+        {DeviceType::Featurephone, 3, false, 0xef5b7139u},
+        {DeviceType::Smartphone, 0, false, 0x4ff00a84u},
+        {DeviceType::Smartphone, 3, false, 0x0b25b763u},
+        {DeviceType::Featurephone, 0, true, 0xc9c7b374u},
+        {DeviceType::Featurephone, 3, true, 0x3c4d5523u},
+        {DeviceType::Smartphone, 0, true, 0xbb4ba128u},
+        {DeviceType::Smartphone, 3, true, 0xad39e744u},
+    };
+    for (const Cell &c : cells)
+        EXPECT_EQ(drawDigest(u, c.device, c.epoch, c.habitual), c.want)
+            << (c.device == DeviceType::Featurephone ? "featurephone"
+                                                     : "smartphone")
+            << " epoch " << c.epoch << (c.habitual ? " habitual" : "");
 }
 
 } // namespace

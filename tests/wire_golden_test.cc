@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/delta.h"
 #include "core/persistence.h"
 #include "core/table_codec.h"
@@ -135,6 +137,65 @@ TEST(WireGolden, ChaosTableDigests)
         ps.installPair(sp.pair, sp.score, false, t);
     ps.recordClick(contents.pairs[5].pair, t);
     EXPECT_EQ(harness::deviceTableDigest(ps), 0x63d58f8eu);
+}
+
+/**
+ * The device-table digest as a round trip through the upload codec:
+ * encodeTable, decodeTable, sort by (query fnv, url hash), re-encode
+ * each record, one CRC-32. deviceTableDigest must equal it.
+ */
+u32
+roundTripTableDigest(const core::PocketSearch &ps)
+{
+    auto pairs = core::decodeTable(core::encodeTable(ps.table()));
+    EXPECT_TRUE(pairs.has_value());
+    if (!pairs)
+        return 0;
+    std::sort(pairs->begin(), pairs->end(),
+              [](const core::WirePair &a, const core::WirePair &b) {
+                  if (a.queryFnv != b.queryFnv)
+                      return a.queryFnv < b.queryFnv;
+                  return a.urlHash < b.urlHash;
+              });
+    std::string records;
+    for (const auto &w : *pairs)
+        core::appendWireRecord(records, w);
+    return crc32(records);
+}
+
+// The chaos checker's device digest reads the table directly; it must
+// give the digest of the table's upload blob: for an empty table, for
+// queries with two cached results, and with accessed flags set by an
+// install and by a click.
+TEST(WireGolden, DeviceTableDigestMatchesUploadRoundTrip)
+{
+    const workload::QueryUniverse uni(tinyUniverse());
+    nvm::FlashConfig fc;
+    fc.capacity = 128 * kMiB;
+    nvm::FlashDevice flash(fc);
+    simfs::FlashStore store(flash);
+    core::PocketSearch ps(uni, store);
+    EXPECT_EQ(harness::deviceTableDigest(ps), roundTripTableDigest(ps));
+    EXPECT_EQ(harness::deviceTableDigest(ps), crc32(""));
+
+    SimTime t = 0;
+    u32 two_result_queries = 0;
+    for (u32 q = 0; q < uni.numQueries() && two_result_queries < 6; ++q) {
+        const auto &results = uni.query(q).results;
+        if (results.size() != 2)
+            continue;
+        ++two_result_queries;
+        ps.installPair({q, results[0].first}, 0.5 + 0.01 * q, q % 2 == 0,
+                       t);
+        ps.installPair({q, results[1].first}, 0.25, false, t);
+        ps.recordClick({q, results[1].first}, t);
+    }
+    ASSERT_EQ(two_result_queries, 6u);
+    for (u32 r = 0; r < 12; ++r)
+        ps.installPair({uni.result(r).queries.front().first, r},
+                       0.125 * r, r % 3 == 0, t);
+    ASSERT_GE(ps.table().pairs(), 18u);
+    EXPECT_EQ(harness::deviceTableDigest(ps), roundTripTableDigest(ps));
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <unordered_set>
 
+#include "util/crc32.h"
 #include "util/rng.h"
 #include "util/zipf.h"
 
@@ -146,6 +147,81 @@ TEST(ZipfSampler, DistinctRankCountGrowsWithFlatness)
     EXPECT_GT(d_flat, d_mid);
     EXPECT_GT(d_mid, d_steep);
     EXPECT_GT(d_flat, 20000u);
+}
+
+/** CRC-32 over `draws` ranks of Zipf(n, s), each as 8 little-endian bytes. */
+u32
+drawDigest(u64 n, double s, u64 seed, int draws)
+{
+    const ZipfSampler z(n, s);
+    Rng rng(seed);
+    u32 crc = 0;
+    for (int i = 0; i < draws; ++i) {
+        const u64 r = z.sample(rng);
+        char buf[8];
+        for (int b = 0; b < 8; ++b)
+            buf[b] = char((r >> (8 * b)) & 0xff);
+        crc = crc32(std::string_view(buf, 8), crc);
+    }
+    return crc;
+}
+
+// Golden draw digests over an (n, s) grid: single-rank and two-rank
+// supports, the uniform (s = 0) and harmonic (s = 1) special cases,
+// the workload's calibrated exponents, and supports far past any
+// per-rank table a sampler might keep. A change to how a draw is
+// accepted moves them; a pure speed-up must leave every one unchanged.
+TEST(ZipfSampler, GoldenDrawDigests)
+{
+    struct Cell
+    {
+        u64 n;
+        double s;
+        u32 want;
+    };
+    const Cell cells[] = {
+        {1, 0.0, 0x27f1082du},
+        {1, 0.5, 0x27f1082du},
+        {1, 1.0, 0x27f1082du},
+        {1, 1.3, 0x27f1082du},
+        {1, 2.5, 0x27f1082du},
+        {2, 0.0, 0x8cf4ddd6u},
+        {2, 0.5, 0x9a81f613u},
+        {2, 1.0, 0x70f8578fu},
+        {2, 1.3, 0x7ff89a9au},
+        {2, 2.5, 0x734ffe00u},
+        {10, 0.0, 0xdd6c593du},
+        {10, 0.5, 0x104f19b7u},
+        {10, 1.0, 0x71f3a38bu},
+        {10, 1.3, 0x273835d1u},
+        {10, 2.5, 0x48fb2a83u},
+        {1'000, 0.0, 0x0c68aef2u},
+        {1'000, 0.5, 0xd9baf95bu},
+        {1'000, 1.0, 0x787d1629u},
+        {1'000, 1.3, 0x47bc1920u},
+        {1'000, 2.5, 0x0e87a5d2u},
+        {40'000, 0.0, 0x1cf05086u},
+        {40'000, 0.5, 0x5d41d423u},
+        {40'000, 1.0, 0x21b3cdbdu},
+        {40'000, 1.3, 0x36d05eacu},
+        {40'000, 2.5, 0xd84c1f4du},
+        {70'000, 0.0, 0x51755c29u},
+        {70'000, 0.5, 0x9e105c76u},
+        {70'000, 1.0, 0x7f59b823u},
+        {70'000, 1.3, 0x253631fbu},
+        {70'000, 2.5, 0x094cc85eu},
+        {200'000, 0.0, 0x5b1021feu},
+        {200'000, 0.5, 0x35af99b1u},
+        {200'000, 1.0, 0x8536e609u},
+        {200'000, 1.3, 0x340cd0d4u},
+        {200'000, 2.5, 0xb20455bcu},
+        {10'000'000, 0.5, 0xe28f1e80u},
+        {10'000'000, 1.3, 0xf0fca2deu},
+    };
+    for (const Cell &c : cells)
+        EXPECT_EQ(drawDigest(c.n, c.s, c.n * 31 + u64(c.s * 1000), 20'000),
+                  c.want)
+            << "n=" << c.n << " s=" << c.s;
 }
 
 } // namespace
