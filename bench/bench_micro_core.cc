@@ -6,7 +6,8 @@
  * update, the whole served hit with its click (the device serve path)
  * and the click's PocketSearch bookkeeping, Zipf sampling, universe
  * pair sampling, one user-stream event at a fixed history size, one
- * month of community log generation, CRC-32 over frame-sized buffers,
+ * month of community log generation, the time sort of one community
+ * month, CRC-32 over frame-sized buffers,
  * one first-contact community sync, running the apply against
  * adopting the shared install image, and the same sync served by a
  * CloudUpdateService (its cached delta included).
@@ -17,6 +18,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -316,6 +318,40 @@ BM_LogGenMonth(benchmark::State &state)
     state.SetItemsProcessed(i64(records));
 }
 BENCHMARK(BM_LogGenMonth)->Unit(benchmark::kMillisecond);
+
+/**
+ * SearchLog::sortByTime on one community month of the workbench world
+ * (3,000 users, the month every perfbench set-up generates), in the
+ * order LogGenerator hands it over: users in id order, each user's run
+ * in time order. The copy of the unsorted log is untimed.
+ */
+void
+BM_SortByTime(benchmark::State &state)
+{
+    static const workload::SearchLog unsorted = [] {
+        const harness::Workbench &wb = fixture().wb;
+        std::vector<workload::LogRecord> recs = wb.buildLog().records();
+        std::stable_sort(recs.begin(), recs.end(),
+                         [](const workload::LogRecord &a,
+                            const workload::LogRecord &b) {
+                             return a.user < b.user;
+                         });
+        workload::SearchLog log(wb.universe());
+        log.reserve(recs.size());
+        for (const auto &r : recs)
+            log.add(r);
+        return log;
+    }();
+    for (auto _ : state) {
+        state.PauseTiming();
+        workload::SearchLog log = unsorted;
+        state.ResumeTiming();
+        log.sortByTime();
+        benchmark::DoNotOptimize(log.records().data());
+    }
+    state.SetItemsProcessed(state.iterations() * i64(unsorted.size()));
+}
+BENCHMARK(BM_SortByTime)->Unit(benchmark::kMillisecond);
 
 void
 BM_Crc32(benchmark::State &state)

@@ -37,8 +37,7 @@ encodeTable(const QueryHashTable &table)
     out.append(kMagic, 4);
     appendRaw<u32>(out, u32(table.pairs()));
     table.forEachPair([&](u64 query_fnv, const ResultRef &r) {
-        appendWireRecord(out, {query_fnv, r.urlHash, r.score,
-                               r.userAccessed});
+        appendWireRecord(out, toWirePair(query_fnv, r));
     });
     return out;
 }

@@ -33,6 +33,13 @@ struct WirePair
     bool operator==(const WirePair &o) const = default;
 };
 
+/** The wire record of one cached (query, result) entry. */
+inline WirePair
+toWirePair(u64 query_fnv, const ResultRef &r)
+{
+    return {query_fnv, r.urlHash, r.score, r.userAccessed};
+}
+
 /** Append one fixed-width wire record (the upload blob's record body). */
 void appendWireRecord(std::string &out, const WirePair &w);
 

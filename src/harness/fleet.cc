@@ -85,9 +85,14 @@ contentsDigest(const core::CacheContents &contents,
 u32
 deviceTableDigest(const core::PocketSearch &ps)
 {
-    const auto decoded = core::decodeTable(core::encodeTable(ps.table()));
-    pc_assert(decoded.has_value(), "device table failed to round-trip");
-    return digestWirePairs(*decoded);
+    // The records an upload of the table would carry, read straight off
+    // the table: decoding encodeTable's blob gives these same pairs.
+    std::vector<core::WirePair> pairs;
+    pairs.reserve(ps.table().pairs());
+    ps.table().forEachPair([&](u64 query_fnv, const core::ResultRef &r) {
+        pairs.push_back(core::toWirePair(query_fnv, r));
+    });
+    return digestWirePairs(std::move(pairs));
 }
 
 std::string

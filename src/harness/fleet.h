@@ -64,8 +64,9 @@ u32 contentsDigest(const core::CacheContents &contents,
                    const workload::QueryUniverse &universe);
 
 /**
- * The same canonical digest computed from a live device table (via
- * the wire codec, so it sees exactly the persisted pair state). A
+ * The same canonical digest computed from a live device table: each
+ * pair as its upload record (core::toWirePair, what encodeTable
+ * writes), so it sees exactly the persisted pair state. A
  * CommunityOnly device that honestly holds server model v satisfies
  * deviceTableDigest(dev) == contentsDigest(model(v).contents).
  */

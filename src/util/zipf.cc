@@ -1,5 +1,6 @@
 #include "util/zipf.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/logging.h"
@@ -59,6 +60,12 @@ ZipfSampler::ZipfSampler(u64 n, double s)
     hX1_ = hIntegral(1.5) - 1.0;
     hN_ = hIntegral(double(n_) + 0.5);
     harmonic_ = generalizedHarmonic(n_, s_);
+    // A draw's only other transcendental calls are this bound's; the
+    // table holds the very doubles acceptBound returns, so tabulated
+    // and computed draws accept alike.
+    bound_.resize(std::min(n_, kBoundTableRanks));
+    for (u64 k = 1; k <= bound_.size(); ++k)
+        bound_[k - 1] = acceptBound(k);
 }
 
 double
@@ -79,6 +86,12 @@ ZipfSampler::h(double x) const
     return std::exp(-s_ * std::log(x));
 }
 
+double
+ZipfSampler::acceptBound(u64 k) const
+{
+    return hIntegral(double(k) + 0.5) - h(double(k));
+}
+
 u64
 ZipfSampler::sample(Rng &rng) const
 {
@@ -93,7 +106,9 @@ ZipfSampler::sample(Rng &rng) const
             k64 = 1;
         else if (k64 > n_)
             k64 = n_;
-        if (u >= hIntegral(double(k64) + 0.5) - h(double(k64)))
+        const double bound =
+            k64 <= bound_.size() ? bound_[k64 - 1] : acceptBound(k64);
+        if (u >= bound)
             return k64 - 1; // 0-based rank
     }
 }

@@ -11,10 +11,15 @@
  * The implementation uses Hormann & Derflinger rejection-inversion, which
  * is O(1) per sample independent of n, so we can model universes of
  * millions of distinct queries without building million-entry tables.
+ * Only the acceptance bounds of the first kBoundTableRanks ranks are
+ * tabulated, at construction, which leaves a draw there one inversion
+ * (log1p and exp) instead of six transcendental calls.
  */
 
 #ifndef PC_UTIL_ZIPF_H
 #define PC_UTIL_ZIPF_H
+
+#include <vector>
 
 #include "util/rng.h"
 #include "util/types.h"
@@ -56,6 +61,13 @@ class ZipfSampler
      */
     u64 headForShare(double share) const;
 
+    /**
+     * Ranks whose acceptance bound is tabulated at construction: 512 KiB
+     * of doubles at most, so a sampler over millions of ranks stays
+     * small and computes the bound of a deeper rank per draw.
+     */
+    static constexpr u64 kBoundTableRanks = u64(1) << 16;
+
   private:
     /** H(x) = integral of the rank density; see Hormann & Derflinger. */
     double hIntegral(double x) const;
@@ -63,12 +75,16 @@ class ZipfSampler
     double hIntegralInverse(double x) const;
     /** Point density helper. */
     double h(double x) const;
+    /** Acceptance bound of 1-based rank k: hIntegral(k + 0.5) - h(k). */
+    double acceptBound(u64 k) const;
 
     u64 n_;
     double s_;
     double hX1_;         // hIntegral(1.5) - 1
     double hN_;          // hIntegral(n + 0.5)
     double harmonic_;    // generalized harmonic number H_{n,s} (normalizer)
+    /** acceptBound(k) at index k - 1, for k up to kBoundTableRanks. */
+    std::vector<double> bound_;
 };
 
 /** Generalized harmonic number H_{n,s} = sum_{k=1..n} k^-s. */

@@ -1,16 +1,51 @@
 #include "workload/stream.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <map>
+#include <memory>
+#include <mutex>
 
 #include "util/hash.h"
 #include "util/logging.h"
 
 namespace pc::workload {
 
+namespace {
+
+/** Issue counts whose re-find weight is tabulated; larger ones call pow. */
+constexpr u32 kRepeatWeightCounts = 4096;
+
+/**
+ * count^skew for every count below kRepeatWeightCounts, one table per
+ * skew for the whole process: every sampled profile has the same skew,
+ * so one 32 KiB table serves every stream. Each entry is the very
+ * std::pow result the walk would compute, and count 1 is exactly 1.0
+ * (pow(1, y) == 1 in IEEE 754), so a lookup changes no sum and no pick.
+ */
+const double *
+repeatWeightTable(double skew)
+{
+    static std::mutex mu;
+    static std::map<u64, std::unique_ptr<double[]>> tables;
+    const std::lock_guard lock(mu);
+    auto &table = tables[std::bit_cast<u64>(skew)];
+    if (!table) {
+        table = std::make_unique<double[]>(kRepeatWeightCounts);
+        table[1] = 1.0;
+        for (u32 count = 2; count < kRepeatWeightCounts; ++count)
+            table[count] = std::pow(double(count), skew);
+    }
+    return table.get();
+}
+
+} // namespace
+
 UserStream::UserStream(const QueryUniverse &universe,
                        const UserProfile &profile, u64 seed, u32 epoch)
-    : universe_(universe), profile_(profile), rng_(seed), epoch_(epoch)
+    : universe_(universe), profile_(profile), rng_(seed),
+      repeatWeights_(repeatWeightTable(profile.repeatSkew)), epoch_(epoch)
 {
     pc_assert(profile_.monthlyVolume > 0, "user must submit queries");
     pc_assert(profile_.hotSetSize >= 1, "hot set cannot be empty");
@@ -94,12 +129,13 @@ PairRef
 UserStream::pickFromHistory()
 {
     pc_assert(!history_.empty(), "history pick with empty history");
-    // Rich-get-richer: proportional to count^repeatSkew. Most entries
-    // were issued once, and pow(1, y) is exactly 1 in IEEE 754, so the
-    // shortcut leaves every sum and every pick unchanged.
+    // Rich-get-richer: proportional to count^repeatSkew, looked up for
+    // all but the rare counts past the table.
+    const double *const table = repeatWeights_;
     const double skew = profile_.repeatSkew;
-    const auto weight = [skew](u32 count) {
-        return count == 1 ? 1.0 : std::pow(double(count), skew);
+    const auto weight = [table, skew](u32 count) {
+        return count < kRepeatWeightCounts ? table[count]
+                                           : std::pow(double(count), skew);
     };
     double total = 0.0;
     for (const auto &h : history_)

@@ -115,6 +115,8 @@ class UserStream
     const QueryUniverse &universe_;
     UserProfile profile_;
     Rng rng_;
+    /** count^repeatSkew by count, shared by every stream of this skew. */
+    const double *repeatWeights_;
     std::vector<PairRef> hotSet_;
     /** Distinct issued pairs in first-issue order. The order is part
      *  of the output: pickFromHistory() walks it to place its pick. */

@@ -33,7 +33,10 @@ QueryUniverse::QueryUniverse(const UniverseConfig &cfg)
 void
 QueryUniverse::buildResults()
 {
-    results_.reserve(u64(cfg_.navResults) + cfg_.nonNavResults);
+    // Room for pass 3's companions too (one per head nav result at
+    // most): growing past the pools would double the largest array.
+    results_.reserve(u64(cfg_.navResults) + cfg_.nonNavResults +
+                     cfg_.navResults / 20);
     // Navigational pool first: ids [0, navResults). Popularity rank ==
     // id within the pool.
     for (u32 i = 0; i < cfg_.navResults; ++i) {
@@ -64,17 +67,20 @@ QueryUniverse::buildResults()
 void
 QueryUniverse::buildQueriesAndAliases(Rng &rng)
 {
+    // Until layOutLinks, a result's pick entry holds its pass-1 queries
+    // (consecutive ids from `begin`, canonical first) and a query's
+    // holds the result it was created for. Every later link is an
+    // ExtraLink, kept in the order it was added.
     queries_.reserve(results_.size() * 3 / 2);
+    queryPick_.reserve(results_.size() * 3 / 2);
+    resultPick_.reserve(results_.size());
+    std::vector<ExtraLink> result_extras, query_extras;
 
-    auto addQuery = [&](std::string text, u32 result_id,
-                        double weight) -> u32 {
+    auto addQuery = [&](std::string text, u32 result_id) {
         QueryInfo q;
         q.text = std::move(text);
-        q.results.emplace_back(result_id, 1.0);
         queries_.push_back(std::move(q));
-        const u32 qid = u32(queries_.size() - 1);
-        results_[result_id].queries.emplace_back(qid, weight);
-        return qid;
+        queryPick_.push_back({result_id, 1, 0.0});
     };
 
     // Pass 1: canonical query + aliases for every result.
@@ -109,10 +115,8 @@ QueryUniverse::buildQueriesAndAliases(Rng &rng)
             expected -= 1.0;
         }
 
-        const double alias_total = 1.0 - cfg_.canonicalWeight;
-        const double canonical_w =
-            aliases == 0 ? 1.0 : cfg_.canonicalWeight;
-        addQuery(canonical, rid, canonical_w);
+        resultPick_.push_back({u32(queries_.size()), 1 + aliases, 0.0});
+        addQuery(canonical, rid);
         std::vector<std::string> used = {canonical};
         for (u32 a = 0; a < aliases; ++a) {
             const AliasKind kind = rng.chance(0.6)
@@ -131,9 +135,14 @@ QueryUniverse::buildQueriesAndAliases(Rng &rng)
                 }
             }
             used.push_back(alias);
-            addQuery(std::move(alias), rid, alias_total / aliases);
+            addQuery(std::move(alias), rid);
         }
     }
+
+    // Passes 2 and 3 only ever touch the aliases of the result whose
+    // turn it is, and those still carry just the one result they were
+    // created with: a result's own turn is the only one that links its
+    // aliases anywhere.
 
     // Pass 2: shared queries — non-nav canonical queries that also map
     // to a second non-nav result (Table 3's "michael jackson" clicking
@@ -151,8 +160,7 @@ QueryUniverse::buildQueriesAndAliases(Rng &rng)
         // another non-nav result of similar popularity ("michael
         // jackson" -> both imdb and azlyrics are popular). Head queries
         // pair with nearby head results so both pairs are cacheable.
-        const auto &[qid, qw] = results_[rid].queries.front();
-        (void)qw;
+        const u32 qid = resultPick_[rid].begin;
         const u32 span = head
             ? std::max<u32>(cfg_.nonNavResults / 100, 2)
             : std::max<u32>(cfg_.nonNavResults / 10, 2);
@@ -163,17 +171,13 @@ QueryUniverse::buildQueriesAndAliases(Rng &rng)
             continue;
         // Secondary mapping carries a modest share of the other
         // result's volume and of the query's clicks.
-        queries_[qid].results.emplace_back(other, 0.95);
-        results_[other].queries.emplace_back(qid, 0.25);
+        query_extras.push_back({qid, other, 0.95});
+        result_extras.push_back({other, qid, 0.25});
         // Aliases of rid see the same corrected results page, so they
         // split clicks across the same two results.
-        for (const auto &[aq, aw] : results_[rid].queries) {
-            (void)aw;
-            if (aq != qid && queries_[aq].results.size() == 1 &&
-                queries_[aq].results.front().first == rid) {
-                queries_[aq].results.emplace_back(other, 0.95);
-                results_[other].queries.emplace_back(aq, 0.05);
-            }
+        for (u32 aq = qid + 1; aq < qid + resultPick_[rid].count; ++aq) {
+            query_extras.push_back({aq, other, 0.95});
+            result_extras.push_back({other, aq, 0.05});
         }
     }
 
@@ -187,8 +191,7 @@ QueryUniverse::buildQueriesAndAliases(Rng &rng)
     for (u32 rid = 0; rid < nav_head; ++rid) {
         if (!rng.chance(cfg_.navSharedHeadProb))
             continue;
-        const auto &[qid, qw] = results_[rid].queries.front();
-        (void)qw;
+        const u32 qid = resultPick_[rid].begin;
         ResultInfo companion;
         const std::string &domain = results_[rid].title;
         companion.url = "m." + domain + ".com";
@@ -196,20 +199,80 @@ QueryUniverse::buildQueriesAndAliases(Rng &rng)
         companion.description = "Mobile site of " + domain + ".";
         companion.navigational = true; // query is a URL substring
         companion.poolRank = kNoPoolRank;
-        companion.queries.emplace_back(qid, 1.0);
         results_.push_back(std::move(companion));
         const u32 cid = u32(results_.size() - 1);
-        queries_[qid].results.emplace_back(cid, 0.95);
+        resultPick_.push_back({0, 0, 0.0}); // every link is an extra
+        result_extras.push_back({cid, qid, 1.0});
+        query_extras.push_back({qid, cid, 0.95});
         // Aliases of the main site split across both destinations too.
-        for (const auto &[aq, aw] : results_[rid].queries) {
-            (void)aw;
-            if (aq != qid && queries_[aq].results.size() == 1 &&
-                queries_[aq].results.front().first == rid) {
-                queries_[aq].results.emplace_back(cid, 0.95);
-                results_[cid].queries.emplace_back(aq, 0.10);
-            }
+        for (u32 aq = qid + 1; aq < qid + resultPick_[rid].count; ++aq) {
+            query_extras.push_back({aq, cid, 0.95});
+            result_extras.push_back({cid, aq, 0.10});
         }
     }
+
+    layOutLinks(std::move(result_extras), std::move(query_extras));
+}
+
+void
+QueryUniverse::layOutLinks(std::vector<ExtraLink> result_extras,
+                           std::vector<ExtraLink> query_extras)
+{
+    // Each record's links: its pass-1 links, then its extras in the
+    // order they were added — the order its own vector used to append
+    // them, so every pick walks the same weights in the same order.
+    const auto by_owner = [](const ExtraLink &a, const ExtraLink &b) {
+        return a.owner < b.owner;
+    };
+    std::stable_sort(result_extras.begin(), result_extras.end(), by_owner);
+    std::stable_sort(query_extras.begin(), query_extras.end(), by_owner);
+    std::size_t total = result_extras.size() + queries_.size() +
+                        query_extras.size();
+    for (u32 rid = 0; rid < results_.size(); ++rid)
+        total += resultPick_[rid].count;
+    pc_assert(total <= ~u32(0), "universe links overflow u32");
+    links_.resize(total);
+
+    u32 at = 0;
+    // Appends `owner`'s extras, then points its view and its pick entry
+    // at the links written since `begin`.
+    const auto finish = [&](u32 owner, u32 begin, PickEntry &e,
+                            LinkSpan &view, auto &x, const auto &extras) {
+        for (; x != extras.end() && x->owner == owner; ++x)
+            links_[at++] = {x->id, x->weight};
+        pc_assert(at > begin, "record with no links");
+        view = LinkSpan(links_.data() + begin, at - begin);
+        e.count = at - begin;
+        e.total = 0.0;
+        for (const auto &[id, w] : view)
+            e.total += w;
+        e.begin = e.count == 1 ? view.front().first : begin;
+    };
+
+    // Pass 1's click shares: the canonical query alone carries all of
+    // them; with aliases it keeps canonicalWeight and the aliases split
+    // the rest.
+    const double alias_total = 1.0 - cfg_.canonicalWeight;
+    auto rx = result_extras.cbegin();
+    for (u32 rid = 0; rid < results_.size(); ++rid) {
+        PickEntry &e = resultPick_[rid];
+        const u32 begin = at;
+        for (u32 i = 0; i < e.count; ++i) {
+            const double w = e.count == 1 ? 1.0
+                : i == 0                  ? cfg_.canonicalWeight
+                                          : alias_total / (e.count - 1);
+            links_[at++] = {e.begin + i, w};
+        }
+        finish(rid, begin, e, results_[rid].queries, rx, result_extras);
+    }
+    auto qx = query_extras.cbegin();
+    for (u32 qid = 0; qid < queries_.size(); ++qid) {
+        PickEntry &e = queryPick_[qid];
+        const u32 begin = at;
+        links_[at++] = {e.begin, 1.0};
+        finish(qid, begin, e, queries_[qid].results, qx, query_extras);
+    }
+    pc_assert(at == links_.size(), "universe links miscounted");
 }
 
 bool
@@ -219,42 +282,18 @@ QueryUniverse::isNavigationalPair(const PairRef &p) const
 }
 
 u32
-QueryUniverse::pickQueryOf(const ResultInfo &r, u32 result_id,
-                           Rng &rng) const
+QueryUniverse::pick(const PickEntry &e, Rng &rng) const
 {
-    (void)result_id;
-    pc_assert(!r.queries.empty(), "result with no queries");
-    if (r.queries.size() == 1)
-        return r.queries.front().first;
-    double total = 0.0;
-    for (const auto &[qid, w] : r.queries)
-        total += w;
-    double x = rng.uniform() * total;
-    for (const auto &[qid, w] : r.queries) {
-        x -= w;
+    if (e.count == 1)
+        return e.begin;
+    const auto *links = links_.data() + e.begin;
+    double x = rng.uniform() * e.total;
+    for (u32 i = 0; i < e.count; ++i) {
+        x -= links[i].second;
         if (x <= 0.0)
-            return qid;
+            return links[i].first;
     }
-    return r.queries.back().first;
-}
-
-u32
-QueryUniverse::pickResultOf(const QueryInfo &q, Rng &rng) const
-{
-    // A query's clicks split across the results on its page ("michael
-    // jackson" -> imdb or azlyrics), by the query's result weights.
-    if (q.results.size() == 1)
-        return q.results.front().first;
-    double total = 0.0;
-    for (const auto &[rid, w] : q.results)
-        total += w;
-    double x = rng.uniform() * total;
-    for (const auto &[rid, w] : q.results) {
-        x -= w;
-        if (x <= 0.0)
-            return rid;
-    }
-    return q.results.back().first;
+    return links[e.count - 1].first;
 }
 
 PairRef
@@ -269,8 +308,8 @@ QueryUniverse::samplePair(Rng &rng, DeviceType device, u32 epoch) const
         rid = nav ? navId(navZipf_.sample(rng))
                   : nonNavId(nonNavZipf_.sample(rng), epoch);
     }
-    const u32 qid = pickQueryOf(results_[rid], rid, rng);
-    return PairRef{qid, pickResultOf(queries_[qid], rng)};
+    const u32 qid = pick(resultPick_[rid], rng);
+    return PairRef{qid, pick(queryPick_[qid], rng)};
 }
 
 PairRef
@@ -300,12 +339,13 @@ QueryUniverse::samplePairHabitual(Rng &rng, DeviceType device,
         rank = rank % head;
     const u32 rid = nav ? navId(rank) : nonNavId(rank, epoch);
     // Routine queries are well-practiced: usually the canonical string.
+    const PickEntry &e = resultPick_[rid];
     u32 qid;
     if (rng.chance(cfg_.habitCanonicalBias))
-        qid = results_[rid].queries.front().first;
+        qid = e.count == 1 ? e.begin : links_[e.begin].first;
     else
-        qid = pickQueryOf(results_[rid], rid, rng);
-    return PairRef{qid, pickResultOf(queries_[qid], rng)};
+        qid = pick(e, rng);
+    return PairRef{qid, pick(queryPick_[qid], rng)};
 }
 
 double

@@ -25,7 +25,9 @@
 #ifndef PC_WORKLOAD_UNIVERSE_H
 #define PC_WORKLOAD_UNIVERSE_H
 
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/hash.h"
@@ -44,6 +46,9 @@ enum class DeviceType
 /** Pool rank of companion results that are never rank-sampled. */
 inline constexpr u32 kNoPoolRank = ~u32(0);
 
+/** (linked id, weight) links of a record: a view into its universe. */
+using LinkSpan = std::span<const std::pair<u32, double>>;
+
 /** A distinct clickable search result (landing page). */
 struct ResultInfo
 {
@@ -60,7 +65,7 @@ struct ResultInfo
      * Queries that click through to this result, with the share of the
      * result's click volume each query carries (sums to ~1).
      */
-    std::vector<std::pair<u32, double>> queries;
+    LinkSpan queries;
 };
 
 /** A distinct query string. */
@@ -68,7 +73,7 @@ struct QueryInfo
 {
     std::string text; ///< Normalized (lower-case) query string.
     /** Results this query clicks through to, with selection weights. */
-    std::vector<std::pair<u32, double>> results;
+    LinkSpan results;
 };
 
 /** One (query, clicked-result) pair, the unit of caching. */
@@ -148,12 +153,18 @@ struct UniverseConfig
 
 /**
  * Immutable query/result universe plus popularity samplers.
+ *
+ * Records link to each other through views into one flat array the
+ * universe owns, so a universe is not copyable.
  */
 class QueryUniverse
 {
   public:
     /** Build a universe deterministically from the config. */
     explicit QueryUniverse(const UniverseConfig &cfg);
+
+    QueryUniverse(const QueryUniverse &) = delete;
+    QueryUniverse &operator=(const QueryUniverse &) = delete;
 
     /** Number of distinct results. */
     u32 numResults() const { return u32(results_.size()); }
@@ -210,8 +221,32 @@ class QueryUniverse
     static Bytes recordSize(const ResultInfo &r);
 
   private:
+    /**
+     * What a weighted pick over one record's links reads, 16 B: the
+     * links are links_[begin, begin + count), except that for count ==
+     * 1 `begin` is the one linked id itself; `total` is the weight sum
+     * in link order.
+     */
+    struct PickEntry
+    {
+        u32 begin;
+        u32 count;
+        double total;
+    };
+
+    /** A link added after pass 1, to be laid out behind its owner's. */
+    struct ExtraLink
+    {
+        u32 owner;
+        u32 id;
+        double weight;
+    };
+
     void buildResults();
     void buildQueriesAndAliases(Rng &rng);
+    /** Lay the links out in links_ and point records and picks at them. */
+    void layOutLinks(std::vector<ExtraLink> result_extras,
+                     std::vector<ExtraLink> query_extras);
 
     /** Pool-local rank -> universe result id. */
     u32 navId(u64 rank) const { return u32(rank); }
@@ -229,15 +264,19 @@ class QueryUniverse
         return u32(cfg_.navResults + id);
     }
 
-    /** Pick a query of a result according to click weights. */
-    u32 pickQueryOf(const ResultInfo &r, u32 result_id, Rng &rng) const;
-
-    /** Pick the clicked result of a query by its result weights. */
-    u32 pickResultOf(const QueryInfo &q, Rng &rng) const;
+    /**
+     * Pick one linked id by weight: a result's query by click share, or
+     * the clicked result of a query by its result weights.
+     */
+    u32 pick(const PickEntry &e, Rng &rng) const;
 
     UniverseConfig cfg_;
     std::vector<ResultInfo> results_;
     std::vector<QueryInfo> queries_;
+    /** Every result's query links, then every query's result links. */
+    std::vector<std::pair<u32, double>> links_;
+    std::vector<PickEntry> resultPick_; ///< By result id.
+    std::vector<PickEntry> queryPick_;  ///< By query id.
 
     double navSkew_;
     double nonNavSkew_;

@@ -19,18 +19,26 @@ constexpr u64 kNumOnsets = sizeof(kOnsets) / sizeof(kOnsets[0]);
 constexpr u64 kNumVowels = sizeof(kVowels) / sizeof(kVowels[0]);
 constexpr u64 kNumCodas = sizeof(kCodas) / sizeof(kCodas[0]);
 
-/** One syllable keyed by a hash state. */
-std::string
-syllable(u64 &state)
+/** Append one syllable keyed by a hash state. */
+void
+appendSyllable(std::string &out, u64 &state)
 {
-    std::string s;
     state = mix64(state);
-    s += kOnsets[state % kNumOnsets];
+    out += kOnsets[state % kNumOnsets];
     state = mix64(state + 1);
-    s += kVowels[state % kNumVowels];
+    out += kVowels[state % kNumVowels];
     state = mix64(state + 2);
-    s += kCodas[state % kNumCodas];
-    return s;
+    out += kCodas[state % kNumCodas];
+}
+
+/** Append Vocabulary::word(index) to `out`. */
+void
+appendWord(std::string &out, u64 index)
+{
+    u64 state = mix64(index ^ 0x5bd1e995u);
+    const u64 syllables = 2 + (mix64(state + 7) % 3); // 2..4
+    for (u64 i = 0; i < syllables; ++i)
+        appendSyllable(out, state);
 }
 
 } // namespace
@@ -38,18 +46,16 @@ syllable(u64 &state)
 std::string
 Vocabulary::word(u64 index)
 {
-    u64 state = mix64(index ^ 0x5bd1e995u);
-    const u64 syllables = 2 + (mix64(state + 7) % 3); // 2..4
     std::string w;
-    for (u64 i = 0; i < syllables; ++i)
-        w += syllable(state);
+    appendWord(w, index);
     return w;
 }
 
 std::string
 Vocabulary::domainToken(u64 index)
 {
-    std::string w = word(index ^ 0x00d00a17ull);
+    std::string w;
+    appendWord(w, index ^ 0x00d00a17ull);
     // Occasionally append a short numeric/short suffix, as real brands do.
     const u64 h = mix64(index + 0x9137);
     if (h % 7 == 0)
@@ -68,7 +74,7 @@ Vocabulary::topicPhrase(u64 index, u64 pool_size)
         state = mix64(state + i + 1);
         if (i)
             phrase += ' ';
-        phrase += word(state % pool_size);
+        appendWord(phrase, state % pool_size);
     }
     return phrase;
 }
