@@ -1,9 +1,10 @@
 /**
  * @file
  * Multiple pocket cloudlets on one phone (Sections 3 and 7): search,
- * mobile ads, and map tiles share the device's flash. The OS-style
- * arbiter accounts each cloudlet's index/data footprint and, when the
- * user needs space back, shrinks the tile cloudlets lowest-value-first.
+ * mobile ads, and map tiles share the device's flash. The example
+ * prints each cloudlet's index/data footprint and, when the user needs
+ * space back, shrinks each cloudlet by hand with shrinkTo; the tile
+ * cloudlets give up their popularity tails first.
  */
 
 #include <cstdio>

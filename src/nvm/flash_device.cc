@@ -44,7 +44,7 @@ FlashDevice::read(Bytes addr, Bytes len)
     const SimTime t = SimTime(pages) *
         (cfg_.readPageLatency + SimTime(cfg_.pageSize) * cfg_.busPerByte);
     pagesRead_ += pages;
-    account(false, len, t, cfg_.activePower);
+    account(false, len, t);
     return t;
 }
 
@@ -56,7 +56,7 @@ FlashDevice::write(Bytes addr, Bytes len)
     const SimTime t = SimTime(pages) *
         (cfg_.programPageLatency + SimTime(cfg_.pageSize) * cfg_.busPerByte);
     pagesProgrammed_ += pages;
-    account(true, len, t, cfg_.activePower);
+    account(true, len, t);
     return t;
 }
 
@@ -68,7 +68,7 @@ FlashDevice::eraseBlockAt(Bytes addr)
     const u64 block = addr / block_bytes;
     ++eraseCounts_.at(block);
     ++blocksErased_;
-    account(true, 0, cfg_.eraseBlockLatency, cfg_.activePower);
+    account(true, 0, cfg_.eraseBlockLatency);
     return cfg_.eraseBlockLatency;
 }
 

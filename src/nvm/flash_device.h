@@ -8,6 +8,11 @@
  * paper's Section 5.2.2 analysis: a 500-byte search-result record still
  * costs a whole page read, and small files still occupy whole allocation
  * blocks.
+ *
+ * The device holds no payload bytes — file contents live in the simfs
+ * layer — it models the *timing, energy and geometry* of accesses, which
+ * is what the paper's storage-architecture experiments (Figure 12,
+ * Table 4) depend on.
  */
 
 #ifndef PC_NVM_FLASH_DEVICE_H
@@ -16,9 +21,22 @@
 #include <string>
 #include <vector>
 
-#include "nvm/storage_device.h"
+#include "util/types.h"
 
 namespace pc::nvm {
+
+/** Cumulative access statistics for a device. */
+struct DeviceStats
+{
+    u64 readOps = 0;
+    u64 writeOps = 0;
+    Bytes bytesRead = 0;
+    Bytes bytesWritten = 0;
+    SimTime busyTime = 0;
+    MicroJoules energy = 0;
+
+    bool operator==(const DeviceStats &) const = default;
+};
 
 /** Geometry and timing of a NAND part. Defaults resemble 2010-era SLC/MLC. */
 struct FlashConfig
@@ -39,7 +57,7 @@ struct FlashConfig
 /**
  * Timed NAND flash device with wear accounting.
  */
-class FlashDevice : public StorageDevice
+class FlashDevice
 {
   public:
     explicit FlashDevice(const FlashConfig &cfg = FlashConfig{});
@@ -76,12 +94,34 @@ class FlashDevice : public StorageDevice
     /** Total blocks erased since construction. */
     u64 blocksErased() const { return blocksErased_; }
 
+    /** Cumulative statistics. */
+    const DeviceStats &stats() const { return stats_; }
+
+    /** Reset statistics (geometry and wear untouched). */
+    void resetStats() { stats_ = DeviceStats{}; }
+
     /** Same geometry, per-block wear, page/erase counts and stats. */
     bool operator==(const FlashDevice &) const = default;
 
   private:
     void checkRange(Bytes addr, Bytes len) const;
 
+    /** Fold one access into the stats. */
+    void
+    account(bool is_write, Bytes len, SimTime t)
+    {
+        if (is_write) {
+            ++stats_.writeOps;
+            stats_.bytesWritten += len;
+        } else {
+            ++stats_.readOps;
+            stats_.bytesRead += len;
+        }
+        stats_.busyTime += t;
+        stats_.energy += energyOver(cfg_.activePower, t);
+    }
+
+    DeviceStats stats_;
     FlashConfig cfg_;
     std::vector<u64> eraseCounts_;
     u64 pagesRead_ = 0;

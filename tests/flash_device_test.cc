@@ -138,5 +138,13 @@ TEST_P(FlashGeometry, ReadTimeMonotoneInLength)
 INSTANTIATE_TEST_SUITE_P(BlockSizes, FlashGeometry,
                          ::testing::Values(2 * kKiB, 4 * kKiB, 8 * kKiB));
 
+TEST(EnergyOver, UnitArithmetic)
+{
+    // 1000 mW for 1 second = 1 J = 1e6 uJ.
+    EXPECT_NEAR(energyOver(1000.0, kSecond), 1e6, 1e-6);
+    // 900 mW for 378 ms ~= 0.34 J (the PocketSearch per-query energy).
+    EXPECT_NEAR(energyOver(900.0, fromMillis(378)), 340200.0, 1.0);
+}
+
 } // namespace
 } // namespace pc::nvm

@@ -16,9 +16,10 @@
 # Usage: tools/inventory.sh BUILD_DIR [JOBS]
 #
 # BUILD_DIR is created if missing; the main tree builds in BUILD_DIR/main
-# and perfbench in BUILD_DIR/perfbench. JOBS defaults to 4. The lists
-# are a starting point for review, not a gate: a function only tests
+# and perfbench in BUILD_DIR/perfbench. JOBS defaults to 4. The first
+# list is a starting point for review, not a gate: a function only tests
 # reach may still be worth keeping (a reference model, a crash hook).
+# The second must be empty; CI fails when it is not.
 set -euo pipefail
 
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
